@@ -8,7 +8,9 @@ must have.  A call may produce several instances (a sweep call produces one
 per CSV row); `sizes` gives the count per call.  `pass_seconds` is the
 nominal cost of one pass on the reference machine: the run does
 round(seconds / pass_seconds) whole passes, so the work depends on the
-arguments only, never on a clock.
+arguments only, never on a clock.  `calls_per_reference_loop` says how
+often the run times its reference loop (calibrate.py) between calls: after
+every call, or every 0.6 s of calls where calls are short.
 
 bmstab is always reached through module attributes, so that a traced run's
 wrappers see the calls.
@@ -48,6 +50,7 @@ def _cells(E):
 
 class Workload:
     pass_seconds: float
+    calls_per_reference_loop = 1
 
     def __init__(self, seed: int, workdir: str):
         self.seed = seed
@@ -133,6 +136,7 @@ class DeficitSmall(Workload):
     """Criterion 02's generator: 1D/2D/3D sets of at most 64 cells."""
 
     pass_seconds = 1.2
+    calls_per_reference_loop = 1500
     COUNT = 3000
     SAMPLE_EVERY = 10
     FAMILIES = ("random-boxes", "perturbed-square", "boundary-bites")
