@@ -4,7 +4,8 @@ Everything here is branch-exact: orientation predicates are signs of integer
 (or Fraction) determinants, so hulls, volumes, centroids and membership tests
 carry no floating-point error.  2D hulls use the monotone chain; 3D hulls use
 an incremental algorithm with exact visibility tests.  Inputs are sequences
-of coordinate tuples; integer coordinates keep everything fast.
+of coordinate tuples; integer coordinates keep everything fast.  `hull` is
+the one entry point that picks the routine by dimension.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "hull_2d", "polygon_area2", "polygon_centroid", "point_in_polygon",
+    "hull", "hull_2d", "polygon_area2", "polygon_centroid", "point_in_polygon",
     "clip_polygon_box", "polygon_area2_frac",
     "hull_3d", "hull_volume6", "hull_3d_centroid", "point_in_hull3d",
 ]
@@ -229,6 +230,27 @@ def hull_volume6(verts, faces) -> Fraction:
                + Fraction(a[2]) * (Fraction(b[0]) * c[1] - Fraction(b[1]) * c[0]))
         total += det
     return abs(total)
+
+
+def hull(points):
+    """Convex hull of integer points in 1, 2 or 3 dimensions.
+
+    Returns (verts, faces, d! * volume).  verts are the two end points in 1D,
+    the CCW polygon of `hull_2d` in 2D and the vertices of `hull_3d` in 3D;
+    faces are `hull_3d`'s outward triples, empty below 3D.  The scaled volume
+    is an int in 1D and 2D and a Fraction in 3D; it is 0 for degenerate hulls.
+    """
+    pts = list(points)
+    dim = len(pts[0])
+    if dim == 1:
+        lo = min(p[0] for p in pts)
+        hi = max(p[0] for p in pts)
+        return [(lo,), (hi,)], [], hi - lo
+    if dim == 2:
+        verts = hull_2d(pts)
+        return verts, [], polygon_area2(verts)
+    verts, faces = hull_3d(pts)
+    return verts, faces, hull_volume6(verts, faces)
 
 
 def hull_3d_centroid(verts, faces):

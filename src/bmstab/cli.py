@@ -1,18 +1,15 @@
 """Command-line surface: scenario generation, checks, sweeps, and plots.
 
 Exit codes: 0 success, 1 property violation detected by a check subcommand,
-2 usage or input error.  Sweep items may run concurrently (capped by the
-BMSTAB_THREADS environment variable) but rows are always assembled in spec
-order, so outputs are byte-identical across thread counts.
+2 usage or input error.  Sweep rows run one after another in spec order, so
+reruns write byte-identical CSVs.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .convexity import GridFunction, concavity_fit, convex_hull
@@ -233,10 +230,7 @@ def sweep(config_path: str) -> str:
     if family not in FAMILIES or family == "interval-unions":
         raise UsageError(f"family {family!r} not sweepable")
 
-    items = [(eps, seed) for eps in sorted(eps_list) for seed in sorted(seeds)]
-
-    def run(item):
-        eps, seed = item
+    def row(eps, seed):
         spec = ScenarioSpec(family=family, n=n, denom=m, t=t, tau=tau,
                             eps=eps, seed=seed)
         A, B = generate_scenario(spec)
@@ -244,12 +238,7 @@ def sweep(config_path: str) -> str:
                                  instance_id=f"{family}-e{float(eps):g}-s{seed}")
         return rep.csv_row()
 
-    workers = max(1, int(os.environ.get("BMSTAB_THREADS", "0") or 0)) or None
-    if workers == 1:
-        rows = [run(it) for it in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(run, items))
+    rows = [row(eps, seed) for eps in sorted(eps_list) for seed in sorted(seeds)]
     return StabilityReport.CSV_HEADER + "\n" + "\n".join(rows) + "\n"
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from ._hull import (
-    hull_2d, hull_3d, hull_3d_centroid, hull_volume6, point_in_hull3d,
-    point_in_polygon, polygon_area2, polygon_centroid, clip_polygon_box,
-    polygon_area2_frac,
+    hull, hull_2d, hull_3d, hull_3d_centroid, point_in_hull3d,
+    point_in_polygon, polygon_centroid, clip_polygon_box, polygon_area2_frac,
 )
 from .vset import LatticeSet
 
@@ -54,18 +54,9 @@ class Polytope:
         for p in pts:
             for x in p:
                 L = math.lcm(L, x.denominator)
-        ipts = [tuple(int(x * L) for x in p) for p in pts]
-        if dim == 1:
-            lo = min(p[0] for p in ipts)
-            hi = max(p[0] for p in ipts)
-            return cls(1, L, ((lo,), (hi,)), (), Fraction(hi - lo, L))
-        if dim == 2:
-            h = hull_2d(ipts)
-            vol = Fraction(polygon_area2(h), 2 * L * L)
-            return cls(2, L, tuple(h), (), vol)
-        verts, faces = hull_3d(ipts)
-        vol = hull_volume6(verts, faces) / (6 * L ** 3)
-        return cls(3, L, tuple(verts), tuple(faces), vol)
+        verts, faces, vol = hull([tuple(int(x * L) for x in p) for p in pts])
+        return cls(dim, L, tuple(verts), tuple(faces),
+                   Fraction(vol, math.factorial(dim) * L ** dim))
 
     @property
     def vertices(self) -> tuple:
@@ -151,10 +142,10 @@ def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
         return total, total
     if E.dim == 2:
         total = Fraction(0)
-        hull = K.vertices
+        verts = K.vertices
         for i, j in E.cells:
             poly = clip_polygon_box(
-                hull, Fraction(i, m), Fraction(i + 1, m),
+                verts, Fraction(i, m), Fraction(i + 1, m),
                 Fraction(j, m), Fraction(j + 1, m))
             total += polygon_area2_frac(poly) / 2
         return total, total
@@ -163,7 +154,7 @@ def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
     planes = _face_planes(K)
     for cell in E.cells:
         corners = [tuple(Fraction(cell[a] + o[a], m) for a in range(3))
-                   for o in _CUBE_OFFS]
+                   for o in product((0, 1), repeat=3)]
         if all(K.contains(c) for c in corners):
             lo_cells += 1
             hi_cells += 1
@@ -171,9 +162,6 @@ def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
             hi_cells += 1
     vol = Fraction(1, m ** 3)
     return lo_cells * vol, hi_cells * vol
-
-
-_CUBE_OFFS = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
 
 
 def _face_planes(K: Polytope):
@@ -464,15 +452,9 @@ def _level_in_H(level, H) -> bool:
 
 
 def _cell_hull_volume(cells, k) -> float:
-    if k == 1:
-        lo = min(c[0] for c in cells)
-        hi = max(c[0] for c in cells) + 1
-        return float(hi - lo)
-    corners = set()
-    for c in cells:
-        for o in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            corners.add((c[0] + o[0], c[1] + o[1]))
-    return polygon_area2(hull_2d(corners)) / 2.0
+    offs = list(product((0, 1), repeat=k))
+    corners = {tuple(x + o for x, o in zip(c, off)) for c in cells for off in offs}
+    return float(hull(corners)[2]) / math.factorial(k)
 
 
 @dataclass(frozen=True)
@@ -592,14 +574,14 @@ def _domain_roundness(psi: GridFunction) -> dict:
         r_out = max(abs(min(xs)), abs(max(xs)))
         r_in = min(abs(min(xs)), abs(max(xs))) if min(xs) < 0 < max(xs) else 0.0
         return {"r_in": r_in, "r_out": r_out}
-    hull = hull_2d([p for p in psi.points])
-    if len(hull) < 3:
+    poly = hull_2d([p for p in psi.points])
+    if len(poly) < 3:
         return {"r_in": 0.0, "r_out": 0.0}
-    r_out = max(math.hypot(p[0] * h, p[1] * h) for p in hull)
+    r_out = max(math.hypot(p[0] * h, p[1] * h) for p in poly)
     r_in = None
-    inside = point_in_polygon((0, 0), hull)
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
+    inside = point_in_polygon((0, 0), poly)
+    for i in range(len(poly)):
+        a, b = poly[i], poly[(i + 1) % len(poly)]
         dx, dy = b[0] - a[0], b[1] - a[1]
         nrm = math.hypot(dx, dy)
         if nrm == 0:

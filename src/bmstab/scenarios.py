@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from ._roots import PI_HI, PI_LO
 from .minkowski import IntervalSet
@@ -109,13 +110,7 @@ def generate_scenario(spec: ScenarioSpec):
 
 
 def _unit_cube(n: int, m: int) -> LatticeSet:
-    if n == 1:
-        cells = frozenset((i,) for i in range(m))
-    elif n == 2:
-        cells = frozenset((i, j) for i in range(m) for j in range(m))
-    else:
-        cells = frozenset((i, j, k) for i in range(m) for j in range(m) for k in range(m))
-    return LatticeSet(n, m, cells)
+    return LatticeSet(n, m, frozenset(product(range(m), repeat=n)))
 
 
 def _boundary_cells(cells: frozenset, n: int):
@@ -197,14 +192,7 @@ def _bitten_cube(n: int, m: int, eps: Fraction, rng: SplitMix64) -> LatticeSet:
     ranges[axis] = axis_range
     for i, a in enumerate(other_axes):
         ranges[a] = range(offs[i], offs[i] + spans[i])
-    if n == 1:
-        notch = [(i,) for i in ranges[0]]
-    elif n == 2:
-        notch = [(i, j) for i in ranges[0] for j in ranges[1]]
-    else:
-        notch = [(i, j, k) for i in ranges[0] for j in ranges[1] for k in ranges[2]]
-    for c in notch:
-        cube.discard(c)
+    cube.difference_update(product(*ranges))
     return LatticeSet(n, m, frozenset(cube))
 
 
@@ -213,13 +201,7 @@ def _random_boxes(n: int, m: int, rng: SplitMix64) -> LatticeSet:
     for _ in range(1 + rng.next_below(4)):
         corner = [rng.next_below(2 * m) for _ in range(n)]
         size = [1 + rng.next_below(max(m, 2)) for _ in range(n)]
-        ranges = [range(corner[a], corner[a] + size[a]) for a in range(n)]
-        if n == 1:
-            cells.update((i,) for i in ranges[0])
-        elif n == 2:
-            cells.update((i, j) for i in ranges[0] for j in ranges[1])
-        else:
-            cells.update((i, j, k) for i in ranges[0] for j in ranges[1] for k in ranges[2])
+        cells.update(product(*(range(c, c + s) for c, s in zip(corner, size))))
     return LatticeSet(n, m, frozenset(cells))
 
 
@@ -257,7 +239,7 @@ def _counterexample_set(n: int, m: int, L: int, bracket: str) -> LatticeSet:
     M2 = M ** (2 * power)
     rad = int(0.6 * M) + 2
     rng_axes = range(-rad, rad)
-    for cell in _grid_iter(rng_axes, n):
+    for cell in product(rng_axes, repeat=n):
         dmin = dmax = 0
         for k in cell:
             near = 0 if k < 0 <= k + 1 else min(abs(k), abs(k + 1))
@@ -273,12 +255,6 @@ def _counterexample_set(n: int, m: int, L: int, bracket: str) -> LatticeSet:
     far_cell = (2 * L * M,) + (0,) * (n - 1)
     cells.add(far_cell)
     return LatticeSet(n, M, frozenset(cells))
-
-
-def _grid_iter(rng_axes, n):
-    if n == 2:
-        return ((i, j) for i in rng_axes for j in rng_axes)
-    return ((i, j, k) for i in rng_axes for j in rng_axes for k in rng_axes)
 
 
 def _interval_union(rng: SplitMix64, max_components: int) -> IntervalSet:

@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 
+from ._hull import hull
 from .convexity import Polytope, lattice_polytope_overlap
 from .minkowski import DeficitRecord, deficit
-from .vset import LatticeSet, reconcile
+from .vset import LatticeSet, intersection_measure, reconcile
 
 __all__ = [
     "ConstantsTable", "StabilityReport", "constants", "hull_distance",
@@ -111,36 +113,6 @@ def constants(n: int, tau) -> ConstantsTable:
 # hull distance
 
 
-def _hull_points(E: LatticeSet):
-    """Hull vertices of the corner cloud, as integer tuples at the set denom."""
-    corners = list(E.corner_points())
-    if E.dim == 1:
-        lo = min(c[0] for c in corners)
-        hi = max(c[0] for c in corners)
-        return [(lo,), (hi,)]
-    if E.dim == 2:
-        from ._hull import hull_2d
-        return hull_2d(corners)
-    from ._hull import hull_3d
-
-    verts, _ = hull_3d(corners)
-    return verts
-
-
-def _union_hull_volume(ptsA, ptsB, v, dim, m) -> Fraction:
-    pts = list(ptsA) + [tuple(p[a] + v[a] for a in range(dim)) for p in ptsB]
-    if dim == 1:
-        lo = min(p[0] for p in pts)
-        hi = max(p[0] for p in pts)
-        return Fraction(hi - lo, m)
-    if dim == 2:
-        from ._hull import hull_2d, polygon_area2
-        return Fraction(polygon_area2(hull_2d(pts)), 2 * m * m)
-    from ._hull import hull_3d, hull_volume6
-    verts, faces = hull_3d(pts)
-    return hull_volume6(verts, faces) / (6 * m ** 3)
-
-
 def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     """Translation-minimized hull distance.
 
@@ -155,9 +127,10 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     A, B = reconcile(A, B)
     m = A.denom
     dim = A.dim
-    ptsA = _hull_points(A)
-    ptsB = _hull_points(B)
+    ptsA = hull(A.corner_points())[0]
+    ptsB = hull(B.corner_points())[0]
     volA, volB = A.measure(), B.measure()
+    scale = math.factorial(dim) * m ** dim
 
     boxA = A.bounding_box()
     boxB = B.bounding_box()
@@ -165,22 +138,23 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     hi = [boxA[a][1] - boxB[a][0] + 1 for a in range(dim)]
 
     def D(v) -> Fraction:
-        return 2 * _union_hull_volume(ptsA, ptsB, v, dim, m) - volA - volB
+        pts = ptsA + [tuple(x + y for x, y in zip(p, v)) for p in ptsB]
+        return 2 * Fraction(hull(pts)[2], scale) - volA - volB
 
     best_v = (0,) * dim
-    best = D(best_v)
+    best = D_at_zero = D(best_v)
     stride = max(1, m // 4)
     # coarse scan of the full window
-    for v in _lattice_window(lo, hi, stride):
+    for v in product(*(range(l, h, stride) for l, h in zip(lo, hi))):
         d = D(v)
         if d < best or (d == best and v < best_v):
             best, best_v = d, v
     # halving descent
     while stride > 1:
         stride = max(1, stride // 2)
-        span = [(max(l, best_v[a] - 2 * stride), min(h, best_v[a] + 2 * stride + 1))
-                for a, (l, h) in enumerate(zip(lo, hi))]
-        for v in _lattice_window([s[0] for s in span], [s[1] for s in span], stride):
+        span = [range(max(l, b - 2 * stride), min(h, b + 2 * stride + 1), stride)
+                for l, h, b in zip(lo, hi, best_v)]
+        for v in product(*span):
             d = D(v)
             if d < best or (d == best and v < best_v):
                 best, best_v = d, v
@@ -192,43 +166,32 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
         "v_star": tuple(Fraction(x, m) for x in best_v),
         "K": K,
         "D_star": best,
-        "D_at_zero": D((0,) * dim),
+        "D_at_zero": D_at_zero,
     }
-
-
-def _lattice_window(lo, hi, stride):
-    axes = [range(l, h, stride) for l, h in zip(lo, hi)]
-    if len(axes) == 1:
-        return [(i,) for i in axes[0]]
-    if len(axes) == 2:
-        return [(i, j) for i in axes[0] for j in axes[1]]
-    return [(i, j, k) for i in axes[0] for j in axes[1] for k in axes[2]]
 
 
 # ---------------------------------------------------------------------------
 # containing convex set pipeline
 
 
-def _box_union_overlap(cellsA, mA, cellsB, mB, shift):
-    """Exact |A intersect (B + shift)| for two cell unions, any rational shift."""
-    shift = tuple(Fraction(s) for s in shift)
-    dim = len(shift)
-    boxesB = []
-    for c in cellsB:
-        boxesB.append(tuple((Fraction(c[a], mB) + shift[a],
-                             Fraction(c[a] + 1, mB) + shift[a]) for a in range(dim)))
+def _shifted_overlap(A: LatticeSet, B: LatticeSet, shift) -> Fraction:
+    """Exact |A intersect (B + shift)| for two cell unions, any rational shift.
+
+    On the common lattice 1/m, write s_i = k_i/m + r_i with 0 <= r_i < 1/m.
+    The overlap of two cells is a product of per-axis tents, linear in s_i
+    between lattice steps, so the overlap is the multilinear interpolation of
+    the 2^n integer translates: sum over e in {0,1}^n of
+    prod_i w_i(e_i) * |A intersect (B + (k+e)/m)|, w_i(0) = 1 - m*r_i and
+    w_i(1) = m*r_i.
+    """
+    A, B = reconcile(A, B)
+    split = [divmod(Fraction(s) * A.denom, 1) for s in shift]  # (k_i, m*r_i)
     total = Fraction(0)
-    for c in cellsA:
-        boxA = tuple((Fraction(c[a], mA), Fraction(c[a] + 1, mA)) for a in range(dim))
-        for boxB in boxesB:
-            v = Fraction(1)
-            for a in range(dim):
-                o = min(boxA[a][1], boxB[a][1]) - max(boxA[a][0], boxB[a][0])
-                if o <= 0:
-                    v = Fraction(0)
-                    break
-                v *= o
-            total += v
+    for e in product((0, 1), repeat=A.dim):
+        w = math.prod(f if ei else 1 - f for (_, f), ei in zip(split, e))
+        if w:
+            step = [k + ei for (k, _), ei in zip(split, e)]
+            total += w * intersection_measure(A, B.translate(step))
     return total
 
 
@@ -287,8 +250,7 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
     else:
         raise RuntimeError("inflation failed to capture A and B")
 
-    sym_AB = A.measure() + B.measure() - 2 * _box_union_overlap(
-        A.cells, A.denom, B.cells, B.denom, shiftB)
+    sym_AB = A.measure() + B.measure() - 2 * _shifted_overlap(A, B, shiftB)
     return {
         "zeta_lo": zeta_lo,
         "zeta_hi": zeta_hi,

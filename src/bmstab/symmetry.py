@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from ._roots import PI_HI, PI_LO, sqrt_brackets
 from .vset import LatticeSet, fiber_profile, slice_profile, sup_slice_measure
@@ -54,7 +55,7 @@ def steiner(E: LatticeSet) -> SymmetrizedBody:
     if E.dim < 2:
         raise ValueError("steiner needs dim >= 2")
     prof = fiber_profile(E)
-    base_offs = _unit_offsets(E.dim - 1)
+    base_offs = list(product((0, 1), repeat=E.dim - 1))
     cells = set()
     for y, length in prof.lengths:
         c = int(length * E.denom)  # fiber cell count
@@ -138,12 +139,6 @@ def natural(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
     if inner.exact is not None:
         return SymmetrizedBody("natural", exact=inner.exact)
     return SymmetrizedBody("natural", bracket=inner.bracket)
-
-
-def _unit_offsets(dim: int):
-    if dim == 1:
-        return [(0,), (1,)]
-    return [(i, j) for i in (0, 1) for j in (0, 1)]
 
 
 def sup_slice_ratio_check(A: LatticeSet, B: LatticeSet, t, delta) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 __all__ = [
     "LatticeSet", "FiberProfile", "measure", "symmetric_difference_measure",
@@ -63,7 +64,7 @@ class LatticeSet:
             raise ValueError("refinement factor must be >= 1")
         if k == 1:
             return self
-        offs = _offsets(k, self.dim)
+        offs = list(product(range(k), repeat=self.dim))
         cells = frozenset(
             tuple(k * c[a] + o[a] for a in range(self.dim))
             for c in self.cells for o in offs
@@ -81,17 +82,9 @@ class LatticeSet:
 
     def corner_points(self):
         """All cell corners as integer lattice points (coordinates x denom)."""
-        offs = _offsets(2, self.dim)  # {0,1}^dim
+        offs = list(product((0, 1), repeat=self.dim))
         return {tuple(c[a] + o[a] for a in range(self.dim))
                 for c in self.cells for o in offs}
-
-
-def _offsets(k: int, dim: int):
-    if dim == 1:
-        return [(i,) for i in range(k)]
-    if dim == 2:
-        return [(i, j) for i in range(k) for j in range(k)]
-    return [(i, j, l) for i in range(k) for j in range(k) for l in range(k)]
 
 
 @dataclass(frozen=True)
@@ -316,24 +309,10 @@ def _materialize_scaling(E: LatticeSet, lam: Fraction) -> LatticeSet:
         lo = b ** (n - 1) * c[-1] * mult // a ** (n - 1)
         hi = b ** (n - 1) * (c[-1] + 1) * mult // a ** (n - 1)
         lo_hi.append((lo, hi))
-        _fill_box(cells, lo_hi)
+        cells.update(product(*(range(lo, hi) for lo, hi in lo_hi)))
     out = LatticeSet(n, M, frozenset(cells))
     assert out.measure() == E.measure()
     return out
-
-
-def _fill_box(cells: set, lo_hi):
-    if len(lo_hi) == 2:
-        (x0, x1), (y0, y1) = lo_hi
-        for i in range(x0, x1):
-            for j in range(y0, y1):
-                cells.add((i, j))
-    else:
-        (x0, x1), (y0, y1), (z0, z1) = lo_hi
-        for i in range(x0, x1):
-            for j in range(y0, y1):
-                for k in range(z0, z1):
-                    cells.add((i, j, k))
 
 
 # ---------------------------------------------------------------------------

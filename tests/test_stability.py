@@ -7,7 +7,7 @@ import pytest
 
 from bmstab.convexity import convex_hull
 from bmstab.stability import (
-    check_stability, constants, cos_pipeline, hull_distance,
+    _shifted_overlap, check_stability, constants, cos_pipeline, hull_distance,
 )
 from bmstab.vset import LatticeSet
 
@@ -194,3 +194,39 @@ def test_far_point_family_hull_distance_grows_with_L():
         dstars.append(rep.D_star)
     assert dstars[0] < dstars[1] < dstars[2]
     assert dstars[2] > 2 * dstars[0]
+
+
+def _box_pair_overlap(A, B, shift):
+    """|A intersect (B + shift)| summed over every pair of cell boxes."""
+    total = Fraction(0)
+    for a in A.cells:
+        for b in B.cells:
+            v = Fraction(1)
+            for i, s in enumerate(shift):
+                lo = max(Fraction(a[i], A.denom), Fraction(b[i], B.denom) + s)
+                hi = min(Fraction(a[i] + 1, A.denom), Fraction(b[i] + 1, B.denom) + s)
+                v *= max(hi - lo, 0)
+            total += v
+    return total
+
+
+def test_shifted_overlap_matches_box_pairs():
+    rng = random.Random(20150224)
+    nonzero = 0
+    for trial in range(60):
+        n = 1 + trial % 3
+        mA, mB = rng.sample((1, 2, 3, 4), 2)
+
+        def cells(m):
+            window = range(-1, m + 1)
+            box = [tuple(rng.choice(window) for _ in range(n)) for _ in range(40)]
+            return frozenset(box[:rng.randint(1, 40)])
+
+        A = LatticeSet(n, mA, cells(mA))
+        B = LatticeSet(n, mB, cells(mB))
+        q = rng.choice((1, 2, 3, 5, 7))
+        shift = tuple(Fraction(rng.randint(-2 * q, 2 * q), 2 * q) for _ in range(n))
+        got = _shifted_overlap(A, B, shift)
+        assert got == _box_pair_overlap(A, B, shift), (A, B, shift)
+        nonzero += got > 0
+    assert nonzero >= 40
