@@ -1,11 +1,11 @@
-"""Exact convex hull primitives over integer and rational coordinates.
+"""Exact convex hull primitives on an integer lattice.
 
-Everything here is branch-exact: orientation predicates are signs of integer
-(or Fraction) determinants, so hulls, volumes, centroids and membership tests
-carry no floating-point error.  2D hulls use the monotone chain; 3D hulls use
-an incremental algorithm with exact visibility tests.  Inputs are sequences
-of coordinate tuples; integer coordinates keep everything fast.  `hull` is
-the one entry point that picks the routine by dimension.
+Orientation predicates, areas, volumes and face planes are integer
+determinants, so nothing here carries floating-point error; Fractions appear
+only in centroids and clipped polygons.  2D hulls use the monotone chain; 3D
+hulls use an incremental algorithm with exact visibility tests.  `hull` is
+the one entry point that picks the routine by dimension, and its d!-scaled
+volume is an int in every dimension.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from fractions import Fraction
 
 __all__ = [
     "hull", "hull_2d", "polygon_area2", "polygon_centroid", "point_in_polygon",
-    "clip_polygon_box", "polygon_area2_frac",
-    "hull_3d", "hull_volume6", "hull_3d_centroid", "point_in_hull3d",
+    "clip_polygon_box", "hull_3d", "hull_volume6", "hull_3d_centroid",
+    "face_planes", "point_in_hull3d",
 ]
 
 
@@ -47,8 +47,11 @@ def hull_2d(points):
     return hull
 
 
-def polygon_area2(hull) -> int:
-    """Twice the (positive) area of a CCW polygon, exact."""
+def polygon_area2(hull):
+    """Twice the (positive) area of a CCW polygon, exact.
+
+    An int for integer vertices, a Fraction for Fraction vertices.
+    """
     if len(hull) < 3:
         return 0
     s = 0
@@ -59,33 +62,20 @@ def polygon_area2(hull) -> int:
     return s
 
 
-def polygon_area2_frac(hull) -> Fraction:
-    if len(hull) < 3:
-        return Fraction(0)
-    s = Fraction(0)
-    for i in range(len(hull)):
-        x0, y0 = hull[i]
-        x1, y1 = hull[(i + 1) % len(hull)]
-        s += Fraction(x0) * Fraction(y1) - Fraction(x1) * Fraction(y0)
-    return s
-
-
 def polygon_centroid(hull):
-    """Centroid of a CCW polygon with nonzero area, as exact Fractions."""
-    a2 = polygon_area2_frac(hull)
+    """Centroid of a CCW integer polygon, exact; the vertex mean if flat."""
+    a2 = polygon_area2(hull)
     if a2 == 0:
-        xs = [Fraction(p[0]) for p in hull]
-        ys = [Fraction(p[1]) for p in hull]
-        return sum(xs) / len(xs), sum(ys) / len(ys)
-    cx = Fraction(0)
-    cy = Fraction(0)
+        n = len(hull)
+        return tuple(Fraction(sum(p[t] for p in hull), n) for t in range(2))
+    cx = cy = 0
     for i in range(len(hull)):
         x0, y0 = hull[i]
         x1, y1 = hull[(i + 1) % len(hull)]
-        w = Fraction(x0) * y1 - Fraction(x1) * y0
+        w = x0 * y1 - x1 * y0
         cx += (x0 + x1) * w
         cy += (y0 + y1) * w
-    return cx / (3 * a2), cy / (3 * a2)
+    return Fraction(cx, 3 * a2), Fraction(cy, 3 * a2)
 
 
 def point_in_polygon(p, hull) -> bool:
@@ -218,18 +208,16 @@ def hull_3d(points):
     return verts_out, faces_out
 
 
-def hull_volume6(verts, faces) -> Fraction:
+def _det3(a, b, c):
+    """det[a; b; c] = a . (b x c), the signed volume of the cone 0abc times 6."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def hull_volume6(verts, faces) -> int:
     """Six times the volume enclosed by outward-oriented faces, exact."""
-    if not faces:
-        return Fraction(0)
-    total = Fraction(0)
-    for i, j, k in faces:
-        a, b, c = verts[i], verts[j], verts[k]
-        det = (Fraction(a[0]) * (Fraction(b[1]) * c[2] - Fraction(b[2]) * c[1])
-               - Fraction(a[1]) * (Fraction(b[0]) * c[2] - Fraction(b[2]) * c[0])
-               + Fraction(a[2]) * (Fraction(b[0]) * c[1] - Fraction(b[1]) * c[0]))
-        total += det
-    return abs(total)
+    return abs(sum(_det3(verts[i], verts[j], verts[k]) for i, j, k in faces))
 
 
 def hull(points):
@@ -238,7 +226,7 @@ def hull(points):
     Returns (verts, faces, d! * volume).  verts are the two end points in 1D,
     the CCW polygon of `hull_2d` in 2D and the vertices of `hull_3d` in 3D;
     faces are `hull_3d`'s outward triples, empty below 3D.  The scaled volume
-    is an int in 1D and 2D and a Fraction in 3D; it is 0 for degenerate hulls.
+    is an int in every dimension; it is 0 for degenerate hulls.
     """
     pts = list(points)
     dim = len(pts[0])
@@ -254,25 +242,33 @@ def hull(points):
 
 
 def hull_3d_centroid(verts, faces):
-    """Centroid of the enclosed solid, exact Fractions (needs volume > 0)."""
-    vol6 = Fraction(0)
-    cx = cy = cz = Fraction(0)
+    """Centroid of the enclosed solid, exact; the vertex mean if flat."""
+    vol6 = cx = cy = cz = 0
     for i, j, k in faces:
         a, b, c = verts[i], verts[j], verts[k]
-        det = (Fraction(a[0]) * (Fraction(b[1]) * c[2] - Fraction(b[2]) * c[1])
-               - Fraction(a[1]) * (Fraction(b[0]) * c[2] - Fraction(b[2]) * c[0])
-               + Fraction(a[2]) * (Fraction(b[0]) * c[1] - Fraction(b[1]) * c[0]))
+        det = _det3(a, b, c)
         vol6 += det
         cx += det * (a[0] + b[0] + c[0])
         cy += det * (a[1] + b[1] + c[1])
         cz += det * (a[2] + b[2] + c[2])
     if vol6 == 0:
-        xs = [Fraction(v[0]) for v in verts]
-        ys = [Fraction(v[1]) for v in verts]
-        zs = [Fraction(v[2]) for v in verts]
         n = len(verts)
-        return sum(xs) / n, sum(ys) / n, sum(zs) / n
-    return cx / (4 * vol6), cy / (4 * vol6), cz / (4 * vol6)
+        return tuple(Fraction(sum(v[t] for v in verts), n) for t in range(3))
+    return Fraction(cx, 4 * vol6), Fraction(cy, 4 * vol6), Fraction(cz, 4 * vol6)
+
+
+def face_planes(verts, faces):
+    """Outward integer plane (n, d) per face: the hull is {x : n . x <= d}."""
+    planes = []
+    for i, j, k in faces:
+        a, b, c = verts[i], verts[j], verts[k]
+        u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+        w = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
+        n = (u[1] * w[2] - u[2] * w[1],
+             u[2] * w[0] - u[0] * w[2],
+             u[0] * w[1] - u[1] * w[0])
+        planes.append((n, n[0] * a[0] + n[1] * a[1] + n[2] * a[2]))
+    return planes
 
 
 def point_in_hull3d(p, verts, faces) -> bool:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import product
 
 from ._hull import (
-    hull, hull_2d, hull_3d, hull_3d_centroid, point_in_hull3d,
-    point_in_polygon, polygon_centroid, clip_polygon_box, polygon_area2_frac,
+    clip_polygon_box, face_planes, hull, hull_2d, hull_3d, hull_3d_centroid,
+    point_in_hull3d, point_in_polygon, polygon_area2, polygon_centroid,
 )
 from .vset import LatticeSet
 
@@ -34,6 +34,16 @@ _LIFT_BITS = 48  # value quantization for lifted envelope hulls
 # exact polytopes
 
 
+def _on_lattice(points, scale=1):
+    """Common integer lattice for rational points.
+
+    Returns (L, points x*L), L the least multiple of scale that holds them.
+    """
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    L = math.lcm(scale, *(x.denominator for p in pts for x in p))
+    return L, [tuple(x.numerator * (L // x.denominator) for x in p) for p in pts]
+
+
 @dataclass(frozen=True)
 class Polytope:
     """Convex polytope with vertices on an integer lattice scaled by 1/scale."""
@@ -44,19 +54,29 @@ class Polytope:
     volume: Fraction = Fraction(0)
 
     @classmethod
-    def from_rational_points(cls, points, dim=None) -> "Polytope":
-        pts = [tuple(Fraction(x) for x in p) for p in points]
-        if not pts:
-            raise ValueError("polytope needs at least one point")
-        if dim is None:
-            dim = len(pts[0])
-        L = 1
-        for p in pts:
-            for x in p:
-                L = math.lcm(L, x.denominator)
-        verts, faces, vol = hull([tuple(int(x * L) for x in p) for p in pts])
+    def from_lattice_points(cls, points, scale) -> "Polytope":
+        """Hull of the points x/scale, x integer tuples.
+
+        It sits on the coarsest lattice 1/L, L dividing scale, that holds
+        every given point.
+        """
+        pts = list(points)
+        g = math.gcd(scale, *(x for p in pts for x in p))
+        if g > 1:
+            pts = [tuple(x // g for x in p) for p in pts]
+        L = scale // g
+        verts, faces, vol = hull(pts)
+        dim = len(pts[0])
         return cls(dim, L, tuple(verts), tuple(faces),
                    Fraction(vol, math.factorial(dim) * L ** dim))
+
+    @classmethod
+    def from_rational_points(cls, points) -> "Polytope":
+        """Hull of rational points, on the coarsest lattice that holds them."""
+        L, pts = _on_lattice(points)
+        if not pts:
+            raise ValueError("polytope needs at least one point")
+        return cls.from_lattice_points(pts, L)
 
     @property
     def vertices(self) -> tuple:
@@ -83,12 +103,9 @@ class Polytope:
         return (cx / self.scale, cy / self.scale, cz / self.scale)
 
     def translate(self, v) -> "Polytope":
-        v = tuple(Fraction(x) for x in v)
-        L = self.scale
-        for x in v:
-            L = math.lcm(L, x.denominator)
+        L, (shift,) = _on_lattice([v], self.scale)
         k = L // self.scale
-        verts = tuple(tuple(c * k + int(x * L) for c, x in zip(vert, v))
+        verts = tuple(tuple(c * k + s for c, s in zip(vert, shift))
                       for vert in self.verts)
         return Polytope(self.dim, L, verts, self.faces, self.volume)
 
@@ -96,24 +113,17 @@ class Polytope:
         """Dilation x -> center + factor*(x - center), factor a rational > 0."""
         f = Fraction(factor)
         c = tuple(Fraction(x) for x in center)
-        new_pts = []
-        for vert in self.vertices:
-            new_pts.append(tuple(ci + f * (xi - ci) for ci, xi in zip(c, vert)))
-        L = 1
-        for p in new_pts:
-            for x in p:
-                L = math.lcm(L, x.denominator)
-        verts = tuple(tuple(int(x * L) for x in p) for p in new_pts)
-        return Polytope(self.dim, L, verts, self.faces, self.volume * f ** self.dim)
+        L, verts = _on_lattice(tuple(ci + f * (xi - ci) for ci, xi in zip(c, vert))
+                               for vert in self.vertices)
+        return Polytope(self.dim, L, tuple(verts), self.faces,
+                        self.volume * f ** self.dim)
 
 
 def convex_hull(E: LatticeSet) -> Polytope:
     """Exact convex hull of all cell corners of a lattice set."""
     if E.is_empty():
         raise ValueError("convex_hull needs a nonempty set")
-    corners = E.corner_points()
-    pts = [tuple(Fraction(c, E.denom) for c in pt) for pt in corners]
-    return Polytope.from_rational_points(pts, dim=E.dim)
+    return Polytope.from_lattice_points(E.corner_points(), E.denom)
 
 
 def hull_excess(E: LatticeSet) -> Fraction:
@@ -147,43 +157,31 @@ def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
             poly = clip_polygon_box(
                 verts, Fraction(i, m), Fraction(i + 1, m),
                 Fraction(j, m), Fraction(j + 1, m))
-            total += polygon_area2_frac(poly) / 2
+            total += Fraction(polygon_area2(poly), 2)
         return total, total
-    lo_cells = 0
-    hi_cells = 0
-    planes = _face_planes(K)
-    for cell in E.cells:
-        corners = [tuple(Fraction(cell[a] + o[a], m) for a in range(3))
-                   for o in product((0, 1), repeat=3)]
-        if all(K.contains(c) for c in corners):
-            lo_cells += 1
-            hi_cells += 1
-        elif not _separated(corners, planes):
-            hi_cells += 1
     vol = Fraction(1, m ** 3)
+    if not K.faces:  # flat K: no interior to certify
+        return Fraction(0), len(E.cells) * vol
+    # K's face planes n.x <= d live on K's lattice 1/L, so a cell corner c/m
+    # is on K's side iff L*(n.c) <= m*d.  Over the cell's 8 corners n.c runs
+    # from n.cell plus the negative entries of n to n.cell plus the positive
+    # ones; those two corners decide all 8.
+    L = K.scale
+    planes = [(n, L * sum(min(x, 0) for x in n), L * sum(max(x, 0) for x in n),
+               m * d) for n, d in face_planes(K.verts, K.faces)]
+    lo_cells = hi_cells = 0
+    for x, y, z in E.cells:
+        inside = True
+        for n, neg, pos, md in planes:
+            s = L * (n[0] * x + n[1] * y + n[2] * z)
+            if s + neg > md:  # every corner outside: the cell misses K
+                break
+            if s + pos > md:
+                inside = False
+        else:
+            hi_cells += 1
+            lo_cells += inside
     return lo_cells * vol, hi_cells * vol
-
-
-def _face_planes(K: Polytope):
-    """Outward plane (normal, offset) per face, in scaled integer coords."""
-    planes = []
-    for i, j, k in K.faces:
-        a, b, c = K.verts[i], K.verts[j], K.verts[k]
-        u = tuple(b[t] - a[t] for t in range(3))
-        v = tuple(c[t] - a[t] for t in range(3))
-        n = (u[1] * v[2] - u[2] * v[1],
-             u[2] * v[0] - u[0] * v[2],
-             u[0] * v[1] - u[1] * v[0])
-        planes.append((n, sum(n[t] * a[t] for t in range(3))))
-    return planes
-
-
-def _separated(corners, planes):
-    """True if some face plane certifies the cell disjoint from the hull."""
-    for (n, d) in planes:
-        if all(sum(n[t] * c[t] for t in range(3)) > d for c in corners):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +304,14 @@ def _envelope_2d(f: GridFunction):
     if not faces:  # coplanar lift: f is affine, envelope equals f
         return dict(zip(f.points, f.values))
     out = {}
-    upper = []
-    for i, j, k in faces:
-        a, b, c = verts[i], verts[j], verts[k]
-        u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        w = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-        n = (u[1] * w[2] - u[2] * w[1],
-             u[2] * w[0] - u[0] * w[2],
-             u[0] * w[1] - u[1] * w[0])
-        if n[2] > 0:
-            upper.append(((a, b, c), n))
+    upper = [((verts[i], verts[j], verts[k]), n, d)
+             for (i, j, k), (n, d) in zip(faces, face_planes(verts, faces))
+             if n[2] > 0]
     for p in f.points:
         val = None
-        for (a, b, c), n in upper:
+        for (a, b, c), n, d in upper:
             if point_in_polygon(p, [(a[0], a[1]), (b[0], b[1]), (c[0], c[1])]) or \
                point_in_polygon(p, [(a[0], a[1]), (c[0], c[1]), (b[0], b[1])]):
-                d = n[0] * a[0] + n[1] * a[1] + n[2] * a[2]
                 z = Fraction(d - n[0] * p[0] - n[1] * p[1], n[2])
                 val = float(z) / scale
                 break

@@ -137,9 +137,11 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     lo = [boxA[a][0] - boxB[a][1] - 1 for a in range(dim)]
     hi = [boxA[a][1] - boxB[a][0] + 1 for a in range(dim)]
 
+    def union(v):
+        return ptsA + [tuple(x + y for x, y in zip(p, v)) for p in ptsB]
+
     def D(v) -> Fraction:
-        pts = ptsA + [tuple(x + y for x, y in zip(p, v)) for p in ptsB]
-        return 2 * Fraction(hull(pts)[2], scale) - volA - volB
+        return 2 * Fraction(hull(union(v))[2], scale) - volA - volB
 
     best_v = (0,) * dim
     best = D_at_zero = D(best_v)
@@ -159,12 +161,9 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
             if d < best or (d == best and v < best_v):
                 best, best_v = d, v
 
-    union_pts = [tuple(Fraction(c, m) for c in p) for p in ptsA]
-    union_pts += [tuple(Fraction(p[a] + best_v[a], m) for a in range(dim)) for p in ptsB]
-    K = Polytope.from_rational_points(union_pts, dim=dim)
     return {
         "v_star": tuple(Fraction(x, m) for x in best_v),
-        "K": K,
+        "K": Polytope.from_lattice_points(union(best_v), m),
         "D_star": best,
         "D_at_zero": D_at_zero,
     }
@@ -229,7 +228,7 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
                    for p in A.corner_points()):
             raise ValueError("zeta = 0 but A is not contained in K_A")
 
-    K0 = Polytope.from_rational_points(K_A.vertices + K_B2.vertices, dim=n)
+    K0 = Polytope.from_rational_points(K_A.vertices + K_B2.vertices)
     g0 = K0.centroid()
 
     cornersA = [tuple(Fraction(c, A.denom) for c in p) for p in A.corner_points()]

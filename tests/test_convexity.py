@@ -1,5 +1,8 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,6 +11,8 @@ from bmstab.convexity import (
     four_point_residual, hull_excess, lattice_polytope_overlap,
     level_set_convexity_integral, linear_fit, Polytope,
 )
+from bmstab.scenarios import ScenarioSpec, generate_scenario
+from bmstab.stability import cos_pipeline, hull_distance
 from bmstab.vset import LatticeSet
 
 
@@ -79,6 +84,34 @@ def test_overlap_bracket_3d_certified():
     lo, hi = lattice_polytope_overlap(cube, P)
     assert lo <= Fraction(1, 6) <= hi
     assert hi - lo < Fraction(1, 2)
+    # K = [-1, -1/2] x [0, 1]^2 and its mirror image carry scale 4, and each
+    # meets the slab of cells at denom 3 next to it in volume 1/6
+    for k_xs, e_x in ((range(-4, -2), -2), (range(2, 4), 1)):
+        K = convex_hull(LatticeSet(3, 4, frozenset(product(k_xs, range(4), range(4)))))
+        E = LatticeSet(3, 3, frozenset(product([e_x], range(3), range(3))))
+        assert K.scale == 4
+        lo, hi = lattice_polytope_overlap(E, K)
+        assert lo <= Fraction(1, 6) <= hi
+    # random rational axis boxes: a cell's overlap with a box is the product
+    # of its per-axis interval overlaps
+    rng = random.Random(89)
+    for _ in range(30):
+        q = rng.randrange(1, 7)
+        box = [sorted(Fraction(v, q) for v in rng.sample(range(-2 * q, 2 * q + 1), 2))
+               for _ in range(3)]
+        K = Polytope.from_rational_points(list(product(*box)))
+        m = rng.randrange(1, 6)
+        cells = frozenset(tuple(rng.randrange(-2 * m, 2 * m) for _ in range(3))
+                          for _ in range(rng.randrange(1, 40)))
+        exact = sum(math.prod(max(Fraction(0), min(b, Fraction(c + 1, m))
+                                  - max(a, Fraction(c, m)))
+                              for c, (a, b) in zip(cell, box))
+                    for cell in cells)
+        lo, hi = lattice_polytope_overlap(LatticeSet(3, m, cells), K)
+        assert lo <= exact <= hi
+    flat = Polytope.from_rational_points(list(product((0, 1), (0, 1), (0,))))
+    lo, hi = lattice_polytope_overlap(LatticeSet(3, 2, frozenset([(0, 0, 0)])), flat)
+    assert lo == 0 <= hi
 
 
 def test_envelope_concave_input_reproduced():
@@ -254,3 +287,171 @@ def test_linear_fit_missing_anchor():
     f = GridFunction(1, Fraction(1, 4), pts, (0.0,) * 5)
     with pytest.raises(ValueError):
         linear_fit(f, Fraction(-1), Fraction(1))
+
+
+# (n, family, denom, eps); every instance runs with seeds 1 and 2
+_GEOMETRY_SPECS = (
+    (1, "perturbed-square", 8, Fraction(1, 4)),
+    (2, "homothetic-convex", 4, 0),
+    (2, "boundary-bites", 6, Fraction(1, 4)),
+    (3, "boundary-bites", 2, Fraction(1, 4)),
+)
+
+# SHA-256 of the repr of each output, keyed by (function, family, n, seed).
+# Recorded from an earlier implementation of the hull and polytope code, so a
+# rewrite that changes a vertex, a face order, a lattice scale, a volume, a
+# centroid or a float in the last digit fails here.  The 3D overlap is only
+# taken against a polytope that contains the set.
+_GEOMETRY_DIGESTS = {
+    ("convex_hull", "perturbed-square", 1, 1):
+        "b6dc4556a500a541cb0af3bb948ce4d22d9d5455a768d936c10b7e5b1c29c622",
+    ("translate", "perturbed-square", 1, 1):
+        "e528e1549919bc999542f3c248266e9f3f717726ae6182c3bef0b7df0ff8107c",
+    ("scale_about", "perturbed-square", 1, 1):
+        "1e7640f6d12865e86068e62eb75e0464982554286b10eca5621edb3e86fdeb79",
+    ("overlap", "perturbed-square", 1, 1):
+        "ceab53df17bad5d17148d7bcc58ba61573a41ad190edb71e2650ac46ddf1876a",
+    ("hull_distance", "perturbed-square", 1, 1):
+        "eb50b5a45c0b093f777e05f7286baf4e02a320c4cc54928d80eb5a01d74fe4f0",
+    ("cos_pipeline", "perturbed-square", 1, 1):
+        "a1755be196cf5eeffea2ab6484b3d633f3716bb2d6518b5899e5379e6b3a868b",
+    ("convex_hull", "perturbed-square", 1, 2):
+        "fb1b34fcb2ed5b01a50df32f73fe377ffc04c59c195fee758085f39093e46672",
+    ("translate", "perturbed-square", 1, 2):
+        "8fb11da42fcfba1da0a40ad7fb25b690b47584d6f964b1e05afa40f536eba037",
+    ("scale_about", "perturbed-square", 1, 2):
+        "0e048527cc8c04e52013a037e95313364deb2e3faa7155ac909fcfdabc6f087a",
+    ("overlap", "perturbed-square", 1, 2):
+        "ddc3c16a88e57904204bf984bafea673d92e5eb22bc3b4b02de6499903c44075",
+    ("hull_distance", "perturbed-square", 1, 2):
+        "8b6a0e445e11188500e0b44b2d29ba6a7d520e6a36c07870584d9ec32818faab",
+    ("cos_pipeline", "perturbed-square", 1, 2):
+        "fae915b0b8003ca6f20363e0a8365c6ff2d700078e6db0f972a62b393d8fd28f",
+    ("convex_hull", "homothetic-convex", 2, 1):
+        "f5805d95fbfb0c49de1b1641a2e442d880343b7e5b4f0f7f11c0049694b820b7",
+    ("translate", "homothetic-convex", 2, 1):
+        "bc16fd2a9177fa47d1ce6d770a100d9ed95a3e89f536c2df308c2fbe3266e6a9",
+    ("scale_about", "homothetic-convex", 2, 1):
+        "532226b73688e2530ffdba547e47a125936892143b543a791a2f53d36ddc5ce2",
+    ("overlap", "homothetic-convex", 2, 1):
+        "d4842fed9608d753a09ac0c17ead13f353310a4fc37c00dd99e4425c9e128af1",
+    ("hull_distance", "homothetic-convex", 2, 1):
+        "2bd1b807f71e636b301e37d13b623486e6f33ff0cc82fef4687465743d0c315c",
+    ("cos_pipeline", "homothetic-convex", 2, 1):
+        "4d5b92479b5525915aac8825e43b3d018f9e474976895624b66be9b6394de643",
+    ("convex_hull", "homothetic-convex", 2, 2):
+        "f5805d95fbfb0c49de1b1641a2e442d880343b7e5b4f0f7f11c0049694b820b7",
+    ("translate", "homothetic-convex", 2, 2):
+        "bc16fd2a9177fa47d1ce6d770a100d9ed95a3e89f536c2df308c2fbe3266e6a9",
+    ("scale_about", "homothetic-convex", 2, 2):
+        "532226b73688e2530ffdba547e47a125936892143b543a791a2f53d36ddc5ce2",
+    ("overlap", "homothetic-convex", 2, 2):
+        "d4842fed9608d753a09ac0c17ead13f353310a4fc37c00dd99e4425c9e128af1",
+    ("hull_distance", "homothetic-convex", 2, 2):
+        "2bd1b807f71e636b301e37d13b623486e6f33ff0cc82fef4687465743d0c315c",
+    ("cos_pipeline", "homothetic-convex", 2, 2):
+        "4d5b92479b5525915aac8825e43b3d018f9e474976895624b66be9b6394de643",
+    ("convex_hull", "boundary-bites", 2, 1):
+        "59d97c3e673ab4186308c66ff772b5d44bc8b3adedb508fe9ffd4da1d8fde177",
+    ("translate", "boundary-bites", 2, 1):
+        "d8c33525e778a524569efd5115c4559cefd3c4a821ce60d06071faa0cdcba0fc",
+    ("scale_about", "boundary-bites", 2, 1):
+        "2ce0d22292210f1708d70d0b541eddcaf36eef957beac8a42a093c886506aef2",
+    ("overlap", "boundary-bites", 2, 1):
+        "667c89736c54fe02066ff890b780f749eec0f4ca29b2e4a437e190f3d3965206",
+    ("hull_distance", "boundary-bites", 2, 1):
+        "03a91c255bfb2d2c943516aeb349bafe85636ec822337eebbabad4d6db951869",
+    ("cos_pipeline", "boundary-bites", 2, 1):
+        "eafaecf3711b6927b31877ed7f2445f454ec6cec0a8ff940cb5ace3345b0a474",
+    ("convex_hull", "boundary-bites", 2, 2):
+        "8d386cc3521375681d2850fdfa913cfbeaad059010681e1c4ec10f489b1161de",
+    ("translate", "boundary-bites", 2, 2):
+        "c41c3f82f82f9f4cae3b5ebb982cef159adf8b72e0b590f6963b7ba090e9e455",
+    ("scale_about", "boundary-bites", 2, 2):
+        "c13ecb0989bf98280e8619421e00f4482347d79872b074007c42c4d1e11850e9",
+    ("overlap", "boundary-bites", 2, 2):
+        "667c89736c54fe02066ff890b780f749eec0f4ca29b2e4a437e190f3d3965206",
+    ("hull_distance", "boundary-bites", 2, 2):
+        "03a91c255bfb2d2c943516aeb349bafe85636ec822337eebbabad4d6db951869",
+    ("cos_pipeline", "boundary-bites", 2, 2):
+        "c34fdc867be8058e7ae9d7953168d119418703824bd40c2e2a67211c94893e2a",
+    ("convex_hull", "boundary-bites", 3, 1):
+        "6e988485645818932f25af3d75daf4968c520d9ecdbf90a0163fd958beb843e7",
+    ("translate", "boundary-bites", 3, 1):
+        "a577d6a335b80d071cdfedf125d26a0cc52f84b13d39eaff4f7a033d28e3f603",
+    ("scale_about", "boundary-bites", 3, 1):
+        "02a55a982dde7186279c8cb25cea1b15c0f5d038bfc5eb80058bc8a61d0b5e69",
+    ("hull_distance", "boundary-bites", 3, 1):
+        "0c68bbb4b8fc729f74e1f2b2795af6a4eba8e7c02a31785d690fc73ff524781d",
+    ("cos_pipeline", "boundary-bites", 3, 1):
+        "19dfabf81c64ce4c5c400c72e96be340234795cc417d2dec55fd343b143d2e90",
+    ("convex_hull", "boundary-bites", 3, 2):
+        "9673e426d179b8c55e8ef3f608c6492efbc99712cb9643c4bc1973bb0e0d4a02",
+    ("translate", "boundary-bites", 3, 2):
+        "a3f8105627e9b3312bff999ecda7d56f1ae90defa0e737cc57fdbedcc40d3de2",
+    ("scale_about", "boundary-bites", 3, 2):
+        "bf4d6b011bf78dbc62f08316ffef7bc1ed5f0b19d4e103f04e54df8bf9b540a1",
+    ("hull_distance", "boundary-bites", 3, 2):
+        "0c68bbb4b8fc729f74e1f2b2795af6a4eba8e7c02a31785d690fc73ff524781d",
+    ("cos_pipeline", "boundary-bites", 3, 2):
+        "491bd30967ac3ac4d69f8aefcd2cdb95156661e7dd3b4b08052a8cec9de99b4f",
+    ("concave_envelope", 2, 1):
+        "205a0bcdfe299624c824957d19bb768eb85ef967535efd1c8757fab1fe1b4ba3",
+    ("level_set", 1, 1):
+        "36a7f49b8ffdfc55d6244aa7b71e3a970a8e83da49b80628412a56bb0898f523",
+    ("level_set", 2, 1):
+        "545680f5eae96eface8f52433e434abfc48b709bd6e2304b075e087b41e7ed41",
+    ("concave_envelope", 2, 2):
+        "eb5645e2edf707bbb3c7e06c6630b75804b6761539e0990e68723971c1eee010",
+    ("level_set", 1, 2):
+        "7a59df3ba0b6db995033aab5d62c989e206af12b80d4549ce56c1f5d8be66355",
+    ("level_set", 2, 2):
+        "fe5ba4bee9462a3c6086a6f33180565b9abb233d5e7c7b79150d0c817197ec78",
+}
+
+
+def _polytope_key(P):
+    return (P.dim, P.scale, P.verts, P.faces, P.volume)
+
+
+def _geometry_outputs():
+    out = {}
+    for n, family, denom, eps in _GEOMETRY_SPECS:
+        for seed in (1, 2):
+            A, B = generate_scenario(ScenarioSpec(
+                family=family, n=n, denom=denom, eps=eps, seed=seed))
+            KA, KB = convex_hull(A), convex_hull(B)
+            v = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 4))[:n]
+            key = (family, n, seed)
+            out[("convex_hull",) + key] = (
+                _polytope_key(KA), KA.centroid(), _polytope_key(KB), KB.centroid())
+            out[("translate",) + key] = _polytope_key(KA.translate(v))
+            out[("scale_about",) + key] = _polytope_key(
+                KA.scale_about(KB.centroid(), Fraction(3, 2)))
+            if n <= 2:
+                out[("overlap",) + key] = lattice_polytope_overlap(B, KA)
+            hd = hull_distance(A, B)
+            out[("hull_distance",) + key] = (
+                hd["v_star"], hd["D_star"], hd["D_at_zero"], _polytope_key(hd["K"]))
+            cos = cos_pipeline(A, B, KA, KB, Fraction(1, 2), Fraction(1, 4))
+            out[("cos_pipeline",) + key] = tuple(
+                _polytope_key(x) if k in ("K", "K0") else x
+                for k, x in sorted(cos.items()))
+    rng = random.Random(101)
+    for seed in (1, 2):
+        pts = grid_2d(3)
+        f = GridFunction(2, Fraction(1, 4), pts, tuple(rng.uniform(-1, 1) for _ in pts))
+        out[("concave_envelope", 2, seed)] = concave_envelope(f).values
+        for k in (1, 2):
+            pts = tuple((i,) for i in range(-6, 7)) if k == 1 else grid_2d(3)
+            psi = GridFunction(k, Fraction(1, 4), pts,
+                               tuple(rng.uniform(-1, 1) for _ in pts))
+            out[("level_set", k, seed)] = level_set_convexity_integral(
+                psi, [(-0.5, 0.25)])
+    return out
+
+
+def test_geometry_outputs_match_recorded_digests():
+    got = {key: hashlib.sha256(repr(value).encode()).hexdigest()
+           for key, value in _geometry_outputs().items()}
+    assert got == _GEOMETRY_DIGESTS
