@@ -2,10 +2,10 @@
 
 Orientation predicates, areas, volumes and face planes are integer
 determinants, so nothing here carries floating-point error; Fractions appear
-only in centroids and clipped polygons.  2D hulls use the monotone chain; 3D
-hulls use an incremental algorithm with exact visibility tests.  `hull` is
-the one entry point that picks the routine by dimension, and its d!-scaled
-volume is an int in every dimension.
+only in centroids.  2D hulls use the monotone chain; 3D hulls use an
+incremental algorithm with exact visibility tests.  `hull` is the one entry
+point that picks the routine by dimension, and its d!-scaled volume is an
+int in every dimension.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from fractions import Fraction
 
 __all__ = [
     "hull", "hull_2d", "polygon_area2", "polygon_centroid", "point_in_polygon",
-    "clip_polygon_box", "hull_3d", "hull_volume6", "hull_3d_centroid",
-    "face_planes", "point_in_hull3d",
+    "hull_3d", "hull_volume6", "hull_3d_centroid", "face_planes",
+    "point_in_hull3d",
 ]
 
 
@@ -48,10 +48,7 @@ def hull_2d(points):
 
 
 def polygon_area2(hull):
-    """Twice the (positive) area of a CCW polygon, exact.
-
-    An int for integer vertices, a Fraction for Fraction vertices.
-    """
+    """Twice the (positive) area of a CCW integer polygon, exact."""
     if len(hull) < 3:
         return 0
     s = 0
@@ -95,29 +92,6 @@ def point_in_polygon(p, hull) -> bool:
         if _cross(hull[i], hull[(i + 1) % n], p) < 0:
             return False
     return True
-
-
-def clip_polygon_box(hull, xlo, xhi, ylo, yhi):
-    """Intersect a convex polygon with an axis box; vertices become Fractions."""
-    poly = [(Fraction(x), Fraction(y)) for x, y in hull]
-    for coord, bound, keep_le in ((0, xhi, True), (0, xlo, False),
-                                  (1, yhi, True), (1, ylo, False)):
-        if not poly:
-            return []
-        out = []
-        m = len(poly)
-        for i in range(m):
-            cur, nxt = poly[i], poly[(i + 1) % m]
-            cin = (cur[coord] <= bound) if keep_le else (cur[coord] >= bound)
-            nin = (nxt[coord] <= bound) if keep_le else (nxt[coord] >= bound)
-            if cin:
-                out.append(cur)
-            if cin != nin:
-                t = (bound - cur[coord]) / (nxt[coord] - cur[coord])
-                out.append((cur[0] + t * (nxt[0] - cur[0]),
-                            cur[1] + t * (nxt[1] - cur[1])))
-        poly = out
-    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from ._hull import (
-    clip_polygon_box, face_planes, hull, hull_2d, hull_3d, hull_3d_centroid,
-    point_in_hull3d, point_in_polygon, polygon_area2, polygon_centroid,
+    face_planes, hull, hull_2d, hull_3d, hull_3d_centroid, point_in_hull3d,
+    point_in_polygon, polygon_centroid,
 )
 from .vset import LatticeSet
 
@@ -61,6 +62,8 @@ class Polytope:
         every given point.
         """
         pts = list(points)
+        if not pts:
+            raise ValueError("polytope needs at least one point")
         g = math.gcd(scale, *(x for p in pts for x in p))
         if g > 1:
             pts = [tuple(x // g for x in p) for p in pts]
@@ -74,8 +77,6 @@ class Polytope:
     def from_rational_points(cls, points) -> "Polytope":
         """Hull of rational points, on the coarsest lattice that holds them."""
         L, pts = _on_lattice(points)
-        if not pts:
-            raise ValueError("polytope needs at least one point")
         return cls.from_lattice_points(pts, L)
 
     @property
@@ -89,8 +90,6 @@ class Polytope:
             return self.verts[0][0] <= p[0] <= self.verts[1][0]
         if self.dim == 2:
             return point_in_polygon(p, self.verts)
-        if not self.faces:
-            return False  # degenerate 3D hull: treated as volume 0, no interior
         return point_in_hull3d(p, self.verts, self.faces)
 
     def centroid(self) -> tuple:
@@ -131,57 +130,89 @@ def hull_excess(E: LatticeSet) -> Fraction:
     return convex_hull(E).volume - E.measure()
 
 
-def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
-    """Certified bracket [lo, hi] for |E intersect K|.
+def _planes(P: Polytope):
+    """P's outward planes (n, d), P = {x : n.x <= d}, and edges, on P's lattice.
 
-    Exact (lo == hi) for dim <= 2 via polygon clipping against each cell.
-    For dim 3 the bracket counts cells certified inside (all corners in K)
-    against cells not certified disjoint (no face plane separates).
+    3D edges are `hull_3d`'s triangle sides; diagonals only add points of P.
+    """
+    v = P.verts
+    if P.dim == 1:
+        return [((-1,), -v[0][0]), ((1,), v[1][0])], [v]
+    if P.dim == 2:
+        sides = list(zip(v, v[1:] + v[:1]))
+        return [((b[1] - a[1], a[0] - b[0]), a[0] * b[1] - a[1] * b[0])
+                for a, b in sides], sides
+    return face_planes(v, P.faces), {
+        tuple(sorted((v[i], v[j]))) for f in P.faces for i, j in zip(f, f[1:] + f[:1])}
+
+
+def _clip(edges, Lp, planes, Lq):
+    """End points (D, x), meaning x/D, of the segments' parts inside all planes.
+
+    Points p, q are on lattice 1/Lp and planes (n, d) on 1/Lq: x/Lp is inside
+    iff Lq*(n.x) <= Lp*d.  Only the segment parameter t is a Fraction.
+    """
+    out = set()
+    for p, q in edges:
+        t0, t1 = 0, 1
+        for n, d in planes:
+            fp = Lq * sum(map(mul, n, p)) - Lp * d
+            fq = Lq * sum(map(mul, n, q)) - Lp * d
+            if fp > 0 < fq:
+                break
+            if fp > 0:
+                t0 = max(t0, Fraction(fp, fp - fq))
+            elif fq > 0:
+                t1 = min(t1, Fraction(fp, fp - fq))
+            if t0 > t1:
+                break
+        else:
+            for t in (t0, t1):
+                k, j = t.denominator, t.numerator
+                out.add((k * Lp, tuple(a * k + j * (b - a) for a, b in zip(p, q))))
+    return out
+
+
+def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
+    """Exact |E intersect K| in 1, 2 or 3 dimensions, as (lo, hi) with lo == hi.
+
+    A cell corner c/m meets K's plane n.x <= d (lattice 1/L) iff
+    L*(n.c) <= m*d; the corners with the least and the largest n.c decide the
+    cell.  Cells inside every plane count whole, cells outside one count 0.
+    A cut cell's overlap is the hull volume of its edges clipped to K and
+    K's edges clipped to it: for dim <= 3 every vertex of the intersection
+    of two convex polytopes lies on an edge of one of them.
     """
     if E.dim != K.dim:
         raise ValueError("dimension mismatch")
-    m = E.denom
-    if E.dim == 1:
-        lo = Fraction(K.verts[0][0], K.scale)
-        hi = Fraction(K.verts[1][0], K.scale)
-        total = Fraction(0)
-        for (i,) in E.cells:
-            a, b = max(lo, Fraction(i, m)), min(hi, Fraction(i + 1, m))
-            if b > a:
-                total += b - a
-        return total, total
-    if E.dim == 2:
-        total = Fraction(0)
-        verts = K.vertices
-        for i, j in E.cells:
-            poly = clip_polygon_box(
-                verts, Fraction(i, m), Fraction(i + 1, m),
-                Fraction(j, m), Fraction(j + 1, m))
-            total += Fraction(polygon_area2(poly), 2)
-        return total, total
-    vol = Fraction(1, m ** 3)
-    if not K.faces:  # flat K: no interior to certify
-        return Fraction(0), len(E.cells) * vol
-    # K's face planes n.x <= d live on K's lattice 1/L, so a cell corner c/m
-    # is on K's side iff L*(n.c) <= m*d.  Over the cell's 8 corners n.c runs
-    # from n.cell plus the negative entries of n to n.cell plus the positive
-    # ones; those two corners decide all 8.
-    L = K.scale
-    planes = [(n, L * sum(min(x, 0) for x in n), L * sum(max(x, 0) for x in n),
-               m * d) for n, d in face_planes(K.verts, K.faces)]
-    lo_cells = hi_cells = 0
-    for x, y, z in E.cells:
-        inside = True
-        for n, neg, pos, md in planes:
-            s = L * (n[0] * x + n[1] * y + n[2] * z)
+    if not K.volume:
+        return Fraction(0), Fraction(0)
+    m, L = E.denom, K.scale
+    planes, k_edges = _planes(K)
+    tests = [(n, d, L * sum(min(x, 0) for x in n), L * sum(max(x, 0) for x in n),
+              m * d) for n, d in planes]
+    inside, cut = 0, Fraction(0)
+    for cell in E.cells:
+        cutting = []
+        for n, d, neg, pos, md in tests:
+            s = L * sum(map(mul, n, cell))
             if s + neg > md:  # every corner outside: the cell misses K
                 break
             if s + pos > md:
-                inside = False
+                cutting.append((n, d))
         else:
-            hi_cells += 1
-            lo_cells += inside
-    return lo_cells * vol, hi_cells * vol
+            if not cutting:
+                inside += 1
+                continue
+            C = Polytope.from_lattice_points(product(*((x, x + 1) for x in cell)), m)
+            c_planes, c_edges = _planes(C)
+            pts = _clip(c_edges, m, cutting, L) | _clip(k_edges, L, c_planes, m)
+            if pts:
+                M = math.lcm(*(D for D, _ in pts))
+                cut += Polytope.from_lattice_points(
+                    [tuple(x * (M // D) for x in x_D) for D, x_D in pts], M).volume
+    total = Fraction(inside, m ** E.dim) + cut
+    return total, total
 
 
 # ---------------------------------------------------------------------------

@@ -198,8 +198,8 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
                  t, tau, snap_denom: int = 1 << 16) -> dict:
     """Build a convex set containing A and B from nearby convex bodies.
 
-    Measures zeta = |A d K_A| + |B d K_B| (exact for dim <= 2, certified
-    bracket for dim 3), aligns K_A and K_B (with their sets) to a common
+    Measures zeta = |A d K_A| + |B d K_B| exactly (reported as zeta_lo ==
+    zeta_hi), aligns K_A and K_B (with their sets) to a common
     barycenter, and inflates co(K_A u K_B) about it by 1 + c*zeta^(1/(2n^3)),
     growing c geometrically from 1 until every cell corner of A and of the
     translated B is inside; the first sufficient c is the calibrated
@@ -211,22 +211,16 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
     n = A.dim
     if not (0 < tau <= Fraction(1, 2)) or not (tau <= t <= 1 - tau):
         raise ValueError("need 0 < tau <= 1/2 and t in [tau, 1-tau]")
-    ovA = lattice_polytope_overlap(A, K_A)
-    ovB = lattice_polytope_overlap(B, K_B)
-    zeta_lo = A.measure() + K_A.volume - 2 * ovA[1] \
-        + B.measure() + K_B.volume - 2 * ovB[1]
-    zeta_hi = A.measure() + K_A.volume - 2 * ovA[0] \
-        + B.measure() + K_B.volume - 2 * ovB[0]
-    zeta_lo = max(zeta_lo, Fraction(0))
+    zeta = (A.measure() + K_A.volume - 2 * lattice_polytope_overlap(A, K_A)[0]
+            + B.measure() + K_B.volume - 2 * lattice_polytope_overlap(B, K_B)[0])
 
     gA = K_A.centroid()
     gB = K_B.centroid()
     shiftB = tuple(a - b for a, b in zip(gA, gB))
     K_B2 = K_B.translate(shiftB)
-    if zeta_hi == 0:
-        if not all(K_A.contains(tuple(Fraction(c, A.denom) for c in p))
-                   for p in A.corner_points()):
-            raise ValueError("zeta = 0 but A is not contained in K_A")
+    if zeta == 0 and not all(K_A.contains(tuple(Fraction(c, A.denom) for c in p))
+                             for p in A.corner_points()):
+        raise ValueError("zeta = 0 but A is not contained in K_A")
 
     K0 = Polytope.from_rational_points(K_A.vertices + K_B2.vertices)
     g0 = K0.centroid()
@@ -235,7 +229,7 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
     cornersB = [tuple(Fraction(c, B.denom) + s for c, s in zip(p, shiftB))
                 for p in B.corner_points()]
 
-    root = float(zeta_hi) ** (1.0 / (2 * n ** 3)) if zeta_hi > 0 else 0.0
+    root = float(zeta) ** (1.0 / (2 * n ** 3)) if zeta > 0 else 0.0
     c = 1.0
     factor = Fraction(1)
     K = K0
@@ -251,8 +245,8 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
 
     sym_AB = A.measure() + B.measure() - 2 * _shifted_overlap(A, B, shiftB)
     return {
-        "zeta_lo": zeta_lo,
-        "zeta_hi": zeta_hi,
+        "zeta_lo": zeta,
+        "zeta_hi": zeta,
         "K": K,
         "K0": K0,
         "inflation_c": c,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -55,6 +56,10 @@ def test_degenerate_3d_hull_volume_zero():
     assert convex_hull(flat).volume == flat.measure()
     P = Polytope.from_rational_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     assert P.volume == 0 and P.faces == ()
+    with pytest.raises(ValueError):
+        Polytope.from_lattice_points([], 4)
+    with pytest.raises(ValueError):
+        Polytope.from_rational_points([])
 
 
 def test_polytope_scale_translate():
@@ -84,6 +89,7 @@ def test_overlap_bracket_3d_certified():
     lo, hi = lattice_polytope_overlap(cube, P)
     assert lo <= Fraction(1, 6) <= hi
     assert hi - lo < Fraction(1, 2)
+    assert lo == hi == Fraction(1, 6)
     # K = [-1, -1/2] x [0, 1]^2 and its mirror image carry scale 4, and each
     # meets the slab of cells at denom 3 next to it in volume 1/6
     for k_xs, e_x in ((range(-4, -2), -2), (range(2, 4), 1)):
@@ -92,6 +98,7 @@ def test_overlap_bracket_3d_certified():
         assert K.scale == 4
         lo, hi = lattice_polytope_overlap(E, K)
         assert lo <= Fraction(1, 6) <= hi
+        assert lo == hi == Fraction(1, 6)
     # random rational axis boxes: a cell's overlap with a box is the product
     # of its per-axis interval overlaps
     rng = random.Random(89)
@@ -109,9 +116,77 @@ def test_overlap_bracket_3d_certified():
                     for cell in cells)
         lo, hi = lattice_polytope_overlap(LatticeSet(3, m, cells), K)
         assert lo <= exact <= hi
+        assert lo == hi == exact
     flat = Polytope.from_rational_points(list(product((0, 1), (0, 1), (0,))))
     lo, hi = lattice_polytope_overlap(LatticeSet(3, 2, frozenset([(0, 0, 0)])), flat)
     assert lo == 0 <= hi
+    assert (lo, hi) == (0, 0)
+
+
+def _outward_planes(K):
+    """(normal, offset) per facet: K = {x : normal . x <= offset / K.scale}."""
+    V = K.verts
+    if K.dim == 1:
+        return [((-1,), -V[0][0]), ((1,), V[1][0])]
+    if K.dim == 2:  # CCW edge a->b: K lies to the left
+        return [((b[1] - a[1], a[0] - b[0]), a[0] * b[1] - a[1] * b[0])
+                for a, b in zip(V, V[1:] + V[:1])]
+    planes = []
+    for a, b, c in ([V[i] for i in f] for f in K.faces):
+        u, w = [x - y for x, y in zip(b, a)], [x - y for x, y in zip(c, a)]
+        nrm = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2],
+               u[0] * w[1] - u[1] * w[0])
+        planes.append((nrm, sum(x * y for x, y in zip(nrm, a))))
+    return planes
+
+
+def test_overlap_exact_by_volume_additivity_and_refinement():
+    # Oracles that do not use the overlap's own geometry: a box of cells that
+    # covers K overlaps it in K.volume, overlaps add over a split of the
+    # cells, and refining the cells changes nothing.
+    rng = random.Random(97)
+    cut = {1: 0, 2: 0, 3: 0}
+    cut_disjoint = 0
+    for trial in range(30):
+        n = trial % 3 + 1
+        if trial % 2:
+            q = rng.randrange(1, 6)
+            K = Polytope.from_rational_points(
+                [tuple(Fraction(rng.randrange(-q, q + 1), q) for _ in range(n))
+                 for _ in range(rng.randrange(n + 1, 8))])
+        else:  # cell-set hulls, whose 3D vertices include coplanar points
+            d = rng.randrange(1, 4)
+            K = convex_hull(LatticeSet(n, d, frozenset(
+                tuple(rng.randrange(-d, d) for _ in range(n))
+                for _ in range(rng.randrange(1, 8)))))
+        if K.volume == 0:
+            continue
+        m = rng.randrange(1, 4)
+        sides = [range(math.floor(min(v[i] for v in K.vertices) * m) - 1,
+                       math.ceil(max(v[i] for v in K.vertices) * m) + 1)
+                 for i in range(n)]
+        box = LatticeSet(n, m, frozenset(product(*sides)))
+        assert lattice_polytope_overlap(box, K) == (K.volume, K.volume)
+        part = frozenset(c for c in box.cells if rng.random() < 0.5)
+        E1, E2 = LatticeSet(n, m, part), LatticeSet(n, m, box.cells - part)
+        lo1, hi1 = lattice_polytope_overlap(E1, K)
+        lo2, hi2 = lattice_polytope_overlap(E2, K)
+        assert lo1 == hi1 and lo2 == hi2 and lo1 + lo2 == K.volume
+        assert lattice_polytope_overlap(E1.refine(2), K) == (lo1, hi1)
+        # coverage: cells with corners on both sides of K's boundary, and
+        # cells outside K that no single facet plane separates from it
+        planes = _outward_planes(K)
+        beyond = {p: frozenset(i for i, (nrm, off) in enumerate(planes)
+                               if K.scale * sum(map(operator.mul, nrm, p)) > m * off)
+                  for p in product(*(range(r.start, r.stop + 1) for r in sides))}
+        for cell in box.cells:
+            masks = [beyond[p] for p in product(*((c, c + 1) for c in cell))]
+            if not all(masks):
+                cut[n] += any(masks)
+            elif not frozenset.intersection(*masks):
+                ov = lattice_polytope_overlap(LatticeSet(n, m, frozenset([cell])), K)
+                cut_disjoint += ov == (0, 0)
+    assert min(cut.values()) >= 5 and cut_disjoint >= 5, (cut, cut_disjoint)
 
 
 def test_envelope_concave_input_reproduced():

@@ -1,11 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 import pytest
 
-from bmstab.convexity import convex_hull
+from bmstab.convexity import convex_hull, lattice_polytope_overlap
 from bmstab.stability import (
     _shifted_overlap, check_stability, constants, cos_pipeline, hull_distance,
 )
@@ -162,6 +163,13 @@ def test_cos_pipeline_3d_certified():
     assert res2["zeta_lo"] <= Fraction(1, 8) <= res2["zeta_hi"]
     for c in bitten.corner_points():
         assert res2["K"].contains(tuple(Fraction(x, 2) for x in c))
+    # K smaller than its set: the unit cube at denom 3 against the hull of
+    # the bitten cube, which misses the corner tetrahedron of volume 1/48
+    cube3 = LatticeSet(3, 3, frozenset(product(range(3), repeat=3)))
+    Kb = convex_hull(bitten)
+    assert lattice_polytope_overlap(cube3, Kb) == (Fraction(47, 48),) * 2
+    res3 = cos_pipeline(cube3, cube3, Kb, Kb, Fraction(1, 2), Fraction(1, 2))
+    assert res3["zeta_lo"] == res3["zeta_hi"] == Fraction(1, 24)
 
 
 def test_check_stability_3d_instance():
