@@ -3,9 +3,11 @@
 Orientation predicates, areas, volumes and face planes are integer
 determinants, so nothing here carries floating-point error; Fractions appear
 only in centroids.  2D hulls use the monotone chain; 3D hulls use an
-incremental algorithm with exact visibility tests.  `hull` is the one entry
-point that picks the routine by dimension, and its d!-scaled volume is an
-int in every dimension.
+incremental algorithm with exact visibility tests.  Every hull keeps only
+its extreme points as vertices, in every dimension, so its vertex list
+depends on the body, not on the points given.  `hull` is the one entry point
+that picks the routine by dimension, and its d!-scaled volume is an int in
+every dimension.
 """
 
 from __future__ import annotations
@@ -109,27 +111,40 @@ def _orient3d(a, b, c, d):
     return (det > 0) - (det < 0)
 
 
-def hull_3d(points):
-    """Exact incremental convex hull in 3D.
+def _cross3(u, w):
+    return (u[1] * w[2] - u[2] * w[1],
+            u[2] * w[0] - u[0] * w[2],
+            u[0] * w[1] - u[1] * w[0])
 
-    Returns (vertices, faces) where faces are index triples oriented outward.
-    Degenerate input (affine dimension < 3) returns (reduced_points, []).
+
+def _sub3(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _plane(verts, face):
+    """Outward plane (n0, n1, n2, d) of a face: outside iff n.x > d."""
+    a, b, c = (verts[i] for i in face)
+    n = _cross3(_sub3(b, a), _sub3(c, a))
+    return n[0], n[1], n[2], n[0] * a[0] + n[1] * a[1] + n[2] * a[2]
+
+
+def _incremental_3d(pts):
+    """Incremental hull of sorted distinct points, inserted in that order.
+
+    Returns (vertices, faces) as `hull_3d` does, except that a solid hull
+    keeps every point that was a vertex when it was inserted and is still on
+    the boundary, extreme or not.
     """
-    pts = sorted(set(map(tuple, points)))
-    if len(pts) < 4:
+    if len(pts) <= 2:
         return pts, []
-
     # Seed simplex: first two distinct points, then a non-collinear point,
     # then a non-coplanar point.
     p0, p1 = pts[0], pts[1]
-    p2 = None
-    for q in pts[2:]:
-        ux, uy, uz = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
-        vx, vy, vz = q[0] - p0[0], q[1] - p0[1], q[2] - p0[2]
-        if (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx) != (0, 0, 0):
-            p2 = q
+    for p2 in pts[2:]:
+        normal = _cross3(_sub3(p1, p0), _sub3(p2, p0))
+        if normal != (0, 0, 0):
             break
-    if p2 is None:
+    else:
         return [pts[0], pts[-1]], []
     p3 = None
     for q in pts:
@@ -137,8 +152,11 @@ def hull_3d(points):
             p3 = q
             break
     if p3 is None:
-        # Coplanar point cloud: reduce to the planar hull, no volume.
-        return pts, []
+        # Coplanar cloud: the planar hull in two coordinates along which the
+        # plane projects one-to-one, mapped back.
+        k = next(a for a in range(3) if normal[a])
+        lift = {p[:k] + p[k + 1:]: p for p in pts}
+        return [lift[q] for q in hull_2d(lift)], []
 
     verts = [p0, p1, p2, p3]
     if _orient3d(p0, p1, p2, p3) > 0:
@@ -146,14 +164,16 @@ def hull_3d(points):
     else:
         faces = [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)]
 
+    # q sees face f iff n.q > d for f's outward plane (n, d), the same test
+    # as _orient3d(f's vertices, q) > 0
+    planes = [_plane(verts, f) for f in faces]
     index = {v: i for i, v in enumerate(verts)}
     for q in pts:
         if q in index:
             continue
-        visible = []
-        for fi, (i, j, k) in enumerate(faces):
-            if _orient3d(verts[i], verts[j], verts[k], q) > 0:
-                visible.append(fi)
+        x, y, z = q
+        visible = [fi for fi, (a, b, c, d) in enumerate(planes)
+                   if a * x + b * y + c * z > d]
         if not visible:
             continue
         visible_set = set(visible)
@@ -168,18 +188,60 @@ def hull_3d(points):
         for (i, j) in edge_owner:
             if (j, i) not in edge_owner:
                 horizon.append((i, j))
-        faces = [f for fi, f in enumerate(faces) if fi not in visible_set]
+        hidden = [fi for fi in range(len(faces)) if fi not in visible_set]
+        faces = [faces[fi] for fi in hidden]
+        planes = [planes[fi] for fi in hidden]
         qi = len(verts)
         verts.append(q)
         index[q] = qi
         for (i, j) in horizon:
             faces.append((i, j, qi))
+            planes.append(_plane(verts, (i, j, qi)))
 
     used = sorted({i for f in faces for i in f})
     remap = {old: new for new, old in enumerate(used)}
     verts_out = [verts[i] for i in used]
     faces_out = [(remap[i], remap[j], remap[k]) for i, j, k in faces]
     return verts_out, faces_out
+
+
+def _extreme(verts, faces):
+    """The vertices whose incident face normals have rank 3."""
+    normals = [[] for _ in verts]
+    for f, (n, _) in zip(faces, face_planes(verts, faces)):
+        for i in f:
+            normals[i].append(n)
+    kept = []
+    for v, ns in zip(verts, normals):
+        # the first normal not parallel to ns[0] spans a plane with it; rank
+        # 3 needs a normal off that plane
+        for b in ns:
+            c = _cross3(ns[0], b)
+            if c != (0, 0, 0):
+                if any(c[0] * x[0] + c[1] * x[1] + c[2] * x[2] for x in ns):
+                    kept.append(v)
+                break
+    return kept
+
+
+def hull_3d(points):
+    """Exact convex hull in 3D, extreme vertices only.
+
+    Returns (vertices, faces) where faces are index triples oriented outward.
+    Points inside the hull, inside a facet or on an edge are not vertices,
+    and the output depends only on the set of extreme points: they are
+    inserted in sorted order by an incremental pass with exact visibility
+    tests, rebuilt once from the extreme points when the first pass was given
+    any other point.  Degenerate input (affine dimension < 3) returns the
+    extreme points of its segment or polygon and no faces.
+    """
+    pts = sorted(set(map(tuple, points)))
+    verts, faces = _incremental_3d(pts)
+    if faces:
+        kept = _extreme(verts, faces)
+        if len(kept) < len(pts):
+            verts, faces = _incremental_3d(sorted(kept))
+    return verts, faces
 
 
 def _det3(a, b, c):
@@ -197,10 +259,11 @@ def hull_volume6(verts, faces) -> int:
 def hull(points):
     """Convex hull of integer points in 1, 2 or 3 dimensions.
 
-    Returns (verts, faces, d! * volume).  verts are the two end points in 1D,
-    the CCW polygon of `hull_2d` in 2D and the vertices of `hull_3d` in 3D;
-    faces are `hull_3d`'s outward triples, empty below 3D.  The scaled volume
-    is an int in every dimension; it is 0 for degenerate hulls.
+    Returns (verts, faces, d! * volume).  verts are the extreme points: the
+    two end points in 1D, the CCW polygon of `hull_2d` in 2D and the
+    vertices of `hull_3d` in 3D; faces are `hull_3d`'s outward triples,
+    empty below 3D.  The scaled volume is an int in every dimension; it is 0
+    for degenerate hulls.
     """
     pts = list(points)
     dim = len(pts[0])
@@ -233,16 +296,7 @@ def hull_3d_centroid(verts, faces):
 
 def face_planes(verts, faces):
     """Outward integer plane (n, d) per face: the hull is {x : n . x <= d}."""
-    planes = []
-    for i, j, k in faces:
-        a, b, c = verts[i], verts[j], verts[k]
-        u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        w = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-        n = (u[1] * w[2] - u[2] * w[1],
-             u[2] * w[0] - u[0] * w[2],
-             u[0] * w[1] - u[1] * w[0])
-        planes.append((n, n[0] * a[0] + n[1] * a[1] + n[2] * a[2]))
-    return planes
+    return [((a, b, c), d) for a, b, c, d in (_plane(verts, f) for f in faces)]
 
 
 def point_in_hull3d(p, verts, faces) -> bool:

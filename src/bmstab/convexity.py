@@ -119,10 +119,15 @@ class Polytope:
 
 
 def convex_hull(E: LatticeSet) -> Polytope:
-    """Exact convex hull of all cell corners of a lattice set."""
+    """Exact convex hull of a lattice set (of all its cell corners).
+
+    It is built from `E.hull_points()`, the corners of each last-axis
+    column's end cells, and sits on the coarsest lattice 1/L, L dividing
+    E.denom, that holds its vertices.
+    """
     if E.is_empty():
         raise ValueError("convex_hull needs a nonempty set")
-    return Polytope.from_lattice_points(E.corner_points(), E.denom)
+    return Polytope.from_lattice_points(E.hull_points(), E.denom)
 
 
 def hull_excess(E: LatticeSet) -> Fraction:

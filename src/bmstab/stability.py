@@ -118,24 +118,26 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
 
     Minimizes D(v) = |co(A u (B+v)) \\ A| + |co(A u (B+v)) \\ (B+v)| over
     fine-lattice translations v, with every D(v) evaluated exactly; since the
-    set measures are fixed, this is 2*vol(hull) - |A| - |B|.  Coarse stride
-    scan over the alignment window, then stride halving to 1; deterministic
-    lexicographic tie-breaking.
+    set measures are fixed, this is 2*vol(hull) - |A| - |B|.  Each D(v) is
+    the hull of the two sets' hull vertices, which come from the corners of
+    each last-axis column's end cells (`LatticeSet.hull_points`).  Coarse
+    stride scan over the alignment window, then stride halving to 1;
+    deterministic lexicographic tie-breaking.
     """
     if A.is_empty() or B.is_empty():
         raise ValueError("hull_distance needs nonempty operands")
     A, B = reconcile(A, B)
     m = A.denom
     dim = A.dim
-    ptsA = hull(A.corner_points())[0]
-    ptsB = hull(B.corner_points())[0]
+    ptsA = hull(A.hull_points())[0]
+    ptsB = hull(B.hull_points())[0]
     volA, volB = A.measure(), B.measure()
     scale = math.factorial(dim) * m ** dim
 
-    boxA = A.bounding_box()
-    boxB = B.bounding_box()
-    lo = [boxA[a][0] - boxB[a][1] - 1 for a in range(dim)]
-    hi = [boxA[a][1] - boxB[a][0] + 1 for a in range(dim)]
+    # the bounding boxes' shift window with one cell of slack; each axis
+    # extreme of a hull is reached at a vertex
+    lo = [min(p[a] for p in ptsA) - max(p[a] for p in ptsB) - 1 for a in range(dim)]
+    hi = [max(p[a] for p in ptsA) - min(p[a] for p in ptsB) + 1 for a in range(dim)]
 
     def union(v):
         return ptsA + [tuple(x + y for x, y in zip(p, v)) for p in ptsB]
@@ -201,10 +203,10 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
     Measures zeta = |A d K_A| + |B d K_B| exactly (reported as zeta_lo ==
     zeta_hi), aligns K_A and K_B (with their sets) to a common
     barycenter, and inflates co(K_A u K_B) about it by 1 + c*zeta^(1/(2n^3)),
-    growing c geometrically from 1 until every cell corner of A and of the
-    translated B is inside; the first sufficient c is the calibrated
-    constant.  Also reports |A d B| in the aligned frame against the
-    zeta^(1/(2n)) trend.
+    growing c geometrically from 1 until A and the translated B are inside
+    (tested at the vertices of their hulls); the first sufficient c is the
+    calibrated constant.  Also reports |A d B| in the aligned frame against
+    the zeta^(1/(2n)) trend.
     """
     t = Fraction(t)
     tau = Fraction(tau)
@@ -218,16 +220,16 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
     gB = K_B.centroid()
     shiftB = tuple(a - b for a, b in zip(gA, gB))
     K_B2 = K_B.translate(shiftB)
-    if zeta == 0 and not all(K_A.contains(tuple(Fraction(c, A.denom) for c in p))
-                             for p in A.corner_points()):
+    # a convex K holds a set iff it holds the vertices of the set's hull
+    vertsA = [tuple(Fraction(c, A.denom) for c in p)
+              for p in hull(A.hull_points())[0]]
+    vertsB = [tuple(Fraction(c, B.denom) + s for c, s in zip(p, shiftB))
+              for p in hull(B.hull_points())[0]]
+    if zeta == 0 and not all(K_A.contains(p) for p in vertsA):
         raise ValueError("zeta = 0 but A is not contained in K_A")
 
     K0 = Polytope.from_rational_points(K_A.vertices + K_B2.vertices)
     g0 = K0.centroid()
-
-    cornersA = [tuple(Fraction(c, A.denom) for c in p) for p in A.corner_points()]
-    cornersB = [tuple(Fraction(c, B.denom) + s for c, s in zip(p, shiftB))
-                for p in B.corner_points()]
 
     root = float(zeta) ** (1.0 / (2 * n ** 3)) if zeta > 0 else 0.0
     c = 1.0
@@ -237,7 +239,7 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
         bump = Fraction(math.ceil(c * root * snap_denom), snap_denom) if root > 0 else Fraction(0)
         factor = 1 + bump
         K = K0.scale_about(g0, factor) if factor != 1 else K0
-        if all(K.contains(p) for p in cornersA) and all(K.contains(p) for p in cornersB):
+        if all(K.contains(p) for p in vertsA) and all(K.contains(p) for p in vertsB):
             break
         c *= 2.0
     else:

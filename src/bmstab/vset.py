@@ -86,6 +86,27 @@ class LatticeSet:
         return {tuple(c[a] + o[a] for a in range(self.dim))
                 for c in self.cells for o in offs}
 
+    def hull_points(self):
+        """Integer points (coordinates x denom) with the hull of all cell corners.
+
+        For each last-axis column y, the 2^(n-1) base corners y+o at the
+        heights lo and hi+1 of its lowest and highest cell: every corner of
+        the column lies on a segment between two of them.
+        """
+        ends = {}
+        for c in self.cells:
+            y, z = c[:-1], c[-1]
+            e = ends.get(y)
+            if e is None:
+                ends[y] = [z, z]
+            elif z < e[0]:
+                e[0] = z
+            elif z > e[1]:
+                e[1] = z
+        offs = list(product((0, 1), repeat=self.dim - 1))
+        return {tuple(a + b for a, b in zip(y, o)) + (z,)
+                for y, (lo, hi) in ends.items() for o in offs for z in (lo, hi + 1)}
+
 
 @dataclass(frozen=True)
 class FiberProfile:

@@ -3,10 +3,11 @@ import math
 import operator
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from bmstab._hull import hull, hull_3d
 from bmstab.convexity import (
     GridFunction, concave_envelope, concavity_fit, convex_hull,
     four_point_residual, hull_excess, lattice_polytope_overlap,
@@ -71,6 +72,165 @@ def test_polytope_scale_translate():
     assert R.contains((Fraction(1, 3), Fraction(-1, 7)))
     assert R.centroid() == (Fraction(1, 2) + Fraction(1, 3),
                             Fraction(1, 2) - Fraction(1, 7))
+
+
+def test_hull_from_column_ends_matches_all_corners():
+    # Hulls are built from the corners of each last-axis column's end cells.
+    # Every value here is recomputed from all cell corners instead.
+    rng = random.Random(113)
+    holes = inflated = 0
+    for trial in range(15):
+        n, m = trial % 3 + 1, trial % 6 + 1
+        side = (7, 4, 2)[n - 1]
+        cells = [frozenset(c for c in product(range(side), repeat=n)
+                           if rng.random() < 0.6) or frozenset([(0,) * n])
+                 for _ in range(2)]
+        # B on a coarser lattice, except in 3D, where it would widen the window
+        dB = m if n == 3 else rng.choice([d for d in range(1, m + 1) if m % d == 0])
+        A, B = LatticeSet(n, m, cells[0]), LatticeSet(n, dB, cells[1])
+        for E in (A, B):
+            assert hull(E.hull_points()) == hull(E.corner_points())
+            P = convex_hull(E)
+            Q = Polytope.from_lattice_points(E.corner_points(), E.denom)
+            assert (P.vertices, P.faces, P.volume, P.centroid()) == (
+                Q.vertices, Q.faces, Q.volume, Q.centroid())
+            column = {}
+            for c in E.cells:
+                column.setdefault(c[:-1], []).append(c[-1])
+            holes += sum(max(z) - min(z) + 1 > len(z) for z in column.values())
+
+        # Below lattice denominator 8 the search scans its whole window with
+        # stride 1, so v* is the lexicographically least minimizer over the
+        # bounding boxes' shift window with one cell of slack, and 0.
+        hd = hull_distance(A, B)
+        B_m = B.refine(m // dB)
+        ptsA = hull(A.corner_points())[0]
+        ptsB = hull(B_m.corner_points())[0]
+        scale = math.factorial(n) * m ** n
+
+        def D(v):
+            pts = ptsA + [tuple(map(operator.add, p, v)) for p in ptsB]
+            return 2 * Fraction(hull(pts)[2], scale) - A.measure() - B.measure()
+
+        window = set(product(*(range(a[0] - b[1] - 1, a[1] - b[0] + 1) for a, b
+                               in zip(A.bounding_box(), B_m.bounding_box()))))
+        v_star = min(window | {(0,) * n}, key=lambda v: (D(v), v))
+        assert hd["v_star"] == tuple(Fraction(x, m) for x in v_star)
+        assert (hd["D_star"], hd["D_at_zero"]) == (D(v_star), D((0,) * n))
+
+        # the inflation schedule, until K holds every cell corner
+        KB = convex_hull(LatticeSet(n, dB, frozenset([min(B.cells)])))
+        res = cos_pipeline(A, B, convex_hull(A), KB, Fraction(1, 2), Fraction(1, 4))
+        corners = [tuple(Fraction(x, m) for x in p) for p in A.corner_points()] + [
+            tuple(Fraction(x, dB) + s for x, s in zip(p, res["shift_B"]))
+            for p in B.corner_points()]
+        root = float(res["zeta_lo"]) ** (1.0 / (2 * n ** 3))
+        K0 = res["K0"]
+        c = 1.0
+        while True:
+            factor = 1 + Fraction(math.ceil(c * root * (1 << 16)), 1 << 16)
+            K = K0.scale_about(K0.centroid(), factor) if factor != 1 else K0
+            if all(K.contains(p) for p in corners):
+                break
+            c *= 2.0
+        assert (res["inflation_c"], res["inflation_factor"]) == (c, factor)
+        inflated += c > 1
+    assert holes >= 10 and inflated >= 3, (holes, inflated)
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _cross(u, w):
+    return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2],
+            u[0] * w[1] - u[1] * w[0])
+
+
+def _in_simplex(p, S):
+    """p in the simplex of 2 to 4 affinely independent integer 3D points S.
+
+    False when S is affinely dependent.  Exact integer barycentrics: the
+    coordinates of p - S[0] in the edge vectors, times a common positive
+    denominator.
+    """
+    q = _sub(p, S[0])
+    E = [_sub(s, S[0]) for s in S[1:]]
+    if len(E) == 1:
+        (u,) = E
+        return any(u) and not any(_cross(u, q)) and 0 <= _dot(q, u) <= _dot(u, u)
+    if len(E) == 2:
+        u, w = E
+        nrm = _cross(u, w)
+        if not any(nrm) or _dot(q, nrm):
+            return False
+        a, b = _dot(_cross(q, w), nrm), _dot(_cross(u, q), nrm)
+        return a >= 0 and b >= 0 and a + b <= _dot(nrm, nrm)
+    u, w, z = E
+    det = _dot(u, _cross(w, z))
+    if not det:
+        return False
+    sgn = 1 if det > 0 else -1
+    bary = [sgn * _dot(q, _cross(w, z)), sgn * _dot(u, _cross(q, z)),
+            sgn * _dot(u, _cross(w, q))]
+    return min(bary) >= 0 and sum(bary) <= abs(det)
+
+
+def _extreme_points(points):
+    """Points of the set that lie in no simplex spanned by the others."""
+    pts = set(points)
+    return {p for p in pts
+            if not any(_in_simplex(p, S) for k in (2, 3, 4)
+                       for S in combinations(sorted(pts - {p}), k))}
+
+
+def test_hull_3d_is_extreme_only_and_canonical():
+    rng = random.Random(127)
+
+    def corners(cells):
+        return {tuple(map(operator.add, c, o))
+                for c in cells for o in product((0, 1), repeat=3)}
+
+    coplanar = {(x, y, x + 2 * y - 1) for x, y in
+                ((rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(12))}
+    collinear = {tuple(3 * k + d for d in (1, -2, 5))
+                 for k in rng.sample(range(-5, 6), 6)}
+    clouds = [
+        corners([(0, 0, 0), (1, 0, 0)]),             # 4 corners on edges
+        corners([(0, 0, 0), (1, 1, 0)]),             # 2 corners inside facets
+        corners([(0, 0, 0), (1, 0, 0), (0, 0, 1)]),  # an L: edge, facet, inside
+        corners([(0, 0, 0)]), coplanar, collinear,
+    ] + [{tuple(rng.randrange(-2, 3) for _ in range(3)) for _ in range(12)}
+         for _ in range(3)]
+    solid = non_extreme = 0
+    for cloud in clouds:
+        pts = sorted(cloud)
+        verts, faces = hull_3d(pts + pts[:3])
+        assert set(verts) == _extreme_points(pts) and len(verts) == len(set(verts))
+        solid += bool(faces)
+        non_extreme += len(pts) - len(verts)
+        for _ in range(3):
+            rng.shuffle(pts)
+            assert hull_3d(pts) == (verts, faces)
+        # scaled by 12, the centroids of pairs and triples are lattice points
+        # inside, on facets and on edges of the hull, and those of
+        # tetrahedra are strictly inside
+        big = [tuple(12 * x for x in p) for p in pts]
+        base = hull_3d(big)
+        assert set(base[0]) == {tuple(12 * x for x in v) for v in verts}
+        extra = [tuple(sum(c) // len(S) for c in zip(*S))
+                 for k in (2, 3) for S in combinations(big, k)]
+        rng.shuffle(extra)
+        assert hull_3d(extra + big) == base
+        inner = [tuple(sum(c) // 4 for c in zip(*S))
+                 for S in rng.sample(list(combinations(big, 4)), 12)
+                 if _dot(_sub(S[1], S[0]), _cross(_sub(S[2], S[0]), _sub(S[3], S[0])))]
+        assert hull_3d(inner + big) == base
+    assert solid == 7 and non_extreme >= 20, (solid, non_extreme)
 
 
 def test_overlap_bracket_2d_exact():
@@ -391,9 +551,9 @@ _GEOMETRY_DIGESTS = {
     ("cos_pipeline", "perturbed-square", 1, 1):
         "a1755be196cf5eeffea2ab6484b3d633f3716bb2d6518b5899e5379e6b3a868b",
     ("convex_hull", "perturbed-square", 1, 2):
-        "fb1b34fcb2ed5b01a50df32f73fe377ffc04c59c195fee758085f39093e46672",
+        "32cc4a5abfe47a127795320c8c7450f30b25cb5a5ad61a3d97b276e6c24f4e9e",
     ("translate", "perturbed-square", 1, 2):
-        "8fb11da42fcfba1da0a40ad7fb25b690b47584d6f964b1e05afa40f536eba037",
+        "ec0f915afa753586dd028fa922866f7d41f35df81c5b1bf84ce6977b113fbf25",
     ("scale_about", "perturbed-square", 1, 2):
         "0e048527cc8c04e52013a037e95313364deb2e3faa7155ac909fcfdabc6f087a",
     ("overlap", "perturbed-square", 1, 2):
@@ -451,25 +611,25 @@ _GEOMETRY_DIGESTS = {
     ("cos_pipeline", "boundary-bites", 2, 2):
         "c34fdc867be8058e7ae9d7953168d119418703824bd40c2e2a67211c94893e2a",
     ("convex_hull", "boundary-bites", 3, 1):
-        "6e988485645818932f25af3d75daf4968c520d9ecdbf90a0163fd958beb843e7",
+        "6f0aa14f85ad6d2671a4f46cf91c750899b79f06aaedbcdd4748e013f70048d4",
     ("translate", "boundary-bites", 3, 1):
-        "a577d6a335b80d071cdfedf125d26a0cc52f84b13d39eaff4f7a033d28e3f603",
+        "742803c46e5d87621348c276cef14f2d61855556e87643dc15b58533a932cb0c",
     ("scale_about", "boundary-bites", 3, 1):
-        "02a55a982dde7186279c8cb25cea1b15c0f5d038bfc5eb80058bc8a61d0b5e69",
+        "e6cf15e9c2695165f009dbf1c9efe006d026e449a900d85956855b7f60c0fa35",
     ("hull_distance", "boundary-bites", 3, 1):
-        "0c68bbb4b8fc729f74e1f2b2795af6a4eba8e7c02a31785d690fc73ff524781d",
+        "0f70326f87a489f215c19153060b0c1009c9340c097c00bf248ae1fad1bc9d94",
     ("cos_pipeline", "boundary-bites", 3, 1):
-        "19dfabf81c64ce4c5c400c72e96be340234795cc417d2dec55fd343b143d2e90",
+        "32602f71855e9129563485be9f71d55dde4cf13beb4bd0c84e1b27851eba7ecf",
     ("convex_hull", "boundary-bites", 3, 2):
-        "9673e426d179b8c55e8ef3f608c6492efbc99712cb9643c4bc1973bb0e0d4a02",
+        "2528161ef8d34b20c9754ee6fd3b3446213c9aebb40ac655d9c2a95aaac36122",
     ("translate", "boundary-bites", 3, 2):
-        "a3f8105627e9b3312bff999ecda7d56f1ae90defa0e737cc57fdbedcc40d3de2",
+        "4a45ce92a2d66811975bc0817ae39bc5232f585e608d2417b62ecc0adc397b15",
     ("scale_about", "boundary-bites", 3, 2):
-        "bf4d6b011bf78dbc62f08316ffef7bc1ed5f0b19d4e103f04e54df8bf9b540a1",
+        "36e3316204f20fea3e01f7d4bc6f0c343c90f35a893e4d54ed8ab4c0eb1d3411",
     ("hull_distance", "boundary-bites", 3, 2):
-        "0c68bbb4b8fc729f74e1f2b2795af6a4eba8e7c02a31785d690fc73ff524781d",
+        "0f70326f87a489f215c19153060b0c1009c9340c097c00bf248ae1fad1bc9d94",
     ("cos_pipeline", "boundary-bites", 3, 2):
-        "491bd30967ac3ac4d69f8aefcd2cdb95156661e7dd3b4b08052a8cec9de99b4f",
+        "8921ddf1e594278463998f4e30197afaea29ae92899b0d6b1d8606524cac4c06",
     ("concave_envelope", 2, 1):
         "205a0bcdfe299624c824957d19bb768eb85ef967535efd1c8757fab1fe1b4ba3",
     ("level_set", 1, 1):
