@@ -197,7 +197,7 @@ def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
     tests = [(n, d, L * sum(min(x, 0) for x in n), L * sum(max(x, 0) for x in n),
               m * d) for n, d in planes]
     inside, cut = 0, Fraction(0)
-    for cell in E.cells:
+    for cell in E.array.tolist():
         cutting = []
         for n, d, neg, pos, md in tests:
             s = L * sum(map(mul, n, cell))

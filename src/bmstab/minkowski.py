@@ -9,13 +9,18 @@ computes it fiber by fiber.  A run [a0, a1) of A over base cell y and a run
 p*y + (q-p)*z; it is contiguous because consecutive corner sums differ by p
 or q-p, both below the block length q.  Run pairs are enumerated in chunks of
 at most _PAIR_CHUNK, so memory stays bounded by the guarded output grid
-whatever the pair count.  Everything is exact integer arithmetic; randomized
-tests compare the engine, at every chunking, against a pure-Python brute
-force.
+whatever the pair count.  The runs are read straight off each operand's
+sorted cell array, and the covered cells of the output grid become S's cell
+array as they are, already sorted; no cell passes through a Python tuple.
+Everything is exact integer arithmetic: S's extent is sized in Python ints
+first, and a combination whose cells would leave int64 is refused.
+Randomized tests compare the engine, at every chunking, against a
+pure-Python brute force.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -23,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import nth_root_brackets
-from .vset import LatticeSet, reconcile
+from .vset import LatticeSet, _check_int64, reconcile
 
 __all__ = [
     "convex_combination", "convex_combination_bruteforce", "deficit",
@@ -60,22 +65,27 @@ def convex_combination(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:
         return LatticeSet(A.dim, m * q)
     n = A.dim
 
+    # S's cells span [lo, lo + shape) per axis; sized with Python ints, so
+    # coordinates that would leave int64 are refused before any numpy step
+    lo, shape = [], []
+    for (a0, a1), (b0, b1) in zip(A.bounding_box(), B.bounding_box()):
+        lo.append(p * a0 + (q - p) * b0)
+        shape.append(p * (a1 - 1) + (q - p) * (b1 - 1) + q - lo[-1])
+    _check_int64(min(lo), max(l + s - 1 for l, s in zip(lo, shape)))
+    if math.prod(shape) > _GRID_GUARD:
+        raise ValueError("combination grid too large; reduce denom or set size")
     runs_a = _fiber_runs(A, p)
     runs_b = _fiber_runs(B, q - p)
-    lo = runs_a.lo + runs_b.lo
-    ext = runs_a.hi + runs_b.hi - lo + 1
-    if int(np.prod(ext + q - 1)) > _GRID_GUARD:
-        raise ValueError("combination grid too large; reduce denom or set size")
 
     # reach[y, s]: the furthest end of a fine interval starting at s over
     # base corner y; a fine cell x is covered iff some interval starting at
     # or before x reaches past it.  A run pair's key is the flat index of its
     # interval start, so pairs combine by adding per-run keys and ends.
-    row = int(ext[-1]) + q - 1
-    base_ext = tuple(int(e) for e in ext[:-1])
+    row = shape[-1]
+    base_ext = tuple(s - q + 1 for s in shape[:-1])
     reach = np.zeros(base_ext + (row,), dtype=np.int32)
     flat = reach.reshape(-1)
-    strides = np.array([int(np.prod(ext[a + 1:-1])) for a in range(n - 1)],
+    strides = np.array([math.prod(base_ext[a + 1:]) for a in range(n - 1)],
                        dtype=np.int64)
     key_a = (runs_a.base @ strides) * row + runs_a.first
     key_b = (runs_b.base @ strides) * row + runs_b.first
@@ -93,13 +103,10 @@ def convex_combination(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:
 
     # Each base corner spans the q^(n-1) block of fine base cells filling a
     # face of side 1/m.
-    out = np.zeros(tuple(e + q - 1 for e in base_ext) + (row,), dtype=bool)
+    out = np.zeros(shape, dtype=bool)
     for off in np.ndindex(*(q,) * (n - 1)):
         out[tuple(slice(o, o + e) for o, e in zip(off, base_ext))] |= cover
-    coords = np.argwhere(out) + lo
-    cols = [col.tolist() for col in coords.T]
-    cells = frozenset(zip(*cols)) if n > 1 else frozenset((x,) for x in cols[0])
-    return LatticeSet(n, m * q, cells)
+    return LatticeSet.from_mask(out, m * q, lo)
 
 
 class _Runs(NamedTuple):
@@ -107,29 +114,23 @@ class _Runs(NamedTuple):
 
     base[r] is the run's scaled (n-1)-dim base cell and [first[r], last[r]]
     its scaled first and last cell on the fiber, all shifted so the set's
-    minima sit at 0; lo and hi are the unshifted per-axis corner extremes.
+    per-axis minima sit at 0.
     """
     base: np.ndarray
     first: np.ndarray
     last: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
 
 
 def _fiber_runs(E: LatticeSet, w: int) -> _Runs:
-    n = E.dim
-    c = np.fromiter((x for cell in E.cells for x in cell), dtype=np.int64,
-                    count=len(E.cells) * n).reshape(-1, n)
-    c = c[np.lexsort(c.T[::-1])]
+    c = E.array  # sorted, so each run is a block of consecutive rows
     brk = np.ones(len(c), dtype=bool)
     brk[1:] = (c[1:, :-1] != c[:-1, :-1]).any(axis=1) | (c[1:, -1] != c[:-1, -1] + 1)
     starts = np.flatnonzero(brk)
     stops = np.append(starts[1:], len(c)) - 1
-    lo = c.min(axis=0) * w
-    hi = c.max(axis=0) * w
-    return _Runs(base=c[starts, :-1] * w - lo[:-1],
-                 first=c[starts, -1] * w - lo[-1],
-                 last=c[stops, -1] * w - lo[-1], lo=lo, hi=hi)
+    lo = c.min(axis=0)
+    return _Runs(base=(c[starts, :-1] - lo[:-1]) * w,
+                 first=(c[starts, -1] - lo[-1]) * w,
+                 last=(c[stops, -1] - lo[-1]) * w)
 
 
 def convex_combination_bruteforce(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from ._roots import PI_HI, PI_LO
 from .minkowski import IntervalSet
 from .vset import LatticeSet
@@ -110,57 +112,27 @@ def generate_scenario(spec: ScenarioSpec):
 
 
 def _unit_cube(n: int, m: int) -> LatticeSet:
-    return LatticeSet(n, m, frozenset(product(range(m), repeat=n)))
-
-
-def _boundary_cells(cells: frozenset, n: int):
-    """Cells with at least one missing axis neighbour, sorted for determinism."""
-    out = []
-    for c in sorted(cells):
-        for a in range(n):
-            for d in (-1, 1):
-                nb = tuple(c[i] + (d if i == a else 0) for i in range(n))
-                if nb not in cells:
-                    out.append(c)
-                    break
-            else:
-                continue
-            break
-    return out
-
-
-def _outer_neighbours(cells: frozenset, n: int):
-    out = set()
-    for c in cells:
-        for a in range(n):
-            for d in (-1, 1):
-                nb = tuple(c[i] + (d if i == a else 0) for i in range(n))
-                if nb not in cells:
-                    out.add(nb)
-    return sorted(out)
+    return LatticeSet.from_mask(np.ones((m,) * n, dtype=bool), m)
 
 
 def _perturbed_cube(n: int, m: int, eps: Fraction, rng: SplitMix64) -> LatticeSet:
     """Unit cube with boundary cells flipped; keeps ||E| - 1| <= eps."""
-    cube = set(_unit_cube(n, m).cells)
     budget = int(eps * m ** n / 2)
     if budget == 0:
-        return LatticeSet(n, m, frozenset(cube))
-    removers = _boundary_cells(frozenset(cube), n)
-    adders = _outer_neighbours(frozenset(cube), n)
+        return _unit_cube(n, m)
+    # the cube's cells on a face, and the cells just outside one face, sorted
+    removers = [c for c in product(range(m), repeat=n) if 0 in c or m - 1 in c]
+    adders = [c for c in product(range(-1, m + 1), repeat=n)
+              if c.count(-1) + c.count(m) == 1]
     k_rem = rng.next_below(budget + 1)
     k_add = rng.next_below(budget + 1)
-    for _ in range(k_rem):
-        if not removers:
-            break
-        c = removers.pop(rng.next_below(len(removers)))
-        cube.discard(c)
-    for _ in range(k_add):
-        if not adders:
-            break
-        c = adders.pop(rng.next_below(len(adders)))
-        cube.add(c)
-    return LatticeSet(n, m, frozenset(cube))
+    grid = np.zeros((m + 2,) * n, dtype=bool)  # cell c at index c + 1
+    grid[(slice(1, m + 1),) * n] = True
+    for cells, k, value in ((removers, k_rem, False), (adders, k_add, True)):
+        for _ in range(min(k, len(cells))):
+            c = cells.pop(rng.next_below(len(cells)))
+            grid[tuple(x + 1 for x in c)] = value
+    return LatticeSet.from_mask(grid, m, -1)
 
 
 def _bitten_cube(n: int, m: int, eps: Fraction, rng: SplitMix64) -> LatticeSet:
@@ -169,10 +141,9 @@ def _bitten_cube(n: int, m: int, eps: Fraction, rng: SplitMix64) -> LatticeSet:
     The notch volume tracks eps (so the family's deficit grows with it) while
     the removal budget keeps ||E| - 1| <= eps/2.
     """
-    cube = set(_unit_cube(n, m).cells)
     target = int(eps * m ** n / 2)
     if target == 0:
-        return LatticeSet(n, m, frozenset(cube))
+        return _unit_cube(n, m)
     axis = rng.next_below(n)
     side = rng.next_below(2)
     max_depth = max(m // 4, 1)
@@ -185,24 +156,24 @@ def _bitten_cube(n: int, m: int, eps: Fraction, rng: SplitMix64) -> LatticeSet:
         s = max(1, int(round(cross ** 0.5)))
         s = min(s, m)
         spans = [s, max(1, min(cross // s, m))]
-    axis_range = range(depth) if side == 0 else range(m - depth, m)
+    notch = [None] * n
+    notch[axis] = slice(0, depth) if side == 0 else slice(m - depth, m)
     other_axes = [a for a in range(n) if a != axis]
-    offs = [rng.next_below(m - spans[i] + 1) for i in range(len(other_axes))]
-    ranges = [None] * n
-    ranges[axis] = axis_range
-    for i, a in enumerate(other_axes):
-        ranges[a] = range(offs[i], offs[i] + spans[i])
-    cube.difference_update(product(*ranges))
-    return LatticeSet(n, m, frozenset(cube))
+    for a, span in zip(other_axes, spans):
+        off = rng.next_below(m - span + 1)
+        notch[a] = slice(off, off + span)
+    cube = np.ones((m,) * n, dtype=bool)
+    cube[tuple(notch)] = False
+    return LatticeSet.from_mask(cube, m)
 
 
 def _random_boxes(n: int, m: int, rng: SplitMix64) -> LatticeSet:
-    cells = set()
+    grid = np.zeros((2 * m + max(m, 2),) * n, dtype=bool)
     for _ in range(1 + rng.next_below(4)):
         corner = [rng.next_below(2 * m) for _ in range(n)]
         size = [1 + rng.next_below(max(m, 2)) for _ in range(n)]
-        cells.update(product(*(range(c, c + s) for c, s in zip(corner, size))))
-    return LatticeSet(n, m, frozenset(cells))
+        grid[tuple(slice(c, c + s) for c, s in zip(corner, size))] = True
+    return LatticeSet.from_mask(grid, m)
 
 
 def _counterexample_set(n: int, m: int, L: int, bracket: str) -> LatticeSet:
@@ -220,41 +191,31 @@ def _counterexample_set(n: int, m: int, L: int, bracket: str) -> LatticeSet:
         raise ValueError(
             "3D ball brackets are capped at base denom 32 "
             f"(classification lattice {M} would scan {(2 * int(0.6 * M) + 4) ** 3} cells)")
-    cells = set()
+    far = [[2 * L * M] + [0] * (n - 1)]
     if n == 1:
-        for i in range(-M // 2, (M + 1) // 2):
-            cells.add((i,))
-        cells.add((2 * L * M,))
-        return LatticeSet(1, M, frozenset(cells))
+        ball = np.arange(-M // 2, (M + 1) // 2).reshape(-1, 1)
+        return LatticeSet(1, M, np.concatenate([ball, far]))
     if n == 2:
         # radius^2 = 1/pi
-        r2_lo, r2_hi = 1 / PI_HI, 1 / PI_LO
+        r2 = 1 / PI_HI if bracket == "inner" else 1 / PI_LO
         power = 1
     else:
         # radius^6 = (3/(4 pi))^2; compare squared distances cubed
-        r2_lo, r2_hi = (Fraction(3, 4) / PI_HI) ** 2, (Fraction(3, 4) / PI_LO) ** 2
+        r2 = (Fraction(3, 4) / (PI_HI if bracket == "inner" else PI_LO)) ** 2
         power = 3
-    num_lo, den_lo = r2_lo.numerator, r2_lo.denominator
-    num_hi, den_hi = r2_hi.numerator, r2_hi.denominator
-    M2 = M ** (2 * power)
+    # an integer d has d * den <= num * M^(2p) iff d <= num * M^(2p) // den
+    limit = r2.numerator * M ** (2 * power) // r2.denominator
     rad = int(0.6 * M) + 2
-    rng_axes = range(-rad, rad)
-    for cell in product(rng_axes, repeat=n):
-        dmin = dmax = 0
-        for k in cell:
-            near = 0 if k < 0 <= k + 1 else min(abs(k), abs(k + 1))
-            far = max(abs(k), abs(k + 1))
-            dmin += near * near
-            dmax += far * far
-        if bracket == "inner":
-            if dmax ** power * den_lo <= num_lo * M2:
-                cells.add(cell)
-        else:
-            if dmin ** power * den_hi <= num_hi * M2:
-                cells.add(cell)
-    far_cell = (2 * L * M,) + (0,) * (n - 1)
-    cells.add(far_cell)
-    return LatticeSet(n, M, frozenset(cells))
+    k = np.arange(-rad, rad)
+    if bracket == "inner":  # the cell's farthest point is in the ball
+        d = np.maximum(abs(k), abs(k + 1))
+    else:  # the cell's nearest point is in the ball
+        d = np.where(k == -1, 0, np.minimum(abs(k), abs(k + 1)))
+    dist = d * d
+    for _ in range(n - 1):
+        dist = np.add.outer(dist, d * d)
+    ball = np.argwhere(dist ** power <= limit) - rad
+    return LatticeSet(n, M, np.concatenate([ball, far]))
 
 
 def _interval_union(rng: SplitMix64, max_components: int) -> IntervalSet:

@@ -15,7 +15,9 @@ from fractions import Fraction
 from itertools import product
 
 from ._roots import PI_HI, PI_LO, sqrt_brackets
-from .vset import LatticeSet, fiber_profile, slice_profile, sup_slice_measure
+from .vset import (
+    LatticeSet, fiber_profile, intersection_measure, slice_profile, sup_slice_measure,
+)
 
 __all__ = ["SymmetrizedBody", "steiner", "schwarz", "natural", "sup_slice_ratio_check"]
 
@@ -31,7 +33,7 @@ class SymmetrizedBody:
             raise ValueError("exactly one of exact/bracket must be set")
         if self.bracket is not None:
             inner, outer = self.bracket
-            if not inner.cells <= outer.cells:
+            if intersection_measure(inner, outer) != inner.measure():
                 raise ValueError("inner bracket must be contained in outer")
 
     def measure_bounds(self) -> tuple[Fraction, Fraction]:

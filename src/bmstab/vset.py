@@ -5,14 +5,27 @@ the lattice (1/m)Z^n; cell k covers prod_i [k_i/m, (k_i+1)/m].  Boundaries of
 adjacent cells overlap in measure zero, so all measure arithmetic is exact
 cell counting over the rationals.  Values are immutable and all operations
 are pure functions.
+
+A `LatticeSet` stores its cells as one read-only int64 array of shape
+(k, n), sorted lexicographically with no repeated row.  Every operation here
+works on that array; the rows of one last-axis column are contiguous in it.
+`LatticeSet.cells`, a frozenset of Python-int tuples, is derived from the
+array on first use, and no library computation reads it.  Coordinates
+outside the int64 range are rejected with ValueError, as are operations
+whose results would leave it.  Values leave the array through `.tolist()`,
+so Fractions, hulls and text only ever see Python ints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 __all__ = [
     "LatticeSet", "FiberProfile", "measure", "symmetric_difference_measure",
@@ -20,71 +33,223 @@ __all__ = [
     "reconcile", "write_vset", "parse_vset",
 ]
 
+_INT64 = np.iinfo(np.int64)
 
-@dataclass(frozen=True)
+
+def _integer(x, what: str) -> int:
+    """x as a Python int; ValueError unless x is an integer (int or numpy)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
+def _lattice(dim, denom) -> tuple[int, int]:
+    """Checked (dim, denom) of a LatticeSet."""
+    dim, denom = _integer(dim, "dim"), _integer(denom, "denom")
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    if denom < 1:
+        raise ValueError(f"denom must be a positive integer, got {denom}")
+    return dim, denom
+
+
+def _check_int64(lo: int, hi: int):
+    """ValueError unless the Python ints lo <= hi both fit in int64."""
+    if lo < _INT64.min or hi > _INT64.max:
+        raise ValueError(f"cell coordinates [{lo}, {hi}] leave the int64 range")
+
+
+def _int64_cells(cells, dim: int) -> np.ndarray:
+    """A new (k, dim) int64 array of the given cells, in the given order.
+
+    Accepts an integer array or any iterable of integer dim-tuples; raises
+    ValueError on a wrong arity, a non-integer coordinate or one outside
+    int64.
+    """
+    if isinstance(cells, np.ndarray):
+        arr = cells
+    else:
+        cells = list(cells)
+        try:
+            arr = np.array(cells)
+        except ValueError:  # ragged rows
+            raise ValueError(f"cells must be {dim}-tuples") from None
+        if arr.dtype.kind not in "iu":  # floats, huge ints, anything else
+            arr = np.array(cells, dtype=object)
+    if arr.size == 0:
+        return np.empty((0, dim), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"cells must be {dim}-tuples")
+    if arr.dtype.kind == "O":
+        values = [_integer(x, "cell coordinate") for x in arr.ravel().tolist()]
+        _check_int64(min(values), max(values))
+    elif arr.dtype.kind == "u":
+        _check_int64(0, int(arr.max()))
+    elif arr.dtype.kind != "i":
+        raise ValueError(f"cell coordinates must be integers, got {arr.dtype}")
+    return np.array(arr, dtype=np.int64)
+
+
+def _canonical(c: np.ndarray) -> np.ndarray:
+    """The rows of c sorted lexicographically, each once."""
+    if len(c) > 1:
+        # later[i]: row i+1 comes after row i (an O(k) test, no sort)
+        a, b = c[:-1], c[1:]
+        later = b[:, -1] > a[:, -1]
+        for j in range(c.shape[1] - 2, -1, -1):
+            later = (b[:, j] > a[:, j]) | ((b[:, j] == a[:, j]) & later)
+        if not later.all():
+            c = c[np.lexsort(c.T[::-1])]
+            keep = np.ones(len(c), dtype=bool)
+            keep[1:] = (c[1:] != c[:-1]).any(axis=1)
+            c = c[keep]
+    return c
+
+
+def _column_starts(c: np.ndarray) -> np.ndarray:
+    """Indices of the first row of each last-axis column of a canonical array."""
+    new = np.ones(len(c), dtype=bool)
+    new[1:] = (c[1:, :-1] != c[:-1, :-1]).any(axis=1)
+    return np.flatnonzero(new)
+
+
+def _common_rows(a: np.ndarray, b: np.ndarray) -> int:
+    """Number of rows in both of two canonical arrays."""
+    if not len(a) or not len(b):
+        return 0
+    c = np.concatenate([a, b])
+    c = c[np.lexsort(c.T[::-1])]
+    return int((c[1:] == c[:-1]).all(axis=1).sum())
+
+
 class LatticeSet:
-    dim: int
-    denom: int
-    cells: frozenset = field(default_factory=frozenset)
+    """A finite union of lattice cells: dim, denom and a canonical cell array.
 
-    def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.denom < 1:
-            raise ValueError("denom must be a positive integer")
-        # frozensets from internal ops are already canonical tuples of ints;
-        # normalize anything else.
-        if not isinstance(self.cells, frozenset):
-            object.__setattr__(
-                self, "cells",
-                frozenset(tuple(int(x) for x in c) for c in self.cells))
-        for c in self.cells:
-            if len(c) != self.dim:
-                raise ValueError(f"cell {c} has arity {len(c)}, expected {self.dim}")
+    `LatticeSet(dim, denom, cells)` takes the cells as an integer array of
+    shape (k, dim) or any iterable of integer dim-tuples, in any order and
+    with repeats.  Equal cell sets on equal lattices are equal and hash
+    equal, however they were given.
+    """
+
+    __slots__ = ("dim", "denom", "array", "_cells", "_hash")
+
+    def __init__(self, dim: int, denom: int, cells=()):
+        dim, denom = _lattice(dim, denom)
+        self._init(dim, denom, _canonical(_int64_cells(cells, dim)))
+
+    @classmethod
+    def from_mask(cls, mask, denom: int, origin=0) -> "LatticeSet":
+        """The cells i + origin for the true entries i of a boolean array.
+
+        The array's rank is the dimension; origin is an int or one int per
+        axis.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        dim, denom = _lattice(mask.ndim, denom)
+        if isinstance(origin, numbers.Integral):
+            origin = [origin] * dim
+        origin = [_integer(o, "origin") for o in origin]
+        if len(origin) != dim:
+            raise ValueError("origin arity mismatch")
+        _check_int64(min(origin), max(o + k - 1 for o, k in zip(origin, mask.shape)))
+        # argwhere lists the true indices in C order: sorted and unique
+        return cls._from_canonical(dim, denom, np.argwhere(mask) + origin)
+
+    @classmethod
+    def _from_canonical(cls, dim: int, denom: int, array: np.ndarray) -> "LatticeSet":
+        """Wrap an int64 (k, dim) array that is already sorted and unique."""
+        E = object.__new__(cls)
+        E._init(dim, denom, array)
+        return E
+
+    def _init(self, dim, denom, array):
+        array = np.ascontiguousarray(array)
+        array.flags.writeable = False
+        for name, value in (("dim", dim), ("denom", denom), ("array", array),
+                            ("_cells", None), ("_hash", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LatticeSet is immutable")
+
+    def __reduce__(self):  # pickle and copy through the public constructor
+        return LatticeSet, (self.dim, self.denom, self.array)
+
+    @property
+    def cells(self) -> frozenset:
+        """The cells as a frozenset of Python-int tuples, built on first use."""
+        if self._cells is None:
+            object.__setattr__(self, "_cells", frozenset(map(tuple, self.array.tolist())))
+        return self._cells
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticeSet):
+            return NotImplemented
+        return (self.dim == other.dim and self.denom == other.denom
+                and np.array_equal(self.array, other.array))
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.dim, self.denom, self.array.tobytes())))
+        return self._hash
+
+    def __repr__(self):
+        return (f"LatticeSet(dim={self.dim}, denom={self.denom}, "
+                f"cells=<{len(self.array)} cells>)")
 
     # -- basic queries ------------------------------------------------------
 
     def measure(self) -> Fraction:
-        return Fraction(len(self.cells), self.denom ** self.dim)
+        return Fraction(len(self.array), self.denom ** self.dim)
 
     def is_empty(self) -> bool:
-        return not self.cells
+        return not len(self.array)
 
     def bounding_box(self):
         """Per-axis (lo, hi) cell-index ranges, hi exclusive."""
-        if not self.cells:
+        if self.is_empty():
             raise ValueError("empty set has no bounding box")
-        los = [min(c[a] for c in self.cells) for a in range(self.dim)]
-        his = [max(c[a] for c in self.cells) + 1 for a in range(self.dim)]
-        return list(zip(los, his))
+        los = self.array.min(axis=0).tolist()
+        his = self.array.max(axis=0).tolist()
+        return [(lo, hi + 1) for lo, hi in zip(los, his)]
+
+    def _boxes(self, steps, denom: int) -> "LatticeSet":
+        """Cell c becomes the box prod_i [c_i*steps_i, (c_i+1)*steps_i) at denom."""
+        if not self.is_empty():
+            for (lo, hi), s in zip(self.bounding_box(), steps):
+                _check_int64(lo * s, hi * s - 1)
+        offs = np.argwhere(np.ones(steps, dtype=bool))
+        cells = (self.array * np.array(steps, dtype=np.int64))[:, None, :] + offs
+        return LatticeSet._from_canonical(
+            self.dim, denom, _canonical(cells.reshape(-1, self.dim)))
 
     def refine(self, k: int) -> "LatticeSet":
         """Multiply denom by k; the represented point set (and measure) is unchanged."""
+        k = _integer(k, "refinement factor")
         if k < 1:
             raise ValueError("refinement factor must be >= 1")
         if k == 1:
             return self
-        offs = list(product(range(k), repeat=self.dim))
-        cells = frozenset(
-            tuple(k * c[a] + o[a] for a in range(self.dim))
-            for c in self.cells for o in offs
-        )
-        return LatticeSet(self.dim, self.denom * k, cells)
+        return self._boxes((k,) * self.dim, self.denom * k)
 
     def translate(self, offset) -> "LatticeSet":
         """Translate by integer cell offsets on the current lattice."""
-        off = tuple(int(o) for o in offset)
+        off = [_integer(o, "offset") for o in offset]
         if len(off) != self.dim:
             raise ValueError("offset arity mismatch")
-        return LatticeSet(self.dim, self.denom,
-                          frozenset(tuple(c[a] + off[a] for a in range(self.dim))
-                                    for c in self.cells))
+        if not self.is_empty():
+            for (lo, hi), o in zip(self.bounding_box(), off):
+                _check_int64(lo + o, hi - 1 + o)
+        return LatticeSet._from_canonical(
+            self.dim, self.denom, self.array + np.array(off, dtype=np.int64))
 
     def corner_points(self):
         """All cell corners as integer lattice points (coordinates x denom)."""
         offs = list(product((0, 1), repeat=self.dim))
-        return {tuple(c[a] + o[a] for a in range(self.dim))
-                for c in self.cells for o in offs}
+        return {tuple(x + o for x, o in zip(c, off))
+                for c in self.array.tolist() for off in offs}
 
     def hull_points(self):
         """Integer points (coordinates x denom) with the hull of all cell corners.
@@ -93,19 +258,14 @@ class LatticeSet:
         heights lo and hi+1 of its lowest and highest cell: every corner of
         the column lies on a segment between two of them.
         """
-        ends = {}
-        for c in self.cells:
-            y, z = c[:-1], c[-1]
-            e = ends.get(y)
-            if e is None:
-                ends[y] = [z, z]
-            elif z < e[0]:
-                e[0] = z
-            elif z > e[1]:
-                e[1] = z
+        c = self.array
+        starts = _column_starts(c)
+        stops = np.append(starts[1:], len(c)) - 1
         offs = list(product((0, 1), repeat=self.dim - 1))
-        return {tuple(a + b for a, b in zip(y, o)) + (z,)
-                for y, (lo, hi) in ends.items() for o in offs for z in (lo, hi + 1)}
+        return {tuple(x + o for x, o in zip(y, off)) + (z,)
+                for y, lo, hi in zip(c[starts, :-1].tolist(), c[starts, -1].tolist(),
+                                     c[stops, -1].tolist())
+                for off in offs for z in (lo, hi + 1)}
 
 
 @dataclass(frozen=True)
@@ -144,22 +304,28 @@ def reconcile(E: LatticeSet, F: LatticeSet):
 
 def symmetric_difference_measure(E: LatticeSet, F: LatticeSet) -> Fraction:
     E2, F2 = reconcile(E, F)
-    return Fraction(len(E2.cells ^ F2.cells), E2.denom ** E2.dim)
+    k = len(E2.array) + len(F2.array) - 2 * _common_rows(E2.array, F2.array)
+    return Fraction(k, E2.denom ** E2.dim)
 
 
 def intersection_measure(E: LatticeSet, F: LatticeSet) -> Fraction:
     E2, F2 = reconcile(E, F)
-    return Fraction(len(E2.cells & F2.cells), E2.denom ** E2.dim)
+    return Fraction(_common_rows(E2.array, F2.array), E2.denom ** E2.dim)
+
+
+def _columns(E: LatticeSet):
+    """(start rows, cell counts) of E's last-axis columns, in base order."""
+    if E.dim < 2:
+        raise ValueError("fiber and slice profiles need dim >= 2")
+    starts = _column_starts(E.array)
+    return starts, np.diff(np.append(starts, len(E.array)))
 
 
 def fiber_profile(E: LatticeSet) -> FiberProfile:
     """Fiber lengths H^1(E_y) over base cells y in the first n-1 coordinates."""
-    if E.dim < 2:
-        raise ValueError("fiber_profile needs dim >= 2")
-    counts = {}
-    for c in E.cells:
-        counts[c[:-1]] = counts.get(c[:-1], 0) + 1
-    lengths = tuple(sorted((y, Fraction(k, E.denom)) for y, k in counts.items()))
+    starts, counts = _columns(E)
+    lengths = tuple((tuple(y), Fraction(k, E.denom))
+                    for y, k in zip(E.array[starts, :-1].tolist(), counts.tolist()))
     return FiberProfile(E.dim - 1, E.denom, lengths)
 
 
@@ -167,18 +333,18 @@ def slice_profile(E: LatticeSet) -> FiberProfile:
     """Transposed profile: slice areas H^{n-1}(E(s)) per last-coordinate row."""
     if E.dim < 2:
         raise ValueError("slice_profile needs dim >= 2")
-    counts = {}
-    for c in E.cells:
-        counts[(c[-1],)] = counts.get((c[-1],), 0) + 1
-    areas = tuple(sorted((s, Fraction(k, E.denom ** (E.dim - 1))) for s, k in counts.items()))
-    return FiberProfile(1, E.denom, areas)
+    rows, counts = np.unique(E.array[:, -1], return_counts=True)
+    area = E.denom ** (E.dim - 1)
+    return FiberProfile(1, E.denom, tuple(
+        ((s,), Fraction(k, area)) for s, k in zip(rows.tolist(), counts.tolist())))
 
 
 def slice_measure(E: LatticeSet, s_row: int) -> Fraction:
     """H^{n-1} of the slice through the lattice row s_row (last coordinate)."""
     if E.dim < 2:
         raise ValueError("slice_measure needs dim >= 2")
-    k = sum(1 for c in E.cells if c[-1] == s_row)
+    inside = _INT64.min <= s_row <= _INT64.max
+    k = int(np.count_nonzero(E.array[:, -1] == s_row)) if inside else 0
     return Fraction(k, E.denom ** (E.dim - 1))
 
 
@@ -189,9 +355,11 @@ def superlevel_set(E: LatticeSet, lam) -> LatticeSet:
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    prof = fiber_profile(E)
-    cells = frozenset(y for y, l in prof.lengths if l > lam)
-    return LatticeSet(E.dim - 1, E.denom, cells)
+    starts, counts = _columns(E)
+    # an integer count k has k/denom > lam iff k > floor(lam*denom)
+    floor = min(math.floor(lam * E.denom), len(E.array))
+    base = E.array[starts[counts > floor], :-1]
+    return LatticeSet._from_canonical(E.dim - 1, E.denom, base)
 
 
 def base_projection(E: LatticeSet) -> LatticeSet:
@@ -311,27 +479,15 @@ def normalize_Mtau(A: LatticeSet, B: LatticeSet, t, tau, max_cell_blowup: int = 
 
 
 def _materialize_scaling(E: LatticeSet, lam: Fraction) -> LatticeSet:
-    """Apply (y, s) -> (lam*y, lam^(1-n)*s) exactly on a refined lattice."""
+    """Apply (y, s) -> (lam*y, lam^(1-n)*s) exactly on a refined lattice.
+
+    With lam = a/b and M = m*mult, the image of cell c has base axes
+    [lam*c_i/m, lam*(c_i+1)/m] = [a^n*c_i, a^n*(c_i+1)]/M and last axis
+    [b^n*c_s, b^n*(c_s+1)]/M, by the choice of mult.
+    """
     n = E.dim
     a, b = lam.numerator, lam.denominator
-    mult = _scaling_blowup(lam, n)
-    m = E.denom
-    M = m * mult
-    cells = set()
-    for c in E.cells:
-        # Image box of cell c: base axes [lam*c_i/m, lam*(c_i+1)/m], last
-        # axis [lam^(1-n)*c_s/m, lam^(1-n)*(c_s+1)/m]; all endpoints land on
-        # the 1/M lattice by the choice of mult.
-        lo_hi = []
-        for axis in range(n - 1):
-            lo = a * c[axis] * mult // b
-            hi = a * (c[axis] + 1) * mult // b
-            lo_hi.append((lo, hi))
-        lo = b ** (n - 1) * c[-1] * mult // a ** (n - 1)
-        hi = b ** (n - 1) * (c[-1] + 1) * mult // a ** (n - 1)
-        lo_hi.append((lo, hi))
-        cells.update(product(*(range(lo, hi) for lo, hi in lo_hi)))
-    out = LatticeSet(n, M, frozenset(cells))
+    out = E._boxes((a ** n,) * (n - 1) + (b ** n,), E.denom * _scaling_blowup(lam, n))
     assert out.measure() == E.measure()
     return out
 
@@ -342,9 +498,8 @@ def _materialize_scaling(E: LatticeSet, lam: Fraction) -> LatticeSet:
 
 def write_vset(E: LatticeSet) -> str:
     """Serialize; cells in lexicographic order for a bit-exact round trip."""
-    lines = [f"vset {E.dim} {E.denom}", f"cells {len(E.cells)}"]
-    for c in sorted(E.cells):
-        lines.append(" ".join(str(x) for x in c))
+    lines = [f"vset {E.dim} {E.denom}", f"cells {len(E.array)}"]
+    lines += [" ".join(map(str, c)) for c in E.array.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -368,7 +523,8 @@ def parse_vset(text: str) -> LatticeSet:
         parts = ln.split()
         if len(parts) != dim:
             raise ValueError(f"cell {ln!r} has wrong arity")
-        cells.append(tuple(int(p) for p in parts))
-    if len(set(cells)) != len(cells):
+        cells.append([int(p) for p in parts])
+    E = LatticeSet(dim, denom, cells)
+    if len(E.array) != count:
         raise ValueError("duplicate cells in vset payload")
-    return LatticeSet(dim, denom, frozenset(cells))
+    return E

@@ -29,6 +29,18 @@ def test_generate_determinism(tmp_path):
     assert (tmp_path / "x.A.vset").read_bytes() == (tmp_path / "y.A.vset").read_bytes()
 
 
+def test_deficit_coordinate_outside_int64_is_a_usage_error(tmp_path, capsys):
+    good = tmp_path / "good.vset"
+    good.write_text("vset 2 1\ncells 1\n0 0\n")
+    huge = tmp_path / "huge.vset"
+    huge.write_text(f"vset 2 1\ncells 2\n0 0\n{2 ** 70} 0\n")
+    assert run(["deficit", "--in-a", str(huge), "--in-b", str(good), "--t", "1/2"]) == 2
+    far = tmp_path / "far.vset"
+    far.write_text(f"vset 2 1\ncells 1\n{2 ** 62} 0\n")
+    assert run(["deficit", "--in-a", str(far), "--in-b", str(far), "--t", "1/3"]) == 2
+    assert "int64" in capsys.readouterr().err
+
+
 def test_symmetrize_and_transport(tmp_path):
     out = tmp_path / "sc"
     run(["generate", "--family", "perturbed-square", "--denom", "4",

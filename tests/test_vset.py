@@ -1,13 +1,22 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bmstab.cli import sweep
+from bmstab.convexity import convex_hull
+from bmstab.minkowski import convex_combination, convex_combination_bruteforce, deficit
+from bmstab.scenarios import ScenarioSpec, generate_scenario
+from bmstab.stability import cos_pipeline, hull_distance
 from bmstab.vset import (
-    LatticeSet, fiber_profile, intersection_measure, measure, normalize_Mtau,
-    parse_vset, slice_measure, superlevel_set, symmetric_difference_measure,
-    write_vset,
+    LatticeSet, _materialize_scaling, fiber_profile, intersection_measure, measure,
+    normalize_Mtau, parse_vset, reconcile, slice_measure, slice_profile,
+    superlevel_set, symmetric_difference_measure, write_vset,
 )
 
 
@@ -160,3 +169,212 @@ def test_normalize_3d_snapped_scaling():
     assert abs(lam - Fraction(2829, 1000)) < Fraction(1, 2)
     # products are scaling invariants
     assert rep["product_AA"] == rep["product_BB"]
+
+
+# ---------------------------------------------------------------------------
+# the cell array against a pure-tuple oracle
+
+
+def _oracle_refine(cells, n, k):
+    return {tuple(k * c[a] + o[a] for a in range(n))
+            for c in cells for o in product(range(k), repeat=n)}
+
+
+def _oracle_hull_points(cells, n):
+    ends = {}
+    for c in cells:
+        lo, hi = ends.get(c[:-1], (c[-1], c[-1]))
+        ends[c[:-1]] = (min(lo, c[-1]), max(hi, c[-1]))
+    return {tuple(y[a] + o[a] for a in range(n - 1)) + (z,)
+            for y, (lo, hi) in ends.items()
+            for o in product((0, 1), repeat=n - 1) for z in (lo, hi + 1)}
+
+
+def _oracle_counts(keys):
+    counts = {}
+    for k in keys:
+        counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+def _oracle_scaling(cells, n, lam):
+    """Image boxes of (y, s) -> (lam*y, lam^(1-n)*s), cell by cell."""
+    a, b = lam.numerator, lam.denominator
+    mult = a ** (n - 1) * b
+    out = set()
+    for c in cells:
+        ranges = [range(a * c[i] * mult // b, a * (c[i] + 1) * mult // b)
+                  for i in range(n - 1)]
+        ranges.append(range(b ** (n - 1) * c[-1] * mult // a ** (n - 1),
+                            b ** (n - 1) * (c[-1] + 1) * mult // a ** (n - 1)))
+        out.update(product(*ranges))
+    return out
+
+
+def _assert_canonical(E):
+    rows = E.array.tolist()
+    assert E.array.dtype == np.int64 and E.array.shape == (len(rows), E.dim)
+    assert all(r < s for r, s in zip(rows, rows[1:]))  # sorted, unique
+    assert not E.array.flags.writeable
+
+
+def test_array_ops_match_tuple_oracle():
+    rng = random.Random(2024)
+    for trial in range(60):
+        n = 1 + trial % 3
+        m = rng.choice([1, 2, 3])
+        k = 0 if trial % 10 == 0 else rng.randrange(1, 30)
+        cells = {tuple(rng.randrange(-7, 5) for _ in range(n)) for _ in range(k)}
+        E = LatticeSet(n, m, list(cells))
+        _assert_canonical(E)
+        assert E.cells == cells
+        assert E.measure() == Fraction(len(cells), m ** n) == measure(E)
+        assert E.is_empty() == (not cells)
+        assert E.corner_points() == {tuple(c[a] + o[a] for a in range(n))
+                                     for c in cells for o in product((0, 1), repeat=n)}
+        for kk in (1, 2, 3):
+            R = E.refine(kk)
+            _assert_canonical(R)
+            assert R.denom == m * kk and R.cells == _oracle_refine(cells, n, kk)
+        off = tuple(rng.randrange(-9, 9) for _ in range(n))
+        T = E.translate(off)
+        _assert_canonical(T)
+        assert T.cells == {tuple(c[a] + off[a] for a in range(n)) for c in cells}
+        text = write_vset(E)
+        assert text.splitlines()[2:] == [" ".join(map(str, c)) for c in sorted(cells)]
+        assert parse_vset(text) == E and write_vset(parse_vset(text)) == text
+
+        F_cells = {tuple(rng.randrange(-5, 6) for _ in range(n))
+                   for _ in range(rng.randrange(0, 25))}
+        F = LatticeSet(n, rng.choice([1, 2, 4]), F_cells)
+        E2, F2 = reconcile(E, F)
+        L = E2.denom
+        e2 = _oracle_refine(cells, n, L // m)
+        f2 = _oracle_refine(F_cells, n, L // F.denom)
+        assert E2.cells == e2 and F2.cells == f2
+        assert intersection_measure(E, F) == Fraction(len(e2 & f2), L ** n)
+        assert symmetric_difference_measure(E, F) == Fraction(len(e2 ^ f2), L ** n)
+
+        if not cells:
+            with pytest.raises(ValueError):
+                E.bounding_box()
+            continue
+        assert E.bounding_box() == [(min(c[a] for c in cells), max(c[a] for c in cells) + 1)
+                                    for a in range(n)]
+        assert E.hull_points() == _oracle_hull_points(cells, n)
+        if n == 1:
+            continue
+        fibers = _oracle_counts(c[:-1] for c in cells)
+        assert fiber_profile(E).lengths == tuple(
+            (y, Fraction(c, m)) for y, c in sorted(fibers.items()))
+        rows = _oracle_counts(c[-1] for c in cells)
+        assert slice_profile(E).lengths == tuple(
+            ((s,), Fraction(c, m ** (n - 1))) for s, c in sorted(rows.items()))
+        for s in (-8, -1, 0, 3, 2 ** 70):
+            assert slice_measure(E, s) == Fraction(rows.get(s, 0), m ** (n - 1))
+        for lam in (Fraction(0), Fraction(1, 3), Fraction(1, m), Fraction(5, 2)):
+            S = superlevel_set(E, lam)
+            _assert_canonical(S)
+            assert S.cells == {y for y, c in fibers.items() if Fraction(c, m) > lam}
+        lam = rng.choice([Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)])
+        scaled = _materialize_scaling(E, lam)
+        _assert_canonical(scaled)
+        assert scaled.cells == _oracle_scaling(cells, n, lam)
+
+
+def test_equal_sets_built_five_ways_are_equal_and_hash_equal():
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        cells = sorted({tuple(rng.randrange(-6, 6) for _ in range(n)) for _ in range(40)})
+        shuffled = np.array(cells, dtype=np.int64)[rng.sample(range(len(cells)), len(cells))]
+        ways = [
+            LatticeSet(n, 3, frozenset(cells)),
+            LatticeSet(n, 3, list(cells)),
+            LatticeSet(n, 3, (c for c in cells)),
+            LatticeSet(n, 3, shuffled),
+            LatticeSet(n, 3, cells + cells[::3]),
+        ]
+        for E in ways:
+            _assert_canonical(E)
+            assert E == ways[0] and hash(E) == hash(ways[0])
+            with pytest.raises(ValueError):
+                E.array[0, 0] = 99
+        assert pickle.loads(pickle.dumps(ways[3])) == ways[0] == copy.deepcopy(ways[4])
+        assert ways[0] != LatticeSet(n, 6, cells)
+        assert ways[0] != LatticeSet(n, 3, cells[1:])
+        assert shuffled.flags.writeable  # the caller's array is copied, not frozen
+    assert LatticeSet(2, 1) == LatticeSet(2, 1, frozenset()) == LatticeSet(2, 1, np.empty((0, 2)))
+    assert hash(LatticeSet(2, 1)) == hash(LatticeSet(2, 1, []))
+
+
+def test_constructor_rejects_inexact_input():
+    with pytest.raises(ValueError):
+        LatticeSet(1, 2, [(0.5,), (1.7,)])              # no silent truncation
+    with pytest.raises(ValueError):
+        LatticeSet(1, 2, frozenset([(0.5,), (1.7,)]))   # not stored as floats either
+    with pytest.raises(ValueError):
+        LatticeSet(2, 2.0, [(0, 0)])                    # denom must be an integer
+    with pytest.raises(ValueError):
+        LatticeSet(2.0, 2, [(0, 0)])
+    with pytest.raises(ValueError):
+        LatticeSet(2, 1, np.array([[0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        LatticeSet(2, 1, [(0, 0), (1,)])                # ragged arity
+    with pytest.raises(ValueError):
+        LatticeSet(1, 1, [0, 1])                        # cells are tuples
+    for bad in (2 ** 63, -2 ** 63 - 1, 2 ** 70):
+        with pytest.raises(ValueError):
+            LatticeSet(2, 1, [(0, 0), (bad, 1)])
+    assert LatticeSet(2, 1, [(2 ** 63 - 1, -2 ** 63)]).cells == {(2 ** 63 - 1, -2 ** 63)}
+
+
+def test_results_outside_int64_are_refused():
+    F = LatticeSet(2, 1, [(2 ** 62, 0), (2 ** 62, 1)])
+    with pytest.raises(ValueError):
+        convex_combination(F, F, Fraction(1, 3))        # 3 * 2^62 > int64
+    G = LatticeSet(2, 1, [(2 ** 61, 0), (2 ** 61, 1)])  # 3 * 2^61 still fits
+    assert convex_combination(G, G, Fraction(1, 3)) == convex_combination_bruteforce(
+        G, G, Fraction(1, 3))
+    with pytest.raises(ValueError):
+        F.refine(2)
+    with pytest.raises(ValueError):
+        F.translate((2 ** 62, 0))
+    with pytest.raises(ValueError):
+        parse_vset("vset 2 1\ncells 1\n1180591620717411303424 0\n")
+
+
+def test_repr_is_compact():
+    E = LatticeSet(2, 1024, np.argwhere(np.ones((40, 50), dtype=bool)))
+    assert repr(E) == "LatticeSet(dim=2, denom=1024, cells=<2000 cells>)"
+
+
+def test_from_mask_lists_true_entries():
+    mask = np.zeros((3, 4), dtype=bool)
+    mask[0, 1] = mask[2, 0] = mask[2, 3] = True
+    E = LatticeSet.from_mask(mask, 5, (-1, 10))
+    _assert_canonical(E)
+    assert E == LatticeSet(2, 5, [(-1, 11), (1, 10), (1, 13)])
+    with pytest.raises(ValueError):
+        LatticeSet.from_mask(mask, 5, (2 ** 63 - 2, 0))
+
+
+def test_hot_paths_never_build_cell_tuples(monkeypatch, tmp_path):
+    def no_tuples(self):
+        raise AssertionError("a library computation read LatticeSet.cells")
+
+    monkeypatch.setattr(LatticeSet, "cells", property(no_tuples))
+    for n, family in ((1, "perturbed-square"), (2, "boundary-bites"), (3, "perturbed-square")):
+        A, B = generate_scenario(ScenarioSpec(family=family, n=n, denom=4 if n < 3 else 2,
+                                              eps=Fraction(1, 4), seed=3))
+        S = convex_combination(A, B, Fraction(1, 3))
+        assert deficit(A, B, Fraction(1, 3), S=S).volS == S.measure()
+        deficit(A, B, Fraction(1, 2))
+        hull_distance(A, B)
+        KA, KB = convex_hull(A), convex_hull(B)
+        if n > 1:
+            cos_pipeline(A, B, KA, KB, Fraction(1, 2), Fraction(1, 2))
+    cfg = tmp_path / "s.cfg"
+    for family in ("boundary-bites", "perturbed-square"):
+        cfg.write_text(f"family={family}\nn=2\nm=8\nt=1/2\ntau=1/2\n"
+                       "eps_list=1/8,1/4\nseeds=1,2\n")
+        assert sweep(str(cfg)).count("\n") == 5
