@@ -464,7 +464,8 @@ def level_set_convexity_integral(psi: GridFunction, H=None):
         mid = (v_hi + v_lo) / 2
         meas = len(active) * w
         if _level_in_H(mid, H):
-            excess = _cell_hull_volume(active, k) * float(psi.spacing) ** k - meas
+            hull_volume = float(convex_hull(LatticeSet(k, 1, active)).volume)
+            excess = hull_volume * float(psi.spacing) ** k - meas
             in_H += excess * length
         else:
             out_H += meas * length
@@ -475,12 +476,6 @@ def _level_in_H(level, H) -> bool:
     if H is None:
         return True
     return any(lo <= level <= hi for lo, hi in H)
-
-
-def _cell_hull_volume(cells, k) -> float:
-    offs = list(product((0, 1), repeat=k))
-    corners = {tuple(x + o for x, o in zip(c, off)) for c in cells for off in offs}
-    return float(hull(corners)[2]) / math.factorial(k)
 
 
 @dataclass(frozen=True)

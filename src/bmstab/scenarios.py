@@ -16,7 +16,7 @@ import numpy as np
 
 from ._roots import PI_HI, PI_LO
 from .minkowski import IntervalSet
-from .vset import LatticeSet
+from .vset import LatticeSet, _ball_cells, _ball_window
 
 __all__ = ["ScenarioSpec", "SplitMix64", "generate_scenario", "FAMILIES"]
 
@@ -179,7 +179,8 @@ def _random_boxes(n: int, m: int, rng: SplitMix64) -> LatticeSet:
 def _counterexample_set(n: int, m: int, L: int, bracket: str) -> LatticeSet:
     """Unit-volume ball at the origin plus a far cell at 2L along axis 1.
 
-    The ball is delivered as a certified cell bracket, classified on the
+    The ball is delivered as a certified cell bracket (`_ball_cells`, whose
+    integer scan window always holds the whole ball), classified on the
     lattice refined 4x over the base denom (the disk-bracket convention);
     for n = 1 the "ball" is the interval [-1/2, 1/2], exact on any even
     lattice, so both bracket sides coincide.
@@ -187,34 +188,21 @@ def _counterexample_set(n: int, m: int, L: int, bracket: str) -> LatticeSet:
     if bracket not in ("inner", "outer"):
         raise ValueError("bracket must be 'inner' or 'outer'")
     M = 4 * m
-    if n == 3 and M > 128:
-        raise ValueError(
-            "3D ball brackets are capped at base denom 32 "
-            f"(classification lattice {M} would scan {(2 * int(0.6 * M) + 4) ** 3} cells)")
     far = [[2 * L * M] + [0] * (n - 1)]
     if n == 1:
         ball = np.arange(-M // 2, (M + 1) // 2).reshape(-1, 1)
         return LatticeSet(1, M, np.concatenate([ball, far]))
-    if n == 2:
-        # radius^2 = 1/pi
-        r2 = 1 / PI_HI if bracket == "inner" else 1 / PI_LO
-        power = 1
-    else:
-        # radius^6 = (3/(4 pi))^2; compare squared distances cubed
-        r2 = (Fraction(3, 4) / (PI_HI if bracket == "inner" else PI_LO)) ** 2
-        power = 3
-    # an integer d has d * den <= num * M^(2p) iff d <= num * M^(2p) // den
-    limit = r2.numerator * M ** (2 * power) // r2.denominator
-    rad = int(0.6 * M) + 2
-    k = np.arange(-rad, rad)
-    if bracket == "inner":  # the cell's farthest point is in the ball
-        d = np.maximum(abs(k), abs(k + 1))
-    else:  # the cell's nearest point is in the ball
-        d = np.where(k == -1, 0, np.minimum(abs(k), abs(k + 1)))
-    dist = d * d
-    for _ in range(n - 1):
-        dist = np.add.outer(dist, d * d)
-    ball = np.argwhere(dist ** power <= limit) - rad
+    pi = PI_HI if bracket == "inner" else PI_LO
+    if n == 2:  # radius^2 = 1/pi
+        bound, power = 1 / pi, 1
+    else:  # radius^6 = (3/(4 pi))^2: compare squared distances cubed
+        bound, power = (Fraction(3, 4) / pi) ** 2, 3
+        if M > 128:
+            r = _ball_window(M, bound, power)[1]
+            raise ValueError(
+                "3D ball brackets are capped at base denom 32 "
+                f"(classification lattice {M} would scan {(2 * r + 2) ** 3} cells)")
+    ball = _ball_cells(n, M, bound, power, bracket == "outer")
     return LatticeSet(n, M, np.concatenate([ball, far]))
 
 

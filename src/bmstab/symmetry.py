@@ -10,13 +10,14 @@ shrinks with a refinement parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 
-from ._roots import PI_HI, PI_LO, sqrt_brackets
+import numpy as np
+
+from ._roots import PI_HI, PI_LO
 from .vset import (
-    LatticeSet, fiber_profile, intersection_measure, slice_profile, sup_slice_measure,
+    LatticeSet, _ball_cells, _columns, intersection_measure, sup_slice_measure,
 )
 
 __all__ = ["SymmetrizedBody", "steiner", "schwarz", "natural", "sup_slice_ratio_check"]
@@ -56,22 +57,21 @@ def steiner(E: LatticeSet) -> SymmetrizedBody:
     """
     if E.dim < 2:
         raise ValueError("steiner needs dim >= 2")
-    prof = fiber_profile(E)
-    base_offs = list(product((0, 1), repeat=E.dim - 1))
-    cells = set()
-    for y, length in prof.lengths:
-        c = int(length * E.denom)  # fiber cell count
-        for off in base_offs:
-            base = tuple(2 * y[a] + off[a] for a in range(E.dim - 1))
-            for v in range(-c, c):
-                cells.add(base + (v,))
-    return SymmetrizedBody("steiner", exact=LatticeSet(E.dim, 2 * E.denom, frozenset(cells)))
+    # each base cell split in 2^(n-1), heights kept: the columns of the
+    # result, in order, each with its source column's count c
+    F = E._boxes((2,) * (E.dim - 1) + (1,), 2 * E.denom)
+    starts, counts = _columns(F)
+    bases = np.repeat(F.array[starts, :-1], 2 * counts, axis=0)
+    heights = np.arange(len(bases)) - np.repeat(np.cumsum(2 * counts) - counts, 2 * counts)
+    cells = np.column_stack([bases, heights])
+    return SymmetrizedBody("steiner", exact=LatticeSet._from_canonical(E.dim, F.denom, cells))
 
 
 def schwarz(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
     """Replace each horizontal slice by the centered disk of equal measure.
 
-    n = 2: slices are 1D, recentring is exact on the doubled lattice.
+    n = 2: slices are 1D, recentring is exact on the doubled lattice; it is
+    `steiner` of the transposed set, transposed back.
     n = 3: each slice becomes a disk bracket (cells fully inside / cells
     meeting the disk) on the lattice refined by `refinement`; the radius
     comparison r^2 = area/pi is done against rational brackets of pi, so
@@ -80,67 +80,30 @@ def schwarz(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
     if E.dim < 2:
         raise ValueError("schwarz needs dim >= 2")
     if E.dim == 2:
-        prof = slice_profile(E)
-        cells = set()
-        for (s,), area in prof.lengths:
-            c = int(area * E.denom)
-            for ss in (2 * s, 2 * s + 1):
-                for v in range(-c, c):
-                    cells.add((v, ss))
-        return SymmetrizedBody("schwarz", exact=LatticeSet(2, 2 * E.denom, frozenset(cells)))
+        st = steiner(LatticeSet(2, E.denom, E.array[:, ::-1])).exact
+        return SymmetrizedBody("schwarz", exact=LatticeSet(2, st.denom, st.array[:, ::-1]))
 
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
-    m = E.denom
-    M = m * refinement
-    prof = slice_profile(E)
-    inner_cells = set()
-    outer_cells = set()
-    for (s,), area in prof.lengths:
-        if area == 0:
-            continue
-        # r^2 = area / pi; certified bounds from the pi brackets.
-        r2_lo = area / PI_HI
-        r2_hi = area / PI_LO
-        rad = _disk_radius_cells(r2_hi, M)
-        for i in range(-rad - 1, rad + 1):
-            for j in range(-rad - 1, rad + 1):
-                dmin, dmax = _cell_dist2_range(i, j, M)
-                if dmax <= r2_lo:
-                    for ss in range(refinement * s, refinement * (s + 1)):
-                        inner_cells.add((i, j, ss))
-                if dmin <= r2_hi:
-                    for ss in range(refinement * s, refinement * (s + 1)):
-                        outer_cells.add((i, j, ss))
-    inner = LatticeSet(3, M, frozenset(inner_cells))
-    outer = LatticeSet(3, M, frozenset(outer_cells))
+    M = E.denom * refinement
+    # slice s as the fine rows refinement*s + t, each with the slice's count
+    rows, counts = np.unique(E._boxes((1, 1, refinement), M).array[:, -1],
+                             return_counts=True)
+    sides = ([np.empty((0, 3), dtype=np.int64)], [np.empty((0, 3), dtype=np.int64)])
+    for c in np.unique(counts).tolist():
+        ss = rows[counts == c]
+        area = Fraction(c, E.denom ** 2)
+        for cells, pi, outer in zip(sides, (PI_HI, PI_LO), (False, True)):
+            disk = _ball_cells(2, M, area / pi, 1, outer)
+            cells.append(np.column_stack([np.repeat(disk, len(ss), axis=0),
+                                          np.tile(ss, len(disk))]))
+    inner, outer = (LatticeSet(3, M, np.concatenate(cells)) for cells in sides)
     return SymmetrizedBody("schwarz", bracket=(inner, outer))
-
-
-def _disk_radius_cells(r2_hi: Fraction, M: int) -> int:
-    lo, hi = sqrt_brackets(r2_hi, bits=32)
-    return int(math.ceil(float(hi) * M)) + 1
-
-
-def _cell_dist2_range(i: int, j: int, M: int):
-    """Min and max squared distance from the origin over cell (i, j)."""
-    def axis_range(k):
-        lo, hi = Fraction(k, M), Fraction(k + 1, M)
-        furthest = max(abs(lo), abs(hi))
-        nearest = Fraction(0) if lo <= 0 <= hi else min(abs(lo), abs(hi))
-        return nearest, furthest
-    nx, fx = axis_range(i)
-    ny, fy = axis_range(j)
-    return nx * nx + ny * ny, fx * fx + fy * fy
 
 
 def natural(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
     """Steiner then Schwarz; fully exact for n = 2."""
-    st = steiner(E).exact
-    inner = schwarz(st, refinement)
-    if inner.exact is not None:
-        return SymmetrizedBody("natural", exact=inner.exact)
-    return SymmetrizedBody("natural", bracket=inner.bracket)
+    return replace(schwarz(steiner(E).exact, refinement), kind="natural")
 
 
 def sup_slice_ratio_check(A: LatticeSet, B: LatticeSet, t, delta) -> dict:

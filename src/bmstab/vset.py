@@ -123,6 +123,40 @@ def _common_rows(a: np.ndarray, b: np.ndarray) -> int:
     return int((c[1:] == c[:-1]).all(axis=1).sum())
 
 
+def _ball_window(M: int, bound: Fraction, power: int) -> tuple[int, int]:
+    """(limit, r) for the ball |x|^(2 power) <= bound on the lattice 1/M.
+
+    An integer d has (d/M^2)^power <= bound iff d^power <= limit.  r is the
+    largest integer with r^(2 power) <= limit, so every cell that meets the
+    ball lies in [-r-1, r] along each axis.
+    """
+    limit = bound.numerator * M ** (2 * power) // bound.denominator
+    lo, hi = 0, 1 << (limit.bit_length() // (2 * power) + 1)
+    while lo < hi:  # bisect for the integer root
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid ** (2 * power) <= limit else (lo, mid - 1)
+    return limit, lo
+
+
+def _ball_cells(dim: int, M: int, bound: Fraction, power: int, outer: bool) -> np.ndarray:
+    """Sorted int64 (k, dim) array of the lattice-1/M cells of a centred ball.
+
+    A cell is kept when its farthest point (outer False) or its nearest
+    point (outer True) x has |x|^(2 power) <= bound, so the inner cells lie
+    in the ball and the outer cells cover it.  The test is exact: squared
+    distances are integers in units of 1/M^2, and their powers fit int64
+    for any window small enough to allocate.
+    """
+    limit, r = _ball_window(M, bound, power)
+    k = np.arange(-r - 1, r + 1)
+    # per axis, the cell's nearest or farthest |x_i|, in units of 1/M
+    d = (np.minimum if outer else np.maximum)(abs(k), abs(k + 1))
+    dist = d * d
+    for _ in range(dim - 1):
+        dist = np.add.outer(dist, d * d)
+    return np.argwhere(dist ** power <= limit) - r - 1
+
+
 class LatticeSet:
     """A finite union of lattice cells: dim, denom and a canonical cell array.
 

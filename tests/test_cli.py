@@ -59,11 +59,12 @@ def test_symmetrize_3d_emits_bracket_payloads(tmp_path):
     cube = tmp_path / "c.vset"
     cube.write_text("vset 3 1\ncells 1\n0 0 0\n")
     out = tmp_path / "sym3.txt"
-    assert run(["symmetrize", "--in", str(cube), "--kind", "schwarz",
-                "--out", str(out)]) == 0
-    text = out.read_text()
-    assert text.startswith("inner\nvset 3")
-    assert "\nouter\nvset 3" in text
+    for kind in ("schwarz", "natural"):
+        assert run(["symmetrize", "--in", str(cube), "--kind", kind,
+                    "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.startswith("inner\nvset 3")
+        assert "\nouter\nvset 3" in text
 
 
 def test_kemperman_exit_codes(tmp_path):

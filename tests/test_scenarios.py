@@ -89,6 +89,21 @@ def test_counterexample_bracket_3d():
     assert far in Ai.cells and far in Ao.cells
 
 
+def test_counterexample_ball_3d_reaches_its_radius():
+    # The unit-volume ball has radius (3/(4 pi))^(1/3) = 0.6204, so on the
+    # lattice 1/96 the outer bracket's last cell along axis 0 is 59
+    # (59/96 = 0.615 < 0.6204 < 60/96); on 1/128 the inner one's is 78
+    # (its far side 79/128 = 0.617) and the outer one's is 79.  Both sides
+    # are symmetric about -1/2.
+    for denom, bracket, last in ((24, "outer", 59), (32, "inner", 78),
+                                 (32, "outer", 79)):
+        A, _ = generate_scenario(ScenarioSpec(family="counterexample", n=3,
+                                              denom=denom, bracket=bracket))
+        c = A.array
+        axis = c[(c[:, 1] == 0) & (c[:, 2] == 0) & (c[:, 0] < 2 * 4 * A.denom), 0]
+        assert (axis.min(), axis.max()) == (-last - 1, last)
+
+
 def test_interval_union_family_grid():
     spec = ScenarioSpec(family="interval-unions", seed=11)
     A, B = generate_scenario(spec)
