@@ -10,7 +10,7 @@ shrinks with a refinement parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -77,11 +77,21 @@ def schwarz(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
     comparison r^2 = area/pi is done against rational brackets of pi, so
     inner <= true disk <= outer is certified.
     """
+    return _schwarz("schwarz", E, refinement)
+
+
+def natural(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
+    """Steiner then Schwarz; fully exact for n = 2."""
+    return _schwarz("natural", steiner(E).exact, refinement)
+
+
+def _schwarz(kind: str, E: LatticeSet, refinement: int) -> SymmetrizedBody:
+    """`schwarz` of E, delivered as a body of the given kind."""
     if E.dim < 2:
         raise ValueError("schwarz needs dim >= 2")
     if E.dim == 2:
         st = steiner(LatticeSet(2, E.denom, E.array[:, ::-1])).exact
-        return SymmetrizedBody("schwarz", exact=LatticeSet(2, st.denom, st.array[:, ::-1]))
+        return SymmetrizedBody(kind, exact=LatticeSet(2, st.denom, st.array[:, ::-1]))
 
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
@@ -98,12 +108,7 @@ def schwarz(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
             cells.append(np.column_stack([np.repeat(disk, len(ss), axis=0),
                                           np.tile(ss, len(disk))]))
     inner, outer = (LatticeSet(3, M, np.concatenate(cells)) for cells in sides)
-    return SymmetrizedBody("schwarz", bracket=(inner, outer))
-
-
-def natural(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
-    """Steiner then Schwarz; fully exact for n = 2."""
-    return replace(schwarz(steiner(E).exact, refinement), kind="natural")
+    return SymmetrizedBody(kind, bracket=(inner, outer))
 
 
 def sup_slice_ratio_check(A: LatticeSet, B: LatticeSet, t, delta) -> dict:

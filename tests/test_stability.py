@@ -6,11 +6,14 @@ from itertools import product
 import mpmath as mp
 import pytest
 
-from bmstab.convexity import convex_hull, lattice_polytope_overlap
+from bmstab._hull import hull
+from bmstab.convexity import Polytope, convex_hull, lattice_polytope_overlap
+from bmstab.scenarios import ScenarioSpec, generate_scenario
 from bmstab.stability import (
-    _shifted_overlap, check_stability, constants, cos_pipeline, hull_distance,
+    _box, _box_bound, _shifted_overlap, check_stability, constants,
+    cos_pipeline, hull_distance,
 )
-from bmstab.vset import LatticeSet
+from bmstab.vset import LatticeSet, reconcile
 
 
 def unit_square(m):
@@ -79,6 +82,146 @@ def test_hull_distance_deterministic():
     h1 = hull_distance(A, B)
     h2 = hull_distance(A, B)
     assert h1["v_star"] == h2["v_star"] and h1["D_star"] == h2["D_star"]
+
+
+def _stride_search(A, B):
+    """The unpruned coarse-to-fine search that `hull_distance` must match."""
+    A, B = reconcile(A, B)
+    m = A.denom
+    dim = A.dim
+    ptsA = hull(A.hull_points())[0]
+    ptsB = hull(B.hull_points())[0]
+    volA, volB = A.measure(), B.measure()
+    scale = math.factorial(dim) * m ** dim
+
+    # the bounding boxes' shift window with one cell of slack; each axis
+    # extreme of a hull is reached at a vertex
+    lo = [min(p[a] for p in ptsA) - max(p[a] for p in ptsB) - 1 for a in range(dim)]
+    hi = [max(p[a] for p in ptsA) - min(p[a] for p in ptsB) + 1 for a in range(dim)]
+
+    def union(v):
+        return ptsA + [tuple(x + y for x, y in zip(p, v)) for p in ptsB]
+
+    def D(v) -> Fraction:
+        return 2 * Fraction(hull(union(v))[2], scale) - volA - volB
+
+    best_v = (0,) * dim
+    best = D_at_zero = D(best_v)
+    stride = max(1, m // 4)
+    # coarse scan of the full window
+    for v in product(*(range(l, h, stride) for l, h in zip(lo, hi))):
+        d = D(v)
+        if d < best or (d == best and v < best_v):
+            best, best_v = d, v
+    # halving descent
+    while stride > 1:
+        stride = max(1, stride // 2)
+        span = [range(max(l, b - 2 * stride), min(h, b + 2 * stride + 1), stride)
+                for l, h, b in zip(lo, hi, best_v)]
+        for v in product(*span):
+            d = D(v)
+            if d < best or (d == best and v < best_v):
+                best, best_v = d, v
+
+    return {
+        "v_star": tuple(Fraction(x, m) for x in best_v),
+        "K": Polytope.from_lattice_points(union(best_v), m),
+        "D_star": best,
+        "D_at_zero": D_at_zero,
+    }
+
+
+def _assert_same_search(A, B):
+    got, want = hull_distance(A, B), _stride_search(A, B)
+    for key in ("v_star", "D_star", "D_at_zero"):
+        assert got[key] == want[key], key
+    assert got["K"] == want["K"]  # scale, verts, faces and volume
+    return got
+
+
+def _search_specs(family):
+    # seeded families at small denominators in each dimension; in 3D the
+    # unpruned scan builds every hull of its stride-1 window
+    if family != "counterexample":
+        for (n, m), seed in product(((1, 4), (1, 16), (2, 4), (2, 8), (2, 16),
+                                     (3, 2), (3, 3)), (1, 2)):
+            yield ScenarioSpec(family=family, n=n, denom=m, eps=Fraction(1, 8),
+                               seed=seed)
+        return
+    # the counterexample ignores the seed, and its 3D sets sit on a refined
+    # lattice, so 3D keeps the separation small
+    for n, m, L in ((1, 4, 4), (1, 16, 4), (2, 4, 4), (2, 8, 4), (3, 1, 1)):
+        yield ScenarioSpec(family=family, n=n, denom=m, L=L)
+
+
+@pytest.mark.parametrize("family", ["homothetic-convex", "perturbed-square",
+                                    "boundary-bites", "random-boxes",
+                                    "counterexample"])
+def test_hull_distance_matches_unpruned_search(family):
+    dims = set()
+    for spec in _search_specs(family):
+        A, B = generate_scenario(spec)
+        _assert_same_search(A, B)
+        dims.add(spec.n)
+    assert dims == {1, 2, 3}
+
+
+def _window(A, B):
+    """hull_distance's shift window, on A's lattice (A and B share it)."""
+    ptsA, ptsB = hull(A.hull_points())[0], hull(B.hull_points())[0]
+    boxA, boxB = _box(ptsA), _box(ptsB)
+    return product(*(range(la - hb - 1, ha - lb + 1)
+                     for (la, ha), (lb, hb) in zip(boxA, boxB)))
+
+
+def test_box_bound_is_a_lower_bound():
+    checked = tight = 0
+    for family, n, m, seed in (("boundary-bites", 2, 4, 1), ("random-boxes", 2, 4, 2),
+                               ("perturbed-square", 3, 2, 1), ("random-boxes", 3, 2, 1)):
+        A, B = reconcile(*generate_scenario(ScenarioSpec(
+            family=family, n=n, denom=m, eps=Fraction(1, 4), seed=seed)))
+        ptsA, _, VA = hull(A.hull_points())
+        ptsB, _, VB = hull(B.hull_points())
+        for v in _window(A, B):
+            union = ptsA + [tuple(x + y for x, y in zip(p, v)) for p in ptsB]
+            exact = hull(union)[2]
+            bound = _box_bound(VA, _box(ptsA), VB, _box(ptsB), v)
+            assert bound <= exact, (family, n, v)
+            checked += 1
+            tight += bound == exact
+    assert checked > 1000 and tight > 0
+
+
+def test_hull_distance_ties_pick_the_smallest_shift():
+    # one cell fits at three places inside a 3x1 box; D = |A| - |B| at each
+    A = LatticeSet(2, 1, frozenset({(0, 0), (1, 0), (2, 0)}))
+    B = LatticeSet(2, 1, frozenset({(5, 5)}))
+    hd = _assert_same_search(A, B)
+    assert hd["v_star"] == (-5, -5)
+    assert hd["D_star"] == 2
+    # the same at denom 8, where the search starts from stride 2
+    A8 = LatticeSet(2, 8, frozenset((i, j) for i in range(24) for j in range(8)))
+    B8 = LatticeSet(2, 8, frozenset((i + 40, j + 40) for i in range(8) for j in range(8)))
+    hd8 = _assert_same_search(A8, B8)
+    assert hd8["v_star"] == (-5, -5)
+    assert hd8["D_star"] == 2
+
+
+def test_hull_distance_counts_hull_evaluations():
+    A, B = generate_scenario(ScenarioSpec(family="boundary-bites", n=2, denom=16,
+                                          eps=Fraction(1, 8), seed=1))
+    hd = hull_distance(A, B)
+    window = sum(1 for _ in _window(A, B))
+    assert 1 <= hd["hull_evals"] < window
+
+
+def test_hull_distance_3d_stride_one_window():
+    # denom 6 is below 8, so the coarse level scans the full 3D window
+    A, B = generate_scenario(ScenarioSpec(family="perturbed-square", n=3, denom=6,
+                                          eps=Fraction(1, 4), seed=3))
+    hd = hull_distance(A, B)
+    assert hd["D_star"] == Fraction(349, 216)
+    assert hd["v_star"] == (0, 0, 0)
 
 
 def test_cos_pipeline_exact_convex_case():
