@@ -24,7 +24,7 @@ half = DensityProfile((0, Fraction(1, 2)), (2,))
 T = monotone_rearrangement(uni, half)
 print("T(1/3) =", T(Fraction(1, 3)), "   T'(s) =", T.derivative(0))
 print("ratio integral  int |rho_A/rho_B(T) - 1| rho_A =",
-      transport_ratio_integral(uni, half, T))
+      transport_ratio_integral(T))
 
 ## A random lattice pair: exact pieces, exact push-forward
 
@@ -55,5 +55,5 @@ for eps, m in ((Fraction(1, 4), 16), (Fraction(1, 40), 32),
     rho_A, rho_B = slice_density(A), slice_density(B)
     T = monotone_rearrangement(rho_A, rho_B)
     d = deficit(A, B, Fraction(1, 2)).delta_norm
-    r = transport_ratio_integral(rho_A, rho_B, T)
+    r = transport_ratio_integral(T)
     print(f"  {float(d):10.2e}    {float(r):10.2e}")

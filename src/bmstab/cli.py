@@ -110,7 +110,7 @@ def _cmd_transport(args) -> int:
     lines = ["piece_lo,piece_hi,value"]
     for s0, s1, u0, u1, va, vb in T.pieces:
         lines.append(f"{float(s0):.12g},{float(s1):.12g},{float(va / vb):.12g}")
-    ratio = transport_ratio_integral(rho_A, rho_B, T)
+    ratio = transport_ratio_integral(T)
     lines.append(f"# ratio_integral,{float(ratio):.12g}")
     _emit(args, "\n".join(lines) + "\n")
     return 0

@@ -231,7 +231,7 @@ class GridFunction:
     spacing: Fraction
     points: tuple               # index tuples
     values: tuple               # floats
-    bound: float = field(default=0.0)
+    bound: float = field(init=False)  # max |value|
 
     def __post_init__(self):
         pts = tuple(tuple(int(x) for x in p) for p in self.points)
@@ -246,8 +246,7 @@ class GridFunction:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "spacing", Fraction(self.spacing))
-        bound = max((abs(v) for v in vals), default=0.0)
-        object.__setattr__(self, "bound", max(float(self.bound), bound))
+        object.__setattr__(self, "bound", max((abs(v) for v in vals), default=0.0))
 
     def as_dict(self):
         return dict(zip(self.points, self.values))
@@ -339,26 +338,17 @@ def _envelope_2d(f: GridFunction):
     verts, faces = hull_3d(lifted)
     if not faces:  # coplanar lift: f is affine, envelope equals f
         return dict(zip(f.points, f.values))
+    # The hull is {x : n.x <= d}, so above p each upper facet's plane lies on
+    # or over the hull's top, and the facet containing p attains it.
+    upper = [(n, d) for n, d in face_planes(verts, faces) if n[2] > 0]
     out = {}
-    upper = [((verts[i], verts[j], verts[k]), n, d)
-             for (i, j, k), (n, d) in zip(faces, face_planes(verts, faces))
-             if n[2] > 0]
     for p in f.points:
-        val = None
-        for (a, b, c), n, d in upper:
-            if point_in_polygon(p, [(a[0], a[1]), (b[0], b[1]), (c[0], c[1])]) or \
-               point_in_polygon(p, [(a[0], a[1]), (c[0], c[1]), (b[0], b[1])]):
-                z = Fraction(d - n[0] * p[0] - n[1] * p[1], n[2])
-                val = float(z) / scale
-                break
-        if val is None:
-            # numerically safe fallback: point on a vertical boundary facet
-            val = max(float(v[2]) / scale for v in verts
-                      if (v[0], v[1]) == p) if any(
-                          (v[0], v[1]) == p for v in verts) else None
-        if val is None:
-            raise RuntimeError(f"grid point {p} not covered by an upper facet")
-        out[p] = val
+        top = None  # the least (d - n0*p0 - n1*p1) / n2, as (numerator, n2)
+        for (a, b, c), d in upper:
+            z = d - a * p[0] - b * p[1]
+            if top is None or z * top[1] < top[0] * c:
+                top = z, c
+        out[p] = float(Fraction(*top)) / scale
     return out
 
 
@@ -494,17 +484,8 @@ class EnvelopeFit:
     l1_error: float
     diagnostics: dict
 
-    @property
-    def calibration_constant(self):
-        base = (self.sigma + self.varsigma) ** self.beta_target * max(
-            self.diagnostics["Mhat"], 1e-300)
-        if base == 0:
-            return None
-        return self.l1_error / base
 
-
-def concavity_fit(psi: GridFunction, sigma, varsigma, tau, t_prime=None,
-                  H=None) -> EnvelopeFit:
+def concavity_fit(psi: GridFunction, sigma, varsigma, tau) -> EnvelopeFit:
     """Constructive concave fitting of an almost-concave grid function.
 
     Runs the quadratic-penalty + level-truncation + concave-envelope pipeline
@@ -523,9 +504,7 @@ def concavity_fit(psi: GridFunction, sigma, varsigma, tau, t_prime=None,
         raise ValueError("empty domain")
     sigma = float(sigma)
     varsigma = float(varsigma)
-    if t_prime is None:
-        t_prime = Fraction(1, 2 - tau)
-    t_prime = Fraction(t_prime)
+    t_prime = Fraction(1, 2 - tau)
     n_minus_1 = psi.base_dim
     n = n_minus_1 + 1
 
@@ -557,7 +536,7 @@ def concavity_fit(psi: GridFunction, sigma, varsigma, tau, t_prime=None,
     l1 = sum(abs(a - b) for a, b in zip(Psi_vals, psi.values)) * w
 
     contact = sum(1 for a, b in zip(Phi.values, phi_bar) if a <= b + 1e-9)
-    in_H, out_H = level_set_convexity_integral(psi, H)
+    in_H, out_H = level_set_convexity_integral(psi)
     res4 = _four_point_scan(psi.as_dict(), psi.points, t_prime)
     diagnostics = {
         "Mhat": Mhat,
@@ -612,13 +591,11 @@ def _domain_roundness(psi: GridFunction) -> dict:
     return {"r_in": (r_in or 0.0) if inside else 0.0, "r_out": r_out}
 
 
-def linear_fit(f: GridFunction, m1, m2, t_prime=None) -> dict:
+def linear_fit(f: GridFunction, m1, m2) -> dict:
     """Endpoint-anchored affine fit on a 1D grid function.
 
     The line passes through (m1, f(m1)) and (m2, f(m2)); returns the sup
-    deviation over the window [m1, m2] and over the whole domain.  When
-    t_prime is given, the 4-point residual of f at that weight is reported
-    alongside (the hypothesis under which the bounded deviation is expected).
+    deviation over the window [m1, m2] and over the whole domain.
     """
     if f.base_dim != 1:
         raise ValueError("linear_fit needs a 1D grid function")
@@ -641,7 +618,7 @@ def linear_fit(f: GridFunction, m1, m2, t_prime=None) -> dict:
         sup_all = max(sup_all, d)
         if m1 <= x <= m2:
             sup_window = max(sup_window, d)
-    out = {
+    return {
         "slope": slope,
         "value_at_m1": v1,
         "value_at_m2": v2,
@@ -649,7 +626,3 @@ def linear_fit(f: GridFunction, m1, m2, t_prime=None) -> dict:
         "sup_dev_all": sup_all,
         "anchored": ell(m1) == v1 and abs(ell(m2) - v2) < 1e-12,
     }
-    if t_prime is not None:
-        out["four_point_res4"] = _four_point_scan(
-            f.as_dict(), f.points, Fraction(t_prime))
-    return out

@@ -179,26 +179,24 @@ class DeficitRecord:
         return self.delta_raw_lo == self.delta_raw_hi
 
 
-def deficit(A: LatticeSet, B: LatticeSet, t, root_bits: int = 64,
-            S: LatticeSet | None = None) -> DeficitRecord:
-    """Both deficit flavors for (A, B, t); S is recomputed unless supplied.
+def deficit(A: LatticeSet, B: LatticeSet, t) -> DeficitRecord:
+    """Both deficit flavors for (A, B, t), with S = t*A + (1-t)*B computed.
 
     delta_norm = ||A|-1| + ||B|-1| + ||S|-1| is exact; the root-form gap
     |S|^(1/n) - t|A|^(1/n) - (1-t)|B|^(1/n) comes with a certified rational
-    bracket [delta_raw_lo, delta_raw_hi].
+    bracket [delta_raw_lo, delta_raw_hi] from 64-bit root brackets.
     """
     t = _as_lowest_terms(t)
     if A.is_empty() or B.is_empty():
         raise ValueError("deficit needs nonempty operands")
-    if S is None:
-        S = convex_combination(A, B, t)
+    S = convex_combination(A, B, t)
     n = A.dim
     vA, vB, vS = A.measure(), B.measure(), S.measure()
     one = Fraction(1)
     delta_norm = abs(vA - one) + abs(vB - one) + abs(vS - one)
-    sA = nth_root_brackets(vA, n, root_bits)
-    sB = nth_root_brackets(vB, n, root_bits)
-    sS = nth_root_brackets(vS, n, root_bits)
+    sA = nth_root_brackets(vA, n)
+    sB = nth_root_brackets(vB, n)
+    sS = nth_root_brackets(vS, n)
     lo = sS[0] - t * sA[1] - (1 - t) * sB[1]
     hi = sS[1] - t * sA[0] - (1 - t) * sB[0]
     return DeficitRecord(

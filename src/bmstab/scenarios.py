@@ -66,7 +66,6 @@ class ScenarioSpec:
     seed: int = 0
     L: int = 4                      # counterexample separation
     bracket: str = "inner"          # counterexample side: inner | outer
-    max_components: int = 3         # interval-unions
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -105,8 +104,8 @@ def generate_scenario(spec: ScenarioSpec):
         E = _counterexample_set(spec.n, spec.denom, spec.L, spec.bracket)
         return E, E
     if spec.family == "interval-unions":
-        A = _interval_union(rng, spec.max_components)
-        B = _interval_union(rng, spec.max_components)
+        A = _interval_union(rng)
+        B = _interval_union(rng)
         return A, B
     raise AssertionError(spec.family)
 
@@ -206,9 +205,9 @@ def _counterexample_set(n: int, m: int, L: int, bracket: str) -> LatticeSet:
     return LatticeSet(n, M, np.concatenate([ball, far]))
 
 
-def _interval_union(rng: SplitMix64, max_components: int) -> IntervalSet:
-    """Random interval union with endpoints on (1/16)Z inside [0, 4]."""
-    k = 1 + rng.next_below(max_components)
+def _interval_union(rng: SplitMix64) -> IntervalSet:
+    """Random union of at most 3 intervals with endpoints on (1/16)Z inside [0, 4]."""
+    k = 1 + rng.next_below(3)
     cuts = sorted(rng.next_below(65) for _ in range(2 * k))
     comps = []
     for a, b in zip(cuts[::2], cuts[1::2]):

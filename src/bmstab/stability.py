@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _PREC_BITS = 220
+_SNAP_DENOM = 1 << 16  # cos_pipeline's inflation bumps are multiples of 1/_SNAP_DENOM
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ def _shifted_overlap(A: LatticeSet, B: LatticeSet, shift) -> Fraction:
 
 
 def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
-                 t, tau, snap_denom: int = 1 << 16) -> dict:
+                 t, tau) -> dict:
     """Build a convex set containing A and B from nearby convex bodies.
 
     Measures zeta = |A d K_A| + |B d K_B| exactly (reported as zeta_lo ==
@@ -266,13 +267,10 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
     K0 = Polytope.from_rational_points(K_A.vertices + K_B2.vertices)
     g0 = K0.centroid()
 
-    root = float(zeta) ** (1.0 / (2 * n ** 3)) if zeta > 0 else 0.0
+    root = float(zeta) ** (1.0 / (2 * n ** 3))
     c = 1.0
-    factor = Fraction(1)
-    K = K0
     for _ in range(80):
-        bump = Fraction(math.ceil(c * root * snap_denom), snap_denom) if root > 0 else Fraction(0)
-        factor = 1 + bump
+        factor = 1 + Fraction(math.ceil(c * root * _SNAP_DENOM), _SNAP_DENOM)
         K = K0.scale_about(g0, factor) if factor != 1 else K0
         if all(K.contains(p) for p in vertsA) and all(K.contains(p) for p in vertsB):
             break
@@ -311,9 +309,8 @@ class StabilityReport:
     K: Polytope
     D_star: Fraction
     bound: float
-    threshold: float      # e^(-M_n(tau)); hypothesis ceiling for delta
+    threshold: Fraction | float  # e^(-M_n(tau)), the ceiling for delta: exact at n = 1
     verdict: str          # pass | vacuous | fail
-    eps_exponent: float
 
     CSV_HEADER = "id,n,t,tau,delta_norm,delta_raw,vx,vy,vz,D_star,bound,verdict"
 
@@ -332,33 +329,30 @@ class StabilityReport:
 
 
 def check_stability(A: LatticeSet, B: LatticeSet, t, tau,
-                       N_n: int | None = None,
-                       instance_id: str = "instance") -> StabilityReport:
+                    instance_id: str = "instance") -> StabilityReport:
     """Measure (delta, D*) for one instance and grade it against the bound.
 
     The verdict is `vacuous` when delta exceeds e^(-M_n(tau)) (the typical
     desk-scale outcome, reported honestly), `pass` when the hypothesis holds
-    and D* <= tau^(-N_n) * delta^(eps_n(tau)), and `fail` otherwise.  The
-    measured pair feeds empirical-exponent fits regardless of the verdict.
+    and D* <= tau^(-5n) * delta^(eps_n(tau)), and `fail` otherwise.  At
+    n = 1, M = log(3/tau), so the threshold is the exact rational tau/3.
+    The measured pair feeds empirical-exponent fits regardless of the verdict.
     """
     t = Fraction(t)
     tau = Fraction(tau)
     n = A.dim
-    if N_n is None:
-        N_n = 5 * n
     rec = deficit(A, B, t)
     hd = hull_distance(A, B)
     table = constants(n, tau)
     delta = rec.delta_norm
     with mp.workprec(_PREC_BITS):
-        threshold = float(mp.e ** (-table.M))
+        threshold = tau / 3 if n == 1 else float(mp.e ** (-table.M))
         if delta == 0:
             bound = 0.0
         else:
             d = mp.mpf(delta.numerator) / delta.denominator
-            bound = float(mp.mpf(tau.numerator) / tau.denominator) ** (-N_n) \
+            bound = float(mp.mpf(tau.numerator) / tau.denominator) ** (-5 * n) \
                 * float(d ** table.eps)
-        eps_f = float(table.eps)
     if delta > threshold:
         verdict = "vacuous"
     elif float(hd["D_star"]) <= bound:
@@ -369,5 +363,4 @@ def check_stability(A: LatticeSet, B: LatticeSet, t, tau,
         instance_id=instance_id, n=n, t=t, tau=tau, record=rec,
         v_star=hd["v_star"], K=hd["K"], D_star=hd["D_star"],
         bound=bound, threshold=threshold, verdict=verdict,
-        eps_exponent=eps_f,
     )

@@ -121,11 +121,6 @@ class TransportMap:
                 return u0 + (s - s0) * va / vb
         raise ValueError(f"{s} outside the support of the source density")
 
-    def composite(self, s, t) -> Fraction:
-        """T_t(s) = t*s + (1-t)*T(s)."""
-        t = Fraction(t)
-        return t * Fraction(s) + (1 - t) * self(s)
-
     def derivative(self, i: int) -> Fraction:
         s0, s1, u0, u1, va, vb = self.pieces[i]
         return va / vb
@@ -173,9 +168,11 @@ def _quantile_span(p: DensityProfile, cum, r0, r1):
     raise ValueError("mass cell does not sit inside a single density piece")
 
 
-def transport_ratio_integral(rho_A: DensityProfile, rho_B: DensityProfile,
-                             T: TransportMap) -> Fraction:
-    """Exact integral of |rho_A(s)/rho_B(T(s)) - 1| * rho_A(s) ds."""
+def transport_ratio_integral(T: TransportMap) -> Fraction:
+    """Exact integral of |rho_A(s)/rho_B(T(s)) - 1| * rho_A(s) ds.
+
+    Each piece of T carries the densities rho_A = va and rho_B(T) = vb.
+    """
     total = Fraction(0)
     for s0, s1, u0, u1, va, vb in T.pieces:
         total += abs(va / vb - 1) * va * (s1 - s0)
@@ -215,8 +212,7 @@ class SliceDeficitReport:
         return self.lhs_hi >= self.integral_lo
 
 
-def slice_deficit(A: LatticeSet, B: LatticeSet, t, root_bits: int = 64,
-                  S: LatticeSet | None = None) -> SliceDeficitReport:
+def slice_deficit(A: LatticeSet, B: LatticeSet, t) -> SliceDeficitReport:
     """Per-slice deficit decomposition of the combination S = t*A + (1-t)*B.
 
     For each transport piece the three slice measures are constants, so the
@@ -227,8 +223,7 @@ def slice_deficit(A: LatticeSet, B: LatticeSet, t, root_bits: int = 64,
     n = A.dim
     if n not in (2, 3):
         raise ValueError("slice_deficit supports dim 2 and 3")
-    if S is None:
-        S = convex_combination(A, B, t)
+    S = convex_combination(A, B, t)
     volA, volB, volS = A.measure(), B.measure(), S.measure()
     rho_A = slice_density(A)
     rho_B = slice_density(B)
@@ -260,13 +255,13 @@ def slice_deficit(A: LatticeSet, B: LatticeSet, t, root_bits: int = 64,
             row = u_mid * mS
             aS = s_rows.get((_floor(row),), Fraction(0))
             chain += aS * w * (q1 - q0)
-            e_lo, e_hi = _slice_gap(aS, aA, aB, t, n, root_bits)
+            e_lo, e_hi = _slice_gap(aS, aA, aB, t, n)
             int_lo += e_lo * w * (q1 - q0)
             int_hi += e_hi * w * (q1 - q0)
             pieces.append((q0, q1, w, e_lo, e_hi))
 
-    rootA = nth_root_brackets(volA, n, root_bits)
-    rootB = nth_root_brackets(volB, n, root_bits)
+    rootA = nth_root_brackets(volA, n)
+    rootB = nth_root_brackets(volB, n)
     mix_lo = t * rootA[0] + (1 - t) * rootB[0]
     mix_hi = t * rootA[1] + (1 - t) * rootB[1]
     lhs_lo = volS - mix_hi ** n
@@ -278,7 +273,7 @@ def slice_deficit(A: LatticeSet, B: LatticeSet, t, root_bits: int = 64,
         lhs_lo=lhs_lo, lhs_hi=lhs_hi,
         chain_integral=chain, volS=volS,
         mu_identity_residual=mu_res,
-        ratio_integral=transport_ratio_integral(rho_A, rho_B, T),
+        ratio_integral=transport_ratio_integral(T),
     )
 
 
@@ -303,12 +298,12 @@ def _subsplit(s0, s1, u0, va, vb, t, mS):
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
-def _slice_gap(aS, aA, aB, t, n, bits):
+def _slice_gap(aS, aA, aB, t, n):
     """Certified bracket of aS - (t aA^{1/(n-1)} + (1-t) aB^{1/(n-1)})^{n-1}."""
     if n == 2:
         v = aS - (t * aA + (1 - t) * aB)
         return v, v
     # n = 3: expand the square; only sqrt(aA*aB) is irrational.
-    cross_lo, cross_hi = sqrt_brackets(aA * aB, bits)
+    cross_lo, cross_hi = sqrt_brackets(aA * aB)
     base = aS - t * t * aA - (1 - t) * (1 - t) * aB
     return base - 2 * t * (1 - t) * cross_hi, base - 2 * t * (1 - t) * cross_lo

@@ -316,9 +316,6 @@ class FiberProfile:
     def as_dict(self):
         return dict(self.lengths)
 
-    def total_measure(self) -> Fraction:
-        return sum((l for _, l in self.lengths), Fraction(0)) / self.denom ** self.base_dim
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -422,8 +419,11 @@ def _scaling_blowup(lam: Fraction, n: int) -> int:
     return lam.numerator ** (n - 1) * lam.denominator
 
 
-def _feasible_snap(lam_star: Fraction, n: int, cap: int):
-    """Closest rational to lam_star whose per-cell blowup fits the cap.
+_MAX_CELL_BLOWUP = 4096  # fine cells per source cell under normalize_Mtau
+
+
+def _feasible_snap(lam_star: Fraction, n: int):
+    """Closest rational to lam_star whose per-cell blowup fits _MAX_CELL_BLOWUP.
 
     The materialized set has _scaling_blowup(lam, n)**n fine cells per source
     cell, so that is the quantity capped; candidates come from continued-
@@ -442,7 +442,7 @@ def _feasible_snap(lam_star: Fraction, n: int, cap: int):
     for cand in candidates:
         if cand <= 0:
             continue
-        if _scaling_blowup(cand, n) ** n > cap:
+        if _scaling_blowup(cand, n) ** n > _MAX_CELL_BLOWUP:
             continue
         err = abs(cand - lam_star)
         if best is None or err < best[1] or (err == best[1] and cand < best[0]):
@@ -450,21 +450,20 @@ def _feasible_snap(lam_star: Fraction, n: int, cap: int):
     if best is None:
         raise ValueError(
             f"no representable scaling near lambda={float(lam_star):.6g} "
-            f"within per-cell blowup cap {cap}")
+            f"within per-cell blowup cap {_MAX_CELL_BLOWUP}")
     return best
 
 
-def normalize_Mtau(A: LatticeSet, B: LatticeSet, t, tau, max_cell_blowup: int = 4096):
+def normalize_Mtau(A: LatticeSet, B: LatticeSet, tau):
     """Volume-preserving axis scaling (y, s) -> (lam*y, lam^(1-n)*s).
 
     lam targets lam^(n-1) * H^(n-1)(proj A) = 1/tau^n and is snapped to the
-    nearest rational whose exact lattice refinement stays within
-    max_cell_blowup; the snap error is recorded.  The map has unit Jacobian
+    nearest rational whose exact lattice refinement puts at most 4096 fine
+    cells in each source cell; the snap error is recorded.  The map has unit Jacobian
     for any lam, so measures are preserved exactly.  Returns
     (lam, A', B', report) with the scaled projection / sup-fiber quantities
     and their product bounds, all exact rationals.
     """
-    t = Fraction(t)
     tau = Fraction(tau)
     if A.dim != B.dim or A.dim < 2:
         raise ValueError("normalize_Mtau needs equal dim >= 2")
@@ -482,7 +481,7 @@ def normalize_Mtau(A: LatticeSet, B: LatticeSet, t, tau, max_cell_blowup: int = 
         from ._roots import sqrt_brackets
         lo, hi = sqrt_brackets(target / PA, bits=48)
         lam_star = (lo + hi) / 2
-    lam, snap_err = _feasible_snap(lam_star, n, max_cell_blowup)
+    lam, snap_err = _feasible_snap(lam_star, n)
 
     A2 = _materialize_scaling(A, lam)
     B2 = _materialize_scaling(B, lam)

@@ -239,7 +239,7 @@ def test_criterion_06_closed_form_transport():
     for k in range(1, 33):
         s = Fraction(k, 32)
         assert abs(T(s) - s / 2) <= tol
-    ratio = transport_ratio_integral(uni, half, T)
+    ratio = transport_ratio_integral(T)
     assert abs(ratio - Fraction(1, 2)) <= tol
     _report(6, "closed-form-transport",
             f"T(s)=s/2 exact on 32 probes, ratio integral = {float(ratio)}")

@@ -294,6 +294,18 @@ def test_check_stability_typical_instance_vacuous():
     assert rep.bound > float(rep.D_star)
 
 
+def test_check_stability_1d_threshold_is_exact():
+    # at n = 1, e^(-M) = tau/3 exactly; here delta = 1/6 meets it, so the
+    # hypothesis holds and D* = 2/3 is graded against the bound 16/3
+    A = LatticeSet(1, 6, [(i,) for i in range(6)])
+    B = LatticeSet(1, 6, [(i,) for i in (0, 1, 2, 3, 6, 7)])
+    rep = check_stability(A, B, Fraction(1, 2), Fraction(1, 2))
+    assert rep.threshold == rep.record.delta_norm == Fraction(1, 6)
+    assert rep.D_star == Fraction(2, 3)
+    assert abs(rep.bound - 16 / 3) < 1e-12
+    assert rep.verdict == "pass"
+
+
 def test_cos_pipeline_3d_certified():
     cube = LatticeSet(3, 2, frozenset((i, j, k) for i in range(2)
                                       for j in range(2) for k in range(2)))

@@ -130,7 +130,7 @@ def test_normalize_example_lambda_2():
     # projection length 2, tau = 1/2  ->  lambda * 2 = 1/tau^2 = 4
     A = LatticeSet(2, 2, frozenset((i, j) for i in range(4) for j in range(2)))
     B = LatticeSet(2, 2, frozenset((i, j) for i in range(2) for j in range(2)))
-    lam, A2, B2, rep = normalize_Mtau(A, B, Fraction(1, 2), Fraction(1, 2))
+    lam, A2, B2, rep = normalize_Mtau(A, B, Fraction(1, 2))
     assert lam == 2
     assert rep["snap_error"] == 0
     assert rep["proj_A"] == 4
@@ -146,7 +146,7 @@ def test_normalize_product_bound():
         B = LatticeSet(2, 2, cells | {(1, 1)})
         if A.measure() < Fraction(1, 2) or B.measure() < Fraction(1, 2):
             continue
-        lam, A2, B2, rep = normalize_Mtau(A, B, Fraction(1, 2), Fraction(1, 2))
+        lam, A2, B2, rep = normalize_Mtau(A, B, Fraction(1, 2))
         assert rep["product_AA"] >= A.measure() >= Fraction(1, 2)
         assert rep["product_AA_ge_volA"] and rep["product_BB_ge_volB"]
         assert A2.measure() == A.measure()
@@ -155,14 +155,14 @@ def test_normalize_product_bound():
 def test_normalize_rejects_small_sets():
     tiny = LatticeSet(2, 4, frozenset([(0, 0)]))
     with pytest.raises(ValueError):
-        normalize_Mtau(tiny, tiny, Fraction(1, 2), Fraction(1, 2))
+        normalize_Mtau(tiny, tiny, Fraction(1, 2))
 
 
 def test_normalize_3d_snapped_scaling():
     cube = LatticeSet(3, 2, frozenset((i, j, k) for i in range(2)
                                       for j in range(2) for k in range(2)))
     # target lambda^2 * 1 = 1/tau^3 = 8 -> lambda = 2*sqrt(2), snapped
-    lam, A2, B2, rep = normalize_Mtau(cube, cube, Fraction(1, 2), Fraction(1, 2))
+    lam, A2, B2, rep = normalize_Mtau(cube, cube, Fraction(1, 2))
     assert A2.measure() == cube.measure()        # unit Jacobian, always exact
     assert rep["cell_blowup"] <= 4096
     assert rep["snap_error"] > 0                 # irrational target, recorded
@@ -367,7 +367,7 @@ def test_hot_paths_never_build_cell_tuples(monkeypatch, tmp_path):
         A, B = generate_scenario(ScenarioSpec(family=family, n=n, denom=4 if n < 3 else 2,
                                               eps=Fraction(1, 4), seed=3))
         S = convex_combination(A, B, Fraction(1, 3))
-        assert deficit(A, B, Fraction(1, 3), S=S).volS == S.measure()
+        assert deficit(A, B, Fraction(1, 3)).volS == S.measure()
         deficit(A, B, Fraction(1, 2))
         hull_distance(A, B)
         KA, KB = convex_hull(A), convex_hull(B)
