@@ -1,13 +1,12 @@
 """Exact convex hull primitives on an integer lattice.
 
-Orientation predicates, areas, volumes and face planes are integer
-determinants, so nothing here carries floating-point error; Fractions appear
-only in centroids.  2D hulls use the monotone chain; 3D hulls use an
-incremental algorithm with exact visibility tests.  Every hull keeps only
-its extreme points as vertices, in every dimension, so its vertex list
-depends on the body, not on the points given.  `hull` is the one entry point
-that picks the routine by dimension, and its d!-scaled volume is an int in
-every dimension.
+Areas, volumes and face planes are integer determinants, so nothing here
+carries floating-point error; Fractions appear only in centroids.  2D hulls
+use the monotone chain; 3D hulls use an incremental algorithm with exact
+visibility tests.  Every hull keeps only its extreme points as vertices, in
+every dimension, so its vertex list depends on the body, not on the points
+given.  `hull` is the one entry point that picks the routine by dimension,
+and its d!-scaled volume is an int in every dimension.
 """
 
 from __future__ import annotations
@@ -15,9 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "hull", "hull_2d", "polygon_area2", "polygon_centroid", "point_in_polygon",
-    "hull_3d", "hull_volume6", "hull_3d_centroid", "face_planes",
-    "point_in_hull3d",
+    "hull", "hull_2d", "polygon_area2", "polygon_centroid", "hull_3d",
+    "hull_volume6", "hull_3d_centroid", "face_planes",
 ]
 
 
@@ -77,38 +75,8 @@ def polygon_centroid(hull):
     return Fraction(cx, 3 * a2), Fraction(cy, 3 * a2)
 
 
-def point_in_polygon(p, hull) -> bool:
-    """Point in (or on the boundary of) a CCW convex polygon, exact."""
-    n = len(hull)
-    if n == 0:
-        return False
-    if n == 1:
-        return tuple(p) == tuple(hull[0])
-    if n == 2:
-        a, b = hull
-        if _cross(a, b, p) != 0:
-            return False
-        return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-    for i in range(n):
-        if _cross(hull[i], hull[(i + 1) % n], p) < 0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # 3D
-
-
-def _orient3d(a, b, c, d):
-    """Sign of det[b-a; c-a; d-a]: > 0 when d is on the positive side of abc."""
-    adx, ady, adz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    bdx, bdy, bdz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    cdx, cdy, cdz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
-    det = (adx * (bdy * cdz - bdz * cdy)
-           - ady * (bdx * cdz - bdz * cdx)
-           + adz * (bdx * cdy - bdy * cdx))
-    return (det > 0) - (det < 0)
 
 
 def _cross3(u, w):
@@ -146,11 +114,10 @@ def _incremental_3d(pts):
             break
     else:
         return [pts[0], pts[-1]], []
-    p3 = None
-    for q in pts:
-        if _orient3d(p0, p1, p2, q) != 0:
-            p3 = q
-            break
+    # p3 is the first point off the seed plane n.x = d through p0, p1, p2
+    a, b, c = normal
+    d = a * p0[0] + b * p0[1] + c * p0[2]
+    p3 = next((q for q in pts if a * q[0] + b * q[1] + c * q[2] != d), None)
     if p3 is None:
         # Coplanar cloud: the planar hull in two coordinates along which the
         # plane projects one-to-one, mapped back.
@@ -159,13 +126,12 @@ def _incremental_3d(pts):
         return [lift[q] for q in hull_2d(lift)], []
 
     verts = [p0, p1, p2, p3]
-    if _orient3d(p0, p1, p2, p3) > 0:
+    if a * p3[0] + b * p3[1] + c * p3[2] > d:
         faces = [(0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3)]
     else:
         faces = [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)]
 
-    # q sees face f iff n.q > d for f's outward plane (n, d), the same test
-    # as _orient3d(f's vertices, q) > 0
+    # q sees face f iff n.q > d for f's outward plane (n, d)
     planes = [_plane(verts, f) for f in faces]
     index = {v: i for i, v in enumerate(verts)}
     for q in pts:
@@ -297,13 +263,3 @@ def hull_3d_centroid(verts, faces):
 def face_planes(verts, faces):
     """Outward integer plane (n, d) per face: the hull is {x : n . x <= d}."""
     return [((a, b, c), d) for a, b, c, d in (_plane(verts, f) for f in faces)]
-
-
-def point_in_hull3d(p, verts, faces) -> bool:
-    """Point inside or on an outward-oriented 3D hull, exact."""
-    if not faces:
-        return False
-    for i, j, k in faces:
-        if _orient3d(verts[i], verts[j], verts[k], p) > 0:
-            return False
-    return True

@@ -227,6 +227,8 @@ def sweep(config_path: str) -> str:
         seeds = [int(x) for x in cfg["seeds"].split(",") if x.strip()]
     except (KeyError, ValueError) as e:
         raise UsageError(f"bad sweep config: {e}") from None
+    if not eps_list or not seeds:
+        raise UsageError("bad sweep config: eps_list and seeds need a value each")
     if family not in FAMILIES or family == "interval-unions":
         raise UsageError(f"family {family!r} not sweepable")
 

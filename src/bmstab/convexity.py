@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from operator import mul
 
 from ._hull import (
-    face_planes, hull, hull_2d, hull_3d, hull_3d_centroid, point_in_hull3d,
-    point_in_polygon, polygon_centroid,
+    face_planes, hull, hull_3d, hull_3d_centroid, polygon_centroid,
 )
 from .vset import LatticeSet
 
@@ -84,13 +84,30 @@ class Polytope:
         """Vertices in original coordinates, as Fraction tuples."""
         return tuple(tuple(Fraction(x, self.scale) for x in v) for v in self.verts)
 
-    def contains(self, point) -> bool:
-        p = tuple(Fraction(x) * self.scale for x in point)
+    @cached_property
+    def planes(self) -> tuple:
+        """Outward integer planes (n, d): a solid P = {x : n.(scale*x) <= d}.
+
+        The two end points in 1D, the CCW edges in 2D and the faces in 3D.
+        """
+        v = self.verts
         if self.dim == 1:
-            return self.verts[0][0] <= p[0] <= self.verts[1][0]
+            return ((-1,), -v[0][0]), ((1,), v[1][0])
         if self.dim == 2:
-            return point_in_polygon(p, self.verts)
-        return point_in_hull3d(p, self.verts, self.faces)
+            return tuple(((b[1] - a[1], a[0] - b[0]), a[0] * b[1] - a[1] * b[0])
+                         for a, b in zip(v, v[1:] + v[:1]))
+        return tuple(face_planes(v, self.faces))
+
+    def contains(self, point) -> bool:
+        """Whether the rational point lies in P or on its boundary, exact."""
+        if len(point) != self.dim:
+            raise ValueError("point dimension mismatch")
+        L, (x,) = _on_lattice([point], self.scale)
+        k = L // self.scale
+        if not self.volume:  # flat: x is inside iff it is no new extreme point
+            verts = [tuple(c * k for c in v) for v in self.verts]
+            return x in verts or x not in hull(verts + [x])[0]
+        return all(sum(map(mul, n, x)) <= k * d for n, d in self.planes)
 
     def centroid(self) -> tuple:
         if self.dim == 1:
@@ -135,20 +152,15 @@ def hull_excess(E: LatticeSet) -> Fraction:
     return convex_hull(E).volume - E.measure()
 
 
-def _planes(P: Polytope):
-    """P's outward planes (n, d), P = {x : n.x <= d}, and edges, on P's lattice.
+def _edges(P: Polytope):
+    """P's edges as vertex pairs on P's lattice.
 
     3D edges are `hull_3d`'s triangle sides; diagonals only add points of P.
     """
     v = P.verts
-    if P.dim == 1:
-        return [((-1,), -v[0][0]), ((1,), v[1][0])], [v]
-    if P.dim == 2:
-        sides = list(zip(v, v[1:] + v[:1]))
-        return [((b[1] - a[1], a[0] - b[0]), a[0] * b[1] - a[1] * b[0])
-                for a, b in sides], sides
-    return face_planes(v, P.faces), {
-        tuple(sorted((v[i], v[j]))) for f in P.faces for i, j in zip(f, f[1:] + f[:1])}
+    if P.dim < 3:
+        return list(zip(v, v[1:] + v[:1]))
+    return {tuple(sorted((v[i], v[j]))) for f in P.faces for i, j in zip(f, f[1:] + f[:1])}
 
 
 def _clip(edges, Lp, planes, Lq):
@@ -193,9 +205,9 @@ def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
     if not K.volume:
         return Fraction(0), Fraction(0)
     m, L = E.denom, K.scale
-    planes, k_edges = _planes(K)
+    k_edges = _edges(K)
     tests = [(n, d, L * sum(min(x, 0) for x in n), L * sum(max(x, 0) for x in n),
-              m * d) for n, d in planes]
+              m * d) for n, d in K.planes]
     inside, cut = 0, Fraction(0)
     for cell in E.array.tolist():
         cutting = []
@@ -210,8 +222,7 @@ def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
                 inside += 1
                 continue
             C = Polytope.from_lattice_points(product(*((x, x + 1) for x in cell)), m)
-            c_planes, c_edges = _planes(C)
-            pts = _clip(c_edges, m, cutting, L) | _clip(k_edges, L, c_planes, m)
+            pts = _clip(_edges(C), m, cutting, L) | _clip(k_edges, L, C.planes, m)
             if pts:
                 M = math.lcm(*(D for D, _ in pts))
                 cut += Polytope.from_lattice_points(
@@ -569,26 +580,14 @@ def _truncation_level(phi, w, target) -> float:
 def _domain_roundness(psi: GridFunction) -> dict:
     """Inradius/outradius of co(F) about the origin (diagnostic only)."""
     h = float(psi.spacing)
-    if psi.base_dim == 1:
-        xs = [p[0] * h for p in psi.points]
-        r_out = max(abs(min(xs)), abs(max(xs)))
-        r_in = min(abs(min(xs)), abs(max(xs))) if min(xs) < 0 < max(xs) else 0.0
-        return {"r_in": r_in, "r_out": r_out}
-    poly = hull_2d([p for p in psi.points])
-    if len(poly) < 3:
+    P = Polytope.from_lattice_points(psi.points, 1)
+    if len(P.verts) <= P.dim:  # a collinear 2D domain
         return {"r_in": 0.0, "r_out": 0.0}
-    r_out = max(math.hypot(p[0] * h, p[1] * h) for p in poly)
-    r_in = None
-    inside = point_in_polygon((0, 0), poly)
-    for i in range(len(poly)):
-        a, b = poly[i], poly[(i + 1) % len(poly)]
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        nrm = math.hypot(dx, dy)
-        if nrm == 0:
-            continue
-        dist = abs(dx * (-a[1]) - dy * (-a[0])) / nrm * h
-        r_in = dist if r_in is None else min(r_in, dist)
-    return {"r_in": (r_in or 0.0) if inside else 0.0, "r_out": r_out}
+    r_out = max(math.hypot(*(x * h for x in v)) for v in P.verts)
+    if not all(d >= 0 for _, d in P.planes):  # the origin is outside
+        return {"r_in": 0.0, "r_out": r_out}
+    return {"r_in": min(abs(d) / math.hypot(*n) * h for n, d in P.planes),
+            "r_out": r_out}
 
 
 def linear_fit(f: GridFunction, m1, m2) -> dict:

@@ -106,10 +106,14 @@ def test_sweep_reruns_byte_identical(tmp_path):
     assert len(rows) == 1 + 3 * 2  # header + (eps x seed)
 
 
-def test_sweep_bad_config(tmp_path):
+def test_sweep_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("family=boundary-bites\n")  # missing eps_list/seeds
-    assert run(["sweep", "--config", str(cfg)]) == 2
+    for text in ("family=boundary-bites\n",  # missing eps_list/seeds
+                 "family=boundary-bites\neps_list=\nseeds=1\n",
+                 "family=boundary-bites\neps_list=1/8\nseeds= ,\n"):
+        cfg.write_text(text)
+        assert run(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def _spearman(xs, ys):

@@ -152,9 +152,9 @@ def _cross(u, w):
 
 
 def _in_simplex(p, S):
-    """p in the simplex of 2 to 4 affinely independent integer 3D points S.
+    """p in the simplex of 2 to 4 affinely independent rational 3D points S.
 
-    False when S is affinely dependent.  Exact integer barycentrics: the
+    False when S is affinely dependent.  Exact barycentrics: the
     coordinates of p - S[0] in the edge vectors, times a common positive
     denominator.
     """
@@ -231,6 +231,89 @@ def test_hull_3d_is_extreme_only_and_canonical():
                  if _dot(_sub(S[1], S[0]), _cross(_sub(S[2], S[0]), _sub(S[3], S[0])))]
         assert hull_3d(inner + big) == base
     assert solid == 7 and non_extreme >= 20, (solid, non_extreme)
+
+
+def _pad3(p):
+    return tuple(map(Fraction, p)) + (Fraction(0),) * (3 - len(p))
+
+
+def _in_hull(x, points):
+    """Carathéodory: x is a point or lies in a simplex of 2 to 4 of them."""
+    x, pts = _pad3(x), sorted({_pad3(p) for p in points})
+    return x in pts or any(_in_simplex(x, S) for k in (2, 3, 4)
+                           for S in combinations(pts, k))
+
+
+def test_polytope_contains_matches_caratheodory():
+    rng = random.Random(131)
+
+    def q():
+        return Fraction(rng.randrange(-12, 13), rng.randrange(1, 5))
+
+    def combo(pts, w):
+        return tuple(sum(wi * p[i] for wi, p in zip(w, pts)) / sum(w)
+                     for i in range(len(pts[0])))
+
+    bodies = []  # (generating points, flat?)
+    for _ in range(2):
+        bodies.append(([(q(),) for _ in range(4)], False))
+        bodies.append(([tuple(q() for _ in range(2)) for _ in range(5)], False))
+        bodies.append(([tuple(q() for _ in range(3)) for _ in range(6)], False))
+        for n in (1, 2, 3):
+            bodies.append(([tuple(q() for _ in range(n))], True))       # point
+        for n in (2, 3):
+            a, u = [q() for _ in range(n)], [q() for _ in range(n)]
+            bodies.append(([tuple(x + k * y for x, y in zip(a, u))
+                            for k in (q(), q(), q())], True))             # segment
+        a, u, w = ([q() for _ in range(3)] for _ in range(3))
+        bodies.append(([tuple(x + s * y + t * z for x, y, z in zip(a, u, w))
+                        for s, t in ((q(), q()) for _ in range(5))], True))  # polygon
+    tally = {(flat, n, inside): 0 for flat in (False, True) for n in (1, 2, 3)
+             for inside in (False, True)}
+    for pts, flat in bodies:
+        P = Polytope.from_rational_points(pts)
+        n = P.dim
+        assert (P.volume == 0) == flat
+        g = combo(pts, [1] * len(pts))
+        tests = []
+        for k in (1, 2, 3):
+            for S in combinations(pts, k):
+                # vertices, edge midpoints and facet centroids, each also
+                # moved by 1/1009 of its distance from g outward and inward
+                c = combo(S, [1] * k)
+                tests += [c] + [tuple(gi + f * (ci - gi) for gi, ci in zip(g, c))
+                                for f in (Fraction(1008, 1009), Fraction(1010, 1009))]
+        for _ in range(8):
+            c = combo(pts, [rng.randrange(1, 9) for _ in pts])
+            tests += [c, tuple(x + Fraction(rng.choice((-1, 1)), 997) for x in c)]
+        tests += [tuple(q() + Fraction(rng.randrange(-99, 100), 101) for _ in g)
+                  for _ in range(16)]
+        for x in tests:
+            inside = _in_hull(x, pts)
+            assert P.contains(x) == inside, (pts, x)
+            tally[flat, n, inside] += 1
+        for bad in (g + (Fraction(0),), g[:-1]):
+            with pytest.raises(ValueError):
+                P.contains(bad)
+    assert min(tally.values()) >= 10, tally
+
+
+def test_domain_roundness_closed_forms():
+    def roundness(points, h=Fraction(1, 4)):
+        psi = GridFunction(len(points[0]), h, points, [0.0] * len(points))
+        return concavity_fit(psi, 0.0, 0.0, Fraction(1, 4)).diagnostics["roundness"]
+
+    # a centred square: the half-width and the corner radius
+    assert roundness(grid_2d(3)) == {"r_in": 0.75, "r_out": math.hypot(0.75, 0.75)}
+    # a domain that misses the origin has no inradius about it
+    off = tuple((i, j) for i in range(1, 4) for j in range(-2, 3))
+    assert roundness(off) == {"r_in": 0.0, "r_out": math.hypot(0.75, 0.5)}
+    # a collinear 2D domain is flat
+    assert roundness(tuple((i, 2 * i) for i in range(-2, 3))) == {
+        "r_in": 0.0, "r_out": 0.0}
+    # a 1D grid: the distances to the nearer and the farther end
+    assert roundness(tuple((i,) for i in range(-2, 7))) == {"r_in": 0.5, "r_out": 1.5}
+    assert roundness(tuple((i,) for i in range(1, 7))) == {"r_in": 0.0, "r_out": 1.5}
 
 
 def test_overlap_bracket_2d_exact():
@@ -690,3 +773,50 @@ def test_geometry_outputs_match_recorded_digests():
     got = {key: hashlib.sha256(repr(value).encode()).hexdigest()
            for key, value in _geometry_outputs().items()}
     assert got == _GEOMETRY_DIGESTS
+
+
+# SHA-256 of cos_pipeline's output on the counterexample family, keyed by
+# (n, denom, L), with K_A = K_B the hull of the ball alone (the set less its
+# far cell).  The far cell sits outside K0, so the inflation loop doubles c
+# two to five times; the geometry digests above all stop at c = 1.
+_INFLATION_DIGESTS = {
+    (2, 2, 1):
+        "94784913bb3491a7afb5827e090fd8269205f67de625d70e4bfd759dd5f18f5a",
+    (2, 2, 2):
+        "3ddb579c04ab5d38289e372c97a1a7b9abf6e303750d56ad75090f8d407d12d2",
+    (2, 2, 4):
+        "c9dbf5432c891e6e54b75619ffd2b7ba7fc9b984ba07276317161f32dc8bfe42",
+    (2, 3, 1):
+        "5a5ec84b944a78f7f62cebabd3efc81c7301f1fe79661d270c646505b83c41e6",
+    (2, 3, 2):
+        "cb9f3adda689dbac98071447a71f63a0061b7301ae7c573116f7aca1acdad920",
+    (2, 3, 4):
+        "b4f552d6cdd8b7eebe03473afabf8f0cd855ab030209db60ad345a7bf2016702",
+    (3, 1, 1):
+        "4ab622d22bc2509c01331709dafcfd704492563eccdf0cab1e06d3bd2c3f2550",
+    (3, 1, 2):
+        "692d9a18e581a70466ac05f48d5f7cb79affba69783b05e8fc2ef8bdb7b0c055",
+    (3, 1, 4):
+        "87bd60137616398d61d3699bc139f620d7229024f126026941d9566fcaec692c",
+}
+
+
+def _inflation_outputs():
+    out = {}
+    for n, denom in ((2, 2), (2, 3), (3, 1)):
+        for L in (1, 2, 4):
+            A, B = generate_scenario(ScenarioSpec(
+                family="counterexample", n=n, denom=denom, L=L))
+            K = convex_hull(LatticeSet(n, A.denom, A.array[:-1]))
+            cos = cos_pipeline(A, B, K, K, Fraction(1, 2), Fraction(1, 4))
+            assert cos["inflation_c"] >= 4
+            out[(n, denom, L)] = tuple(
+                _polytope_key(x) if k in ("K", "K0") else x
+                for k, x in sorted(cos.items()))
+    return out
+
+
+def test_cos_pipeline_inflation_matches_recorded_digests():
+    got = {key: hashlib.sha256(repr(value).encode()).hexdigest()
+           for key, value in _inflation_outputs().items()}
+    assert got == _INFLATION_DIGESTS
