@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["iroot", "nth_root_brackets", "sqrt_brackets", "PI_LO", "PI_HI"]
+__all__ = ["iroot", "nth_root_brackets", "PI_LO", "PI_HI"]
 
 # Rational brackets for pi, from the decimal expansion
 # 3.14159265358979323846264338327950... (30 digits shown; last digit of the
@@ -72,7 +72,3 @@ def nth_root_brackets(x: Fraction, n: int, bits: int = 64) -> tuple[Fraction, Fr
     lo = Fraction(r, scale)
     hi = Fraction(r + 2, scale)
     return lo, hi
-
-
-def sqrt_brackets(x: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
-    return nth_root_brackets(x, 2, bits)

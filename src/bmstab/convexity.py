@@ -2,10 +2,11 @@
 
 Hulls of lattice sets are computed on integer corner coordinates, so volumes,
 centroids, membership tests and hull excesses are exact rationals in any of
-the supported dimensions.  Envelopes of real-valued grid functions lift the
-graph to an integer lattice (values quantized at 2^-48) and take the upper
-hull, which keeps every envelope evaluation a rational plane query, accurate
-far below the tolerances used by the fitting diagnostics.
+the supported dimensions.  Grid-function values are floats, hence dyadic
+rationals: envelopes, concavity residuals and linear fits work on their exact
+integer numerators over one power-of-two denominator, and round only the
+results.  An envelope is read off the upper planes of the lifted graph's
+integer hull.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from functools import cached_property
 from itertools import product
 from operator import mul
 
-from ._hull import (
-    face_planes, hull, hull_3d, hull_3d_centroid, polygon_centroid,
-)
+from ._hull import face_planes, hull, hull_3d_centroid, polygon_centroid
 from .vset import LatticeSet
 
 __all__ = [
@@ -27,9 +26,6 @@ __all__ = [
     "lattice_polytope_overlap", "concave_envelope", "four_point_residual",
     "concavity_fit", "linear_fit", "level_set_convexity_integral",
 ]
-
-_LIFT_BITS = 48  # value quantization for lifted envelope hulls
-
 
 # ---------------------------------------------------------------------------
 # exact polytopes
@@ -249,6 +245,8 @@ class GridFunction:
         vals = tuple(float(v) for v in self.values)
         if len(pts) != len(vals):
             raise ValueError("points/values length mismatch")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("grid values must be finite")
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate grid points")
         for p in pts:
@@ -272,6 +270,17 @@ class GridFunction:
         return GridFunction(self.base_dim, self.spacing, self.points, tuple(values))
 
 
+def _dyadic(values):
+    """(D, ints) with values[i] == ints[i] / D exactly, D a power of two.
+
+    Every finite float is a dyadic rational, so D, the largest denominator,
+    is a common one.
+    """
+    fracs = [Fraction(v) for v in values]
+    D = max((x.denominator for x in fracs), default=1)
+    return D, [x.numerator * (D // x.denominator) for x in fracs]
+
+
 # ---------------------------------------------------------------------------
 # concave envelope
 
@@ -279,92 +288,69 @@ class GridFunction:
 def concave_envelope(f: GridFunction) -> GridFunction:
     """Upper concave envelope of f on its grid, via the lifted upper hull.
 
-    The returned function majorizes f (enforced exactly) and is minimal among
-    concave grid majorants up to the 2^-48 lift quantization.
+    The values are lifted exactly (`_dyadic`), so each returned value is the
+    exact envelope rounded to the nearest float: it majorizes f and is the
+    least concave grid majorant up to that one rounding.
     """
     if not f.points:
         raise ValueError("empty domain")
     if len(f.points) <= 2:
         return f.with_values(f.values)
-    if f.base_dim == 1:
-        env = _envelope_1d([(p[0], v) for p, v in zip(f.points, f.values)])
-    else:
-        env = _envelope_2d(f)
-    vals = [max(env[p], v) for p, v in zip(f.points, f.values)]
-    return f.with_values(vals)
+    D, ints = _dyadic(f.values)
+    return f.with_values(float(e / D) for e in _envelope(f.points, ints))
 
 
-def _envelope_1d(pairs):
-    """Upper concave chain over integer abscissae; exact rational interp."""
-    pts = sorted((x, Fraction(v)) for x, v in pairs)
-    chain = []
-    for x, v in pts:
-        while len(chain) >= 2:
-            (x0, v0), (x1, v1) = chain[-2], chain[-1]
-            # pop x1 if it lies below segment (x0 .. x)
-            if (v1 - v0) * (x - x0) <= (v - v0) * (x1 - x0):
-                chain.pop()
-            else:
-                break
-        chain.append((x, v))
-    out = {}
-    ci = 0
-    for x, _ in pts:
-        while ci + 1 < len(chain) and chain[ci + 1][0] < x:
-            ci += 1
-        if chain[ci][0] == x:
-            out[(x,)] = float(chain[ci][1])
-        else:
-            (x0, v0), (x1, v1) = chain[ci], chain[ci + 1]
-            out[(x,)] = float(v0 + (v1 - v0) * Fraction(x - x0, x1 - x0))
-    return out
+def _envelope(points, ints) -> list:
+    """Exact upper concave envelope of integer values over integer points.
 
-
-def _collinear_axis(points):
-    """If all index points are collinear, return a spread axis, else None."""
-    p0 = points[0]
-    d = None
-    for p in points[1:]:
-        v = tuple(p[a] - p0[a] for a in range(len(p0)))
-        if any(v):
-            d = v
-            break
-    if d is None:
-        return 0
-    for p in points[1:]:
-        v = tuple(p[a] - p0[a] for a in range(len(p0)))
-        if d[0] * v[1] - d[1] * v[0] != 0:
-            return None
-    return 0 if d[0] != 0 else 1
-
-
-def _envelope_2d(f: GridFunction):
-    axis = _collinear_axis(f.points)
-    if axis is not None:
-        env1 = _envelope_1d([(p[axis], v) for p, v in zip(f.points, f.values)])
-        return {p: env1[(p[axis],)] for p in f.points}
-    scale = 1 << _LIFT_BITS
-    lifted = [(p[0], p[1], round(v * scale))
-              for p, v in zip(f.points, f.values)]
-    verts, faces = hull_3d(lifted)
-    if not faces:  # coplanar lift: f is affine, envelope equals f
-        return dict(zip(f.points, f.values))
-    # The hull is {x : n.x <= d}, so above p each upper facet's plane lies on
-    # or over the hull's top, and the facet containing p attains it.
-    upper = [(n, d) for n, d in face_planes(verts, faces) if n[2] > 0]
-    out = {}
-    for p in f.points:
-        top = None  # the least (d - n0*p0 - n1*p1) / n2, as (numerator, n2)
-        for (a, b, c), d in upper:
-            z = d - a * p[0] - b * p[1]
+    The hull of the lifted points (p, ints[i]) is {x : n.x <= d}, so above p
+    each upper plane (n[-1] > 0) lies on or over the hull's top, and the
+    facet containing p attains it.  A flat lift means the values are affine,
+    unless the domain itself is flat: a collinear 2D domain recurses along an
+    axis it spreads on.
+    """
+    lifted = Polytope.from_lattice_points(
+        [p + (v,) for p, v in zip(points, ints)], 1)
+    if not lifted.volume:
+        base = Polytope.from_lattice_points(points, 1)
+        if base.volume:
+            return [Fraction(v) for v in ints]
+        axis = int(base.verts[0][0] == base.verts[-1][0])
+        return _envelope([p[axis:axis + 1] for p in points], ints)
+    upper = [(n[:-1], n[-1], d) for n, d in lifted.planes if n[-1] > 0]
+    out = []
+    for p in points:
+        top = None  # the least (d - n.p) / n[-1], as (numerator, n[-1])
+        for n, c, d in upper:
+            z = d - sum(map(mul, n, p))
             if top is None or z * top[1] < top[0] * c:
                 top = z, c
-        out[p] = float(Fraction(*top)) / scale
+        out.append(Fraction(*top))
     return out
 
 
 # ---------------------------------------------------------------------------
 # residuals and fits
+
+
+def _grid_pairs(pts, w: Fraction):
+    """Index triples (i, j, k) with pts[k] = w*pts[i] + (1-w)*pts[j].
+
+    For w = p/q in lowest terms, pts[j] + p*(pts[i] - pts[j])/q is a lattice
+    point iff pts[i] == pts[j] (mod q) in every coordinate, so only pairs
+    within one residue class are tried.  Every (i, i, i) is yielded.
+    """
+    p, q = w.numerator, w.denominator
+    index = {y: k for k, y in enumerate(pts)}
+    classes = {}
+    for i, y in enumerate(pts):
+        classes.setdefault(tuple(x % q for x in y), []).append(i)
+    for members in classes.values():
+        for i, j in product(members, repeat=2):
+            k = index.get(tuple(b + p * (a - b) // q
+                                for a, b in zip(pts[i], pts[j])))
+            if k is not None:
+                yield i, j, k
 
 
 def four_point_residual(f: GridFunction, g: GridFunction, t) -> dict:
@@ -373,70 +359,44 @@ def four_point_residual(f: GridFunction, g: GridFunction, t) -> dict:
     res3 scans t*f(y') + (1-t)*g(y'') <= [t*f + (1-t)*g](y) over admissible
     triples (y = t*y' + (1-t)*y'' also on the grid); res4 scans the induced
     4-point inequality for f alone with t' = 1/(2-t) (and with 1-t for g).
-    Reports whether res4 <= (2/t)*res3 (respectively (2/(1-t))*res3).
+    The scans are exact integer arithmetic on the values' dyadic numerators;
+    each float reported is the exact residual rounded to nearest, and the
+    flags compare res4 with (2/t)*res3 (respectively (2/(1-t))*res3) exactly.
     """
     t = Fraction(t)
     if not (0 < t < 1):
         raise ValueError("t must lie in (0,1)")
     if f.points != g.points or f.spacing != g.spacing:
         raise ValueError("f and g must share a grid")
-    fd = f.as_dict()
-    gd = g.as_dict()
     pts = f.points
-
-    res3 = 0.0
-    for y1 in pts:
-        for y2 in pts:
-            y = _combo(y1, y2, t)
-            if y is None:
-                continue
-            fy = fd.get(y)
-            if fy is None:
-                continue
-            viol = float(t) * fd[y1] + float(1 - t) * gd[y2] \
-                - (float(t) * fy + float(1 - t) * gd[y])
-            if viol > res3:
-                res3 = viol
-
-    res4_f = _four_point_scan(fd, pts, Fraction(1, 2 - t))
-    res4_g = _four_point_scan(gd, pts, Fraction(1, 1 + t))
+    D, ints = _dyadic(f.values + g.values)
+    F, G = ints[:len(pts)], ints[len(pts):]
+    p, q = t.numerator, t.denominator
+    # q*D times the violation of t*f(y_i) + (1-t)*g(y_j) <= t*f(y_k) + (1-t)*g(y_k)
+    r3 = max((p * (F[i] - F[k]) + (q - p) * (G[j] - G[k])
+              for i, j, k in _grid_pairs(pts, t)), default=0)
+    r4f = _four_point_scan(F, pts, Fraction(1, 2 - t))
+    r4g = _four_point_scan(G, pts, Fraction(1, 1 + t))
     return {
-        "res3": res3,
-        "res4_f": res4_f,
-        "res4_g": res4_g,
-        "bound_f": 2.0 / float(t) * res3,
-        "bound_g": 2.0 / float(1 - t) * res3,
-        "res4_f_within_bound": res4_f <= 2.0 / float(t) * res3 + 1e-12,
-        "res4_g_within_bound": res4_g <= 2.0 / float(1 - t) * res3 + 1e-12,
+        "res3": float(Fraction(r3, q * D)),
+        "res4_f": float(Fraction(r4f, D)),
+        "res4_g": float(Fraction(r4g, D)),
+        "bound_f": float(Fraction(2 * r3, p * D)),
+        "bound_g": float(Fraction(2 * r3, (q - p) * D)),
+        "res4_f_within_bound": p * r4f <= 2 * r3,
+        "res4_g_within_bound": (q - p) * r4g <= 2 * r3,
     }
 
 
-def _combo(y1, y2, w: Fraction):
-    out = []
-    for a, b in zip(y1, y2):
-        v = w * a + (1 - w) * b
-        if v.denominator != 1:
-            return None
-        out.append(int(v))
-    return tuple(out)
+def _four_point_scan(ints, pts, w: Fraction) -> int:
+    """Largest ints[i] + ints[j] - ints[k] - ints[l], never below 0.
 
-
-def _four_point_scan(vals: dict, pts, t_prime: Fraction) -> float:
-    worst = 0.0
-    for y1 in pts:
-        for y2 in pts:
-            y12a = _combo(y1, y2, t_prime)
-            y12b = _combo(y1, y2, 1 - t_prime)
-            if y12a is None or y12b is None:
-                continue
-            va = vals.get(y12a)
-            vb = vals.get(y12b)
-            if va is None or vb is None:
-                continue
-            viol = vals[y1] + vals[y2] - va - vb
-            if viol > worst:
-                worst = viol
-    return worst
+    Over grid points y_k = w*y_i + (1-w)*y_j and y_l = (1-w)*y_i + w*y_j;
+    the pair (i, i) gives 0.
+    """
+    mid = {(i, j): k for i, j, k in _grid_pairs(pts, w)}
+    return max((ints[i] + ints[j] - ints[k] - ints[mid[j, i]]
+                for (i, j), k in mid.items() if (j, i) in mid), default=0)
 
 
 def level_set_convexity_integral(psi: GridFunction, H=None):
@@ -548,7 +508,8 @@ def concavity_fit(psi: GridFunction, sigma, varsigma, tau) -> EnvelopeFit:
 
     contact = sum(1 for a, b in zip(Phi.values, phi_bar) if a <= b + 1e-9)
     in_H, out_H = level_set_convexity_integral(psi)
-    res4 = _four_point_scan(psi.as_dict(), psi.points, t_prime)
+    D, ints = _dyadic(psi.values)
+    res4 = float(Fraction(_four_point_scan(ints, psi.points, t_prime), D))
     diagnostics = {
         "Mhat": Mhat,
         "penalty_coefficient": penalty,
@@ -594,34 +555,35 @@ def linear_fit(f: GridFunction, m1, m2) -> dict:
     """Endpoint-anchored affine fit on a 1D grid function.
 
     The line passes through (m1, f(m1)) and (m2, f(m2)); returns the sup
-    deviation over the window [m1, m2] and over the whole domain.
+    deviation over the window [m1, m2] and over the whole domain.  The slope
+    and deviations are exact in the floats' rational values, rounded once.
     """
     if f.base_dim != 1:
         raise ValueError("linear_fit needs a 1D grid function")
     m1, m2 = Fraction(m1), Fraction(m2)
     if m2 <= m1:
         raise ValueError("need m1 < m2")
-    vals = {Fraction(p[0]) * f.spacing: v for p, v in zip(f.points, f.values)}
+    vals = {Fraction(p[0]) * f.spacing: Fraction(v) for p, v in zip(f.points, f.values)}
     if m1 not in vals or m2 not in vals:
         raise ValueError("anchor points must belong to the domain")
     v1, v2 = vals[m1], vals[m2]
-    slope = (v2 - v1) / float(m2 - m1)
+    slope = (v2 - v1) / (m2 - m1)
 
-    def ell(x: Fraction) -> float:
-        return v1 + slope * float(x - m1)
+    def ell(x: Fraction) -> Fraction:
+        return v1 + slope * (x - m1)
 
-    sup_window = 0.0
-    sup_all = 0.0
+    sup_window = 0
+    sup_all = 0
     for x, v in vals.items():
         d = abs(v - ell(x))
         sup_all = max(sup_all, d)
         if m1 <= x <= m2:
             sup_window = max(sup_window, d)
     return {
-        "slope": slope,
-        "value_at_m1": v1,
-        "value_at_m2": v2,
-        "sup_dev": sup_window,
-        "sup_dev_all": sup_all,
-        "anchored": ell(m1) == v1 and abs(ell(m2) - v2) < 1e-12,
+        "slope": float(slope),
+        "value_at_m1": float(v1),
+        "value_at_m2": float(v2),
+        "sup_dev": float(sup_window),
+        "sup_dev_all": float(sup_all),
+        "anchored": ell(m1) == v1 and ell(m2) == v2,
     }

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._roots import nth_root_brackets, sqrt_brackets
+from ._roots import nth_root_brackets
 from .minkowski import convex_combination
 from .vset import LatticeSet, slice_profile
 
@@ -304,6 +304,6 @@ def _slice_gap(aS, aA, aB, t, n):
         v = aS - (t * aA + (1 - t) * aB)
         return v, v
     # n = 3: expand the square; only sqrt(aA*aB) is irrational.
-    cross_lo, cross_hi = sqrt_brackets(aA * aB)
+    cross_lo, cross_hi = nth_root_brackets(aA * aB, 2)
     base = aS - t * t * aA - (1 - t) * (1 - t) * aB
     return base - 2 * t * (1 - t) * cross_hi, base - 2 * t * (1 - t) * cross_lo

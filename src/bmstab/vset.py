@@ -27,6 +27,8 @@ from itertools import product
 
 import numpy as np
 
+from ._roots import nth_root_brackets
+
 __all__ = [
     "LatticeSet", "FiberProfile", "measure", "symmetric_difference_measure",
     "fiber_profile", "slice_measure", "superlevel_set", "normalize_Mtau",
@@ -478,8 +480,7 @@ def normalize_Mtau(A: LatticeSet, B: LatticeSet, tau):
     if n == 2:
         lam_star = target / PA
     else:
-        from ._roots import sqrt_brackets
-        lo, hi = sqrt_brackets(target / PA, bits=48)
+        lo, hi = nth_root_brackets(target / PA, 2, bits=48)
         lam_star = (lo + hi) / 2
     lam, snap_err = _feasible_snap(lam_star, n)
 

@@ -487,6 +487,65 @@ def test_envelope_collinear_domain():
     assert vd[(2, 4)] >= 1.2 - 1e-12
 
 
+def _cross2(u, w):
+    return u[0] * w[1] - u[1] * w[0]
+
+
+def _convex_combinations(points):
+    """Per point p, the weight lists [(i, w_i)] of the segments and triangles
+    of grid points that contain p, with p itself; 1D points are padded to 2D.
+    """
+    pts = [tuple(p) + (0,) * (2 - len(p)) for p in points]
+    out = []
+    for k, p in enumerate(pts):
+        combos = [[(k, 1)]]
+        for i, j in combinations(range(len(pts)), 2):
+            ab, ap = _sub(pts[j], pts[i]), _sub(p, pts[i])
+            if _cross2(ab, ap) == 0 and 0 <= _dot(ap, ab) <= _dot(ab, ab):
+                lam = Fraction(_dot(ap, ab), _dot(ab, ab))
+                combos.append([(i, 1 - lam), (j, lam)])
+        for tri in combinations(range(len(pts)), 3):
+            a, b, c = (pts[i] for i in tri)
+            area = _cross2(_sub(b, a), _sub(c, a))
+            lams = [_cross2(_sub(b, p), _sub(c, p)), _cross2(_sub(c, p), _sub(a, p)),
+                    _cross2(_sub(a, p), _sub(b, p))]
+            if area and all(x * area >= 0 for x in lams):
+                combos.append([(i, Fraction(x, area)) for i, x in zip(tri, lams)])
+        out.append(combos)
+    return out
+
+
+def _envelope_oracle(combos, values):
+    """Exact envelope by Caratheodory: the best convex combination at each p."""
+    vals = [Fraction(v) for v in values]
+    return [max(sum(w * vals[i] for i, w in c) for c in cs) for cs in combos]
+
+
+def test_envelope_matches_exact_oracle():
+    rng = random.Random(139)
+    square = tuple(product(range(4), range(5)))
+    cases = [
+        (1, tuple((i,) for i in (-7, -4, -3, 0, 1, 2, 5, 6, 9, 13))),
+        (2, square),
+        (2, tuple(p for p in square if rng.random() < 0.7)),
+        (2, tuple((3 * i, 1 - 2 * i) for i in range(7))),  # collinear, slanted
+        (2, tuple((2, j) for j in range(-3, 4))),          # collinear, along axis 1
+    ]
+    for k, pts in cases:
+        combos = _convex_combinations(pts)
+        for _ in range(3):
+            f = GridFunction(k, Fraction(1, 4), pts, [rng.uniform(-1, 1) for _ in pts])
+            assert concave_envelope(f).values == tuple(
+                map(float, _envelope_oracle(combos, f.values)))
+    # affine values with an exact dyadic lift: the envelope is f itself
+    for k, pts in ((1, tuple((i,) for i in range(-4, 5))), (2, square)):
+        f = GridFunction(k, Fraction(1, 4), pts,
+                         [0.5 * p[0] - 0.25 * sum(p[1:]) + 1 for p in pts])
+        assert concave_envelope(f).values == f.values
+        assert _envelope_oracle(_convex_combinations(pts), f.values) == [
+            Fraction(v) for v in f.values]
+
+
 def test_four_point_linear_zero():
     pts = grid_2d(2)
     lin = GridFunction(2, Fraction(1, 4), pts,
@@ -512,6 +571,61 @@ def test_four_point_bound_random():
         for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             r = four_point_residual(f, f, t)
             assert r["res4_f_within_bound"] and r["res4_g_within_bound"]
+
+
+def _four_point_reference(f, g, t):
+    """Exhaustive exact (res3, res4_f, res4_g) over every pair of grid points."""
+    fd = {p: Fraction(v) for p, v in f.as_dict().items()}
+    gd = {p: Fraction(v) for p, v in g.as_dict().items()}
+
+    def combo(y1, y2, w):
+        y = tuple(w * a + (1 - w) * b for a, b in zip(y1, y2))
+        return tuple(map(int, y)) if all(c.denominator == 1 for c in y) else None
+
+    def res4(vals, w):
+        worst = 0
+        for y1, y2 in product(f.points, repeat=2):
+            a, b = combo(y1, y2, w), combo(y1, y2, 1 - w)
+            if a in vals and b in vals:
+                worst = max(worst, vals[y1] + vals[y2] - vals[a] - vals[b])
+        return worst
+
+    res3 = 0
+    for y1, y2 in product(f.points, repeat=2):
+        y = combo(y1, y2, t)
+        if y in fd:
+            res3 = max(res3, t * (fd[y1] - fd[y]) + (1 - t) * (gd[y2] - gd[y]))
+    return res3, res4(fd, 1 / (2 - t)), res4(gd, 1 / (1 + t))
+
+
+def test_four_point_residual_matches_exact_reference():
+    rng = random.Random(149)
+    domains = [tuple((i,) for i in range(9)),
+               tuple((i,) for i in (0, 1, 3, 4, 6, 7, 9, 12)),
+               grid_2d(2),
+               tuple(p for p in grid_2d(2) if rng.random() < 0.7)]
+    for pts in domains:
+        for same in (True, False):
+            f = GridFunction(len(pts[0]), Fraction(1, 8), pts,
+                             [rng.uniform(-1, 1) for _ in pts])
+            g = f if same else f.with_values(rng.uniform(-1, 1) for _ in pts)
+            for t in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)):
+                res3, r4f, r4g = _four_point_reference(f, g, t)
+                r = four_point_residual(f, g, t)
+                assert (r["res3"], r["res4_f"], r["res4_g"]) == (
+                    float(res3), float(r4f), float(r4g))
+                assert (r["bound_f"], r["bound_g"]) == (
+                    float(2 / t * res3), float(2 / (1 - t) * res3))
+                assert r["res4_f_within_bound"] == (r4f <= 2 / t * res3)
+                assert r["res4_g_within_bound"] == (r4g <= 2 / (1 - t) * res3)
+
+
+def test_grid_function_rejects_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            GridFunction(1, Fraction(1, 4), ((0,), (1,), (2,)), (0.0, bad, 1.0))
+        with pytest.raises(ValueError):
+            GridFunction(2, Fraction(1, 4), ((0, 0), (1, 0), (0, 1)), (bad, 0.0, 1.0))
 
 
 def test_step_a_quadratic_identity():
@@ -619,7 +733,9 @@ _GEOMETRY_SPECS = (
 # Recorded from an earlier implementation of the hull and polytope code, so a
 # rewrite that changes a vertex, a face order, a lattice scale, a volume, a
 # centroid or a float in the last digit fails here.  The 3D overlap is only
-# taken against a polytope that contains the set.
+# taken against a polytope that contains the set.  The concave_envelope
+# entries hold the exact envelope rounded once to floats, the values that
+# test_envelope_matches_exact_oracle checks against Caratheodory.
 _GEOMETRY_DIGESTS = {
     ("convex_hull", "perturbed-square", 1, 1):
         "b6dc4556a500a541cb0af3bb948ce4d22d9d5455a768d936c10b7e5b1c29c622",
@@ -714,13 +830,13 @@ _GEOMETRY_DIGESTS = {
     ("cos_pipeline", "boundary-bites", 3, 2):
         "8921ddf1e594278463998f4e30197afaea29ae92899b0d6b1d8606524cac4c06",
     ("concave_envelope", 2, 1):
-        "205a0bcdfe299624c824957d19bb768eb85ef967535efd1c8757fab1fe1b4ba3",
+        "b5721380067b9cef18c94fc978ab410daf7070e240afee3bf49261bf94ba52b0",
     ("level_set", 1, 1):
         "36a7f49b8ffdfc55d6244aa7b71e3a970a8e83da49b80628412a56bb0898f523",
     ("level_set", 2, 1):
         "545680f5eae96eface8f52433e434abfc48b709bd6e2304b075e087b41e7ed41",
     ("concave_envelope", 2, 2):
-        "eb5645e2edf707bbb3c7e06c6630b75804b6761539e0990e68723971c1eee010",
+        "c762508a1e0885d26d47c756e006884bec9a045ef1adef2474c470b6b9375f4e",
     ("level_set", 1, 2):
         "7a59df3ba0b6db995033aab5d62c989e206af12b80d4549ce56c1f5d8be66355",
     ("level_set", 2, 2):

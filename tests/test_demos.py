@@ -20,6 +20,8 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, demo.name], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    if demo.stem == "concave_fitting":
+        assert "concave input reproduced to 0.0\n" in proc.stdout
     if demo.stem == "stability_sweep":
         for name in ("bites_sweep.csv", "bites_sweep.svg"):
             got = (tmp_path / "output" / name).read_bytes()
