@@ -10,8 +10,10 @@ p*y + (q-p)*z; it is contiguous because consecutive corner sums differ by p
 or q-p, both below the block length q.  Run pairs are enumerated in chunks of
 at most _PAIR_CHUNK, so memory stays bounded by the guarded output grid
 whatever the pair count.  The runs are read straight off each operand's
-sorted cell array, and the covered cells of the output grid become S's cell
-array as they are, already sorted; no cell passes through a Python tuple.
+sorted cell array, and the engine's result is the covered output grid.
+Only `convex_combination` turns it into S's cells (already sorted, read off
+in C order); `deficit` needs |S| alone and counts the grid's true entries.
+No cell passes through a Python tuple.
 Everything is exact integer arithmetic: S's extent is sized in Python ints
 first, and a combination whose cells would leave int64 is refused.
 Randomized tests compare the engine, at every chunking, against a
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import nth_root_brackets
-from .vset import LatticeSet, _check_int64, reconcile
+from .vset import LatticeSet, _check_int64, _column_breaks, reconcile
 
 __all__ = [
     "convex_combination", "convex_combination_bruteforce", "deficit",
@@ -55,27 +57,37 @@ def convex_combination(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:
     rational approximation first (the combination measure is continuous in
     t, so the approximation error is the caller's to budget).
     """
+    return LatticeSet.from_mask(*_combination_grid(A, B, t))
+
+
+def _combination_grid(A: LatticeSet, B: LatticeSet, t):
+    """The engine: (covered grid, denom, origin) of S = t*A + (1-t)*B.
+
+    S is the cells origin + i for the true entries i of the grid, at denom
+    m*q; the grid has no entries when an operand is empty.
+    """
     t = _as_lowest_terms(t)
     p, q = t.numerator, t.denominator
     A, B = reconcile(A, B)
     m = A.denom
     if q * m > _DENOM_GUARD:
         raise ValueError(f"fine denom {q * m} exceeds guard {_DENOM_GUARD}")
-    if A.is_empty() or B.is_empty():
-        return LatticeSet(A.dim, m * q)
     n = A.dim
+    if A.is_empty() or B.is_empty():
+        return np.zeros((0,) * n, dtype=bool), m * q, 0
 
     # S's cells span [lo, lo + shape) per axis; sized with Python ints, so
     # coordinates that would leave int64 are refused before any numpy step
+    box_a, box_b = A.bounding_box(), B.bounding_box()
     lo, shape = [], []
-    for (a0, a1), (b0, b1) in zip(A.bounding_box(), B.bounding_box()):
+    for (a0, a1), (b0, b1) in zip(box_a, box_b):
         lo.append(p * a0 + (q - p) * b0)
         shape.append(p * (a1 - 1) + (q - p) * (b1 - 1) + q - lo[-1])
     _check_int64(min(lo), max(l + s - 1 for l, s in zip(lo, shape)))
     if math.prod(shape) > _GRID_GUARD:
         raise ValueError("combination grid too large; reduce denom or set size")
-    runs_a = _fiber_runs(A, p)
-    runs_b = _fiber_runs(B, q - p)
+    runs_a = _fiber_runs(A, p, box_a)
+    runs_b = _fiber_runs(B, q - p, box_b)
 
     # reach[y, s]: the furthest end of a fine interval starting at s over
     # base corner y; a fine cell x is covered iff some interval starting at
@@ -89,8 +101,10 @@ def convex_combination(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:
                        dtype=np.int64)
     key_a = (runs_a.base @ strides) * row + runs_a.first
     key_b = (runs_b.base @ strides) * row + runs_b.first
-    end_a = runs_a.last + q
-    end_b = runs_b.last
+    # ends as int32, the dtype of reach, keep np.maximum.at off its casting
+    # path; every end is at most row <= _GRID_GUARD = 2^25 < 2^31
+    end_a = (runs_a.last + q).astype(np.int32)
+    end_b = runs_b.last.astype(np.int32)
     nb = min(len(key_b), _PAIR_CHUNK)
     na = max(1, _PAIR_CHUNK // nb)
     for i in range(0, len(key_a), na):
@@ -106,7 +120,7 @@ def convex_combination(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:
     out = np.zeros(shape, dtype=bool)
     for off in np.ndindex(*(q,) * (n - 1)):
         out[tuple(slice(o, o + e) for o, e in zip(off, base_ext))] |= cover
-    return LatticeSet.from_mask(out, m * q, lo)
+    return out, m * q, lo
 
 
 class _Runs(NamedTuple):
@@ -121,13 +135,14 @@ class _Runs(NamedTuple):
     last: np.ndarray
 
 
-def _fiber_runs(E: LatticeSet, w: int) -> _Runs:
+def _fiber_runs(E: LatticeSet, w: int, box) -> _Runs:
+    """E's runs scaled by w; box is E.bounding_box()."""
     c = E.array  # sorted, so each run is a block of consecutive rows
-    brk = np.ones(len(c), dtype=bool)
-    brk[1:] = (c[1:, :-1] != c[:-1, :-1]).any(axis=1) | (c[1:, -1] != c[:-1, -1] + 1)
+    brk = _column_breaks(c)
+    brk[1:] |= c[1:, -1] != c[:-1, -1] + 1
     starts = np.flatnonzero(brk)
     stops = np.append(starts[1:], len(c)) - 1
-    lo = c.min(axis=0)
+    lo = np.array([l for l, _ in box], dtype=np.int64)
     return _Runs(base=(c[starts, :-1] - lo[:-1]) * w,
                  first=(c[starts, -1] - lo[-1]) * w,
                  last=(c[stops, -1] - lo[-1]) * w)
@@ -180,7 +195,9 @@ class DeficitRecord:
 
 
 def deficit(A: LatticeSet, B: LatticeSet, t) -> DeficitRecord:
-    """Both deficit flavors for (A, B, t), with S = t*A + (1-t)*B computed.
+    """Both deficit flavors for (A, B, t), S = t*A + (1-t)*B.
+
+    |S| is the count of the engine's covered grid; S's cells are not built.
 
     delta_norm = ||A|-1| + ||B|-1| + ||S|-1| is exact; the root-form gap
     |S|^(1/n) - t|A|^(1/n) - (1-t)|B|^(1/n) comes with a certified rational
@@ -189,9 +206,10 @@ def deficit(A: LatticeSet, B: LatticeSet, t) -> DeficitRecord:
     t = _as_lowest_terms(t)
     if A.is_empty() or B.is_empty():
         raise ValueError("deficit needs nonempty operands")
-    S = convex_combination(A, B, t)
+    out, denom, _ = _combination_grid(A, B, t)
     n = A.dim
-    vA, vB, vS = A.measure(), B.measure(), S.measure()
+    vA, vB = A.measure(), B.measure()
+    vS = Fraction(int(np.count_nonzero(out)), denom ** n)
     one = Fraction(1)
     delta_norm = abs(vA - one) + abs(vB - one) + abs(vS - one)
     sA = nth_root_brackets(vA, n)

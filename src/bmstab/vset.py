@@ -103,17 +103,29 @@ def _canonical(c: np.ndarray) -> np.ndarray:
             later = (b[:, j] > a[:, j]) | ((b[:, j] == a[:, j]) & later)
         if not later.all():
             c = c[np.lexsort(c.T[::-1])]
-            keep = np.ones(len(c), dtype=bool)
-            keep[1:] = (c[1:] != c[:-1]).any(axis=1)
+            keep = _column_breaks(c)
+            keep[1:] |= c[1:, -1] != c[:-1, -1]
             c = c[keep]
     return c
 
 
+def _column_breaks(c: np.ndarray) -> np.ndarray:
+    """brk[i]: row i of a sorted array starts a new last-axis column.
+
+    Like every row test and per-axis reduction here, it works one column at
+    a time: numpy reduces across the short second axis of a (k, n) array
+    many times slower than it makes n passes over strided columns.
+    """
+    brk = np.zeros(len(c), dtype=bool)
+    brk[:1] = True
+    for j in range(c.shape[1] - 1):
+        brk[1:] |= c[1:, j] != c[:-1, j]
+    return brk
+
+
 def _column_starts(c: np.ndarray) -> np.ndarray:
     """Indices of the first row of each last-axis column of a canonical array."""
-    new = np.ones(len(c), dtype=bool)
-    new[1:] = (c[1:, :-1] != c[:-1, :-1]).any(axis=1)
-    return np.flatnonzero(new)
+    return np.flatnonzero(_column_breaks(c))
 
 
 def _common_rows(a: np.ndarray, b: np.ndarray) -> int:
@@ -122,7 +134,10 @@ def _common_rows(a: np.ndarray, b: np.ndarray) -> int:
         return 0
     c = np.concatenate([a, b])
     c = c[np.lexsort(c.T[::-1])]
-    return int((c[1:] == c[:-1]).all(axis=1).sum())
+    same = c[1:, 0] == c[:-1, 0]
+    for j in range(1, c.shape[1]):
+        same &= c[1:, j] == c[:-1, j]
+    return int(np.count_nonzero(same))
 
 
 def _ball_window(M: int, bound: Fraction, power: int) -> tuple[int, int]:
@@ -188,9 +203,19 @@ class LatticeSet:
         origin = [_integer(o, "origin") for o in origin]
         if len(origin) != dim:
             raise ValueError("origin arity mismatch")
-        _check_int64(min(origin), max(o + k - 1 for o, k in zip(origin, mask.shape)))
-        # argwhere lists the true indices in C order: sorted and unique
-        return cls._from_canonical(dim, denom, np.argwhere(mask) + origin)
+        # the far corner of the grid; an axis of extent 0 still needs its origin
+        _check_int64(min(origin),
+                     max(o + max(k, 1) - 1 for o, k in zip(origin, mask.shape)))
+        # The flat indices of the true entries, in C order, are sorted and
+        # unique, and so are the index tuples divmod peels off them; they are
+        # written straight into one C-contiguous (k, dim) array.
+        flat = np.flatnonzero(mask)
+        cells = np.empty((len(flat), dim), dtype=np.int64)
+        for a in range(dim - 1, 0, -1):
+            np.divmod(flat, mask.shape[a], out=(flat, cells[:, a]))
+        cells[:, 0] = flat
+        cells += np.array(origin, dtype=np.int64)
+        return cls._from_canonical(dim, denom, cells)
 
     @classmethod
     def _from_canonical(cls, dim: int, denom: int, array: np.ndarray) -> "LatticeSet":
@@ -247,9 +272,7 @@ class LatticeSet:
         """Per-axis (lo, hi) cell-index ranges, hi exclusive."""
         if self.is_empty():
             raise ValueError("empty set has no bounding box")
-        los = self.array.min(axis=0).tolist()
-        his = self.array.max(axis=0).tolist()
-        return [(lo, hi + 1) for lo, hi in zip(los, his)]
+        return [(int(col.min()), int(col.max()) + 1) for col in self.array.T]
 
     def _boxes(self, steps, denom: int) -> "LatticeSet":
         """Cell c becomes the box prod_i [c_i*steps_i, (c_i+1)*steps_i) at denom."""

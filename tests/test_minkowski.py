@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from bmstab.minkowski import (
     IntervalSet, convex_combination, convex_combination_bruteforce, deficit,
     interval_sumset, kemperman_stability, parse_iset, write_iset,
 )
+from bmstab.scenarios import ScenarioSpec, generate_scenario
 from bmstab.vset import LatticeSet
 
 
@@ -62,10 +64,57 @@ def test_engines_agree(monkeypatch):
         B = random_set(rng, n=n)
         t = Fraction(1, 3)
         ref = convex_combination(A, B, t)
+        # deficit counts the engine's grid without building S's cells
+        assert deficit(A, B, t).volS == ref.measure()
         monkeypatch.setattr(mk, "_PAIR_CHUNK", 1)  # every run pair its own chunk
         assert convex_combination(A, B, t) == ref
+        assert deficit(A, B, t).volS == ref.measure()
         monkeypatch.undo()
         assert ref == convex_combination_bruteforce(A, B, t)
+
+
+# SHA-256 of S's cell array and its denom on criterion 01's family (unit
+# ball plus a far cell, L = 4), recorded before the engine's numpy paths
+# were reworked: the rewrite keeps every cell.
+_ENGINE_DIGESTS = {
+    (2, 16, "inner", "1/2"):
+        (128, "2b232336998b37aaf677c3ffeecfd29b5b355911c5640636ae5ef57c36f3ad22"),
+    (2, 16, "inner", "1/3"):
+        (192, "921bd01516b1e806aef6f7476fd0b6253f2d69f045efb328479aefcda134621e"),
+    (2, 16, "outer", "1/2"):
+        (128, "c0f20f88366b47c29a440134fc7b4771eeb72b7feb4b06d16373451fb446c9f5"),
+    (2, 16, "outer", "1/3"):
+        (192, "525bcf4bbffe40d3f8725b8913534afed24ea51dce493623b7b3b3cf634c67ae"),
+    (2, 32, "inner", "1/2"):
+        (256, "4278c1e3c5cee78a934bc95c9444e3cb6cabd9923a3f353712ed0c679d16caed"),
+    (2, 32, "inner", "1/3"):
+        (384, "c86223f969d37df3929b5722a2843f80c122fee09655a6e5e3ff897546cb2812"),
+    (2, 32, "outer", "1/2"):
+        (256, "4a51717c49579f1e1d3e32388c06e8b161f04996f0343c408ff4c641305e8dde"),
+    (2, 32, "outer", "1/3"):
+        (384, "4007535f43a1a170f2644e4784ba371120bddd42dff257f448b2294269a4abef"),
+    (3, 4, "inner", "1/2"):
+        (32, "b143b18f327bfbf8e6e5a564d762ec8e006e317d0b7774de51db55b437e1a97c"),
+    (3, 4, "inner", "1/3"):
+        (48, "0dc4adbbfa5e7fe68d362bd345f7c12a8d85d48b0713dda60ee909b77864b2b9"),
+    (3, 4, "outer", "1/2"):
+        (32, "1c0b0dad38b5ddbf6afdaf4e947ca7718be05d7468dce119151534c28aa69c1f"),
+    (3, 4, "outer", "1/3"):
+        (48, "18dc9476962f795403380be4c795029dae08d0203a955dff0de9b5c4d0974d02"),
+}
+
+
+def test_engine_matches_recorded_digests():
+    got = {}
+    for n, denom in ((2, 16), (2, 32), (3, 4)):
+        for side in ("inner", "outer"):
+            A, B = generate_scenario(ScenarioSpec(family="counterexample", n=n,
+                                                  denom=denom, L=4, bracket=side))
+            for t in (Fraction(1, 2), Fraction(1, 3)):
+                S = convex_combination(A, B, t)
+                got[n, denom, side, str(t)] = (
+                    S.denom, hashlib.sha256(S.array.tobytes()).hexdigest())
+    assert got == _ENGINE_DIGESTS
 
 
 def test_monotone_in_first_argument():
@@ -84,8 +133,14 @@ def test_t_validation_and_guard():
     cube = LatticeSet(2, 1, frozenset([(0, 0)]))
     with pytest.raises(ValueError):
         convex_combination(cube, cube, Fraction(3, 2))
-    with pytest.raises(ValueError):
-        convex_combination(cube, cube, Fraction(1, 1 << 21))
+    far = LatticeSet(2, 1, [(0, 0), (10 ** 4, 10 ** 4)])
+    for A, B, t in ((cube, cube, Fraction(1, 1 << 21)),    # fine-denom guard
+                    (far, far, Fraction(1, 2))):           # grid guard
+        with pytest.raises(ValueError) as want:
+            convex_combination(A, B, t)
+        with pytest.raises(ValueError) as got:            # the same engine
+            deficit(A, B, t)
+        assert str(got.value) == str(want.value)
 
 
 def test_deficit_cube_exact_zero():
@@ -148,7 +203,6 @@ def test_far_point_counterexample_deficit_quarter():
     # unit-volume ball plus a far cell: the halving combination gains 2^-n,
     # so the normalized deficit sits at 1/4 up to the rasterization slack,
     # which shrinks like 1/denom (the acceptance suite pins the tight case)
-    from bmstab.scenarios import ScenarioSpec, generate_scenario
     vals = {}
     for denom in (16, 32):
         for side in ("inner", "outer"):

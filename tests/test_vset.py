@@ -356,6 +356,46 @@ def test_from_mask_lists_true_entries():
     assert E == LatticeSet(2, 5, [(-1, 11), (1, 10), (1, 13)])
     with pytest.raises(ValueError):
         LatticeSet.from_mask(mask, 5, (2 ** 63 - 2, 0))
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        shapes = [tuple(rng.integers(1, 9, size=n)) for _ in range(6)]
+        for shape in shapes:
+            origins = [0, -3, tuple(rng.integers(-50, 50, size=n)),
+                       (-2 ** 63,) * n]
+            masks = [rng.random(shape) < 0.4, np.zeros(shape, dtype=bool),
+                     np.ones(shape, dtype=bool)]
+            for mask in masks:
+                for origin in origins:
+                    E = LatticeSet.from_mask(mask, 3, origin)
+                    _assert_canonical(E)
+                    assert E.array.flags.c_contiguous
+                    want = np.argwhere(mask) + np.array(origin, dtype=np.int64)
+                    assert np.array_equal(E.array, want)
+                    assert E == LatticeSet(n, 3, want)
+        with pytest.raises(ValueError):
+            LatticeSet.from_mask(np.ones((2,) * n, dtype=bool), 1, 2 ** 63 - 1)
+        with pytest.raises(ValueError):
+            LatticeSet.from_mask(np.ones((2,) * n, dtype=bool), 1, -2 ** 63 - 1)
+        with pytest.raises(ValueError):  # no cells, but an origin outside int64
+            LatticeSet.from_mask(np.zeros((0,) * n, dtype=bool), 1, 2 ** 63)
+
+
+def test_bounding_box_matches_per_axis_reference():
+    rng = random.Random(13)
+    extremes = (-2 ** 63, 2 ** 63 - 1)
+    for trial in range(60):
+        n = 1 + trial % 3
+        k = rng.randrange(1, 40)
+        cells = {tuple(rng.randrange(-20, 20) for _ in range(n)) for _ in range(k)}
+        if trial % 4 == 0:  # both ends of int64 in one array
+            cells |= {tuple(rng.choice(extremes) for _ in range(n)) for _ in range(3)}
+            cells.add(extremes[:1] * n)
+            cells.add(extremes[1:] * n)
+        E = LatticeSet(n, 2, cells)
+        box = E.bounding_box()
+        assert box == [(min(c[a] for c in cells), max(c[a] for c in cells) + 1)
+                       for a in range(n)]
+        assert all(type(v) is int for pair in box for v in pair)
 
 
 def test_hot_paths_never_build_cell_tuples(monkeypatch, tmp_path):
