@@ -7,8 +7,13 @@ arithmetic; no verdict depends on floating point.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
-from bmstab.minkowski import IntervalSet, interval_sumset, kemperman_stability
+import numpy as np
+
+from bmstab.minkowski import (
+    IntervalSet, interval_sumset, kemperman_batch, kemperman_stability,
+)
 
 ## A filled interval against a one-gap interval
 
@@ -31,22 +36,20 @@ print(f"  delta = {float(v['delta'])} >= min(|A|,|B|) = {float(min(A.measure(), 
 
 ## A small exhaustive sweep over a coarse grid
 
+# Integer endpoints in units of 1/8, every union padded to two components by
+# repeating its first; kemperman_batch checks all pairs at once.
 grid = 8  # endpoints in (1/8)Z within [0, 1]
 sets = []
-from itertools import combinations
 for k in (1, 2):
     for cuts in combinations(range(1, grid + 1), 2 * k - 1):
         ep = (0,) + cuts
-        comps = [(Fraction(ep[2 * i], grid), Fraction(ep[2 * i + 1], grid))
-                 for i in range(k)]
-        sets.append(IntervalSet(tuple(comps)))
-applicable = passed = 0
-for i, Ai in enumerate(sets):
-    for Bj in sets[i:]:
-        v = kemperman_stability(Ai, Bj)
-        if v["applicable"]:
-            applicable += 1
-            passed += v["pass"]
+        comps = [(ep[2 * i], ep[2 * i + 1]) for i in range(k)]
+        sets.append(comps + comps[:1] * (2 - k))
+rows = np.array(sets)
+v = kemperman_batch(rows[:, None], rows[None, :])
+upper = np.triu(np.ones((len(sets),) * 2, dtype=bool))  # each pair once
+applicable = int((v["applicable"] & upper).sum())
+passed = int((v["pass"] & upper).sum())
 print(f"\nexhaustive sweep on the 1/{grid} grid: {len(sets)} sets,"
       f" {applicable} applicable pairs, {passed} passed"
       f"  ->  {'no violations' if passed == applicable else 'VIOLATION'}")

@@ -14,7 +14,8 @@ from .vset import (
 )
 from .minkowski import (
     IntervalSet, DeficitRecord, convex_combination, deficit,
-    interval_sumset, kemperman_stability, write_iset, parse_iset,
+    interval_sumset, kemperman_batch, kemperman_stability, write_iset,
+    parse_iset,
 )
 from .symmetry import SymmetrizedBody, steiner, schwarz, natural, sup_slice_ratio_check
 from .transport import (

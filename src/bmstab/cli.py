@@ -225,7 +225,7 @@ def sweep(config_path: str) -> str:
         tau = Fraction(cfg.get("tau", "1/2"))
         eps_list = [Fraction(x) for x in cfg["eps_list"].split(",") if x.strip()]
         seeds = [int(x) for x in cfg["seeds"].split(",") if x.strip()]
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, ZeroDivisionError) as e:
         raise UsageError(f"bad sweep config: {e}") from None
     if not eps_list or not seeds:
         raise UsageError("bad sweep config: eps_list and seeds need a value each")

@@ -30,17 +30,18 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import nth_root_brackets
-from .vset import LatticeSet, _check_int64, _column_breaks, reconcile
+from .vset import _INT64, LatticeSet, _check_int64, _column_breaks, reconcile
 
 __all__ = [
     "convex_combination", "convex_combination_bruteforce", "deficit",
-    "DeficitRecord", "IntervalSet", "interval_sumset", "kemperman_stability",
-    "write_iset", "parse_iset",
+    "DeficitRecord", "IntervalSet", "interval_sumset", "kemperman_batch",
+    "kemperman_stability", "write_iset", "parse_iset",
 ]
 
 _DENOM_GUARD = 1 << 20
 _GRID_GUARD = 1 << 25
 _PAIR_CHUNK = 1 << 20  # run pairs combined per vectorized step
+_SUM_CHUNK = 1 << 20  # interval sums swept per vectorized step
 
 
 def _as_lowest_terms(t) -> Fraction:
@@ -270,13 +271,119 @@ class IntervalSet:
         return IntervalSet(tuple((a + v, b + v) for a, b in self.components))
 
 
+# Interval unions enter the engine as integer endpoint arrays over one common
+# denominator: a (..., k, 2) array holds unions of at most k closed intervals,
+# and a union with fewer than k repeats its first interval, which leaves it
+# unchanged.  Inside, a batch of N unions is a (2, k, N) array of starts and
+# ends, one union per column, so every step runs along the long axis.  One
+# sort-and-sweep measures every union.  Sort a union's starts and,
+# separately, its ends: where the (i+1)-th start exceeds the i-th end, a new
+# component starts and the gap between them is uncovered; every other gap is
+# covered.  (This is the sweep in start order with a running max of the
+# ends: where the (i+1)-th start exceeds the ends of the i intervals before
+# it, those are the i intervals with the smallest ends.)  The union's length
+# is its span less its gaps, and A + B is the union of all pairwise interval
+# sums.
+
+
+def _sweep(iv):
+    """(starts, ends, gaps) of a (2, K, N) batch of unions, as (K, N) arrays:
+    each union's starts and ends sorted, and the (i+1)-th start less the
+    i-th end, positive exactly where a new component starts."""
+    s, e = np.sort(iv, axis=1)
+    return s, e, s[1:] - e[:-1]
+
+
+def _union_length(iv):
+    s, e, gap = _sweep(iv)
+    return e[-1] - s[0] - np.maximum(gap, 0).sum(axis=0)
+
+
+def _pair_sums(a, b):
+    """Column i holds every interval of a's union i plus every interval of
+    b's union i."""
+    return (a[:, :, None] + b[:, None, :]).reshape(
+        2, a.shape[1] * b.shape[1], a.shape[2])
+
+
+def _endpoint_arrays(a, b):
+    """a and b as int64 arrays when every value the sweep forms fits, else as
+    Python-int object arrays; sized with Python ints first.
+
+    Endpoint sums, their differences, and the lengths built from them are at
+    most 4 * max|endpoint| in magnitude.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    for x in (a, b):
+        if x.ndim < 3 or x.shape[-1] != 2 or x.shape[-2] == 0:
+            raise ValueError("interval unions must be (..., k, 2) endpoint "
+                             f"arrays with k >= 1, got shape {x.shape}")
+        if x.dtype.kind not in "iu" and not all(
+                isinstance(v, (int, np.integer)) for v in x.flat):
+            raise ValueError(f"interval endpoints must be integers, got {x.dtype}")
+        if (x[..., 0] > x[..., 1]).any():
+            raise ValueError("an interval's start exceeds its end")
+    bound = max((max(-int(x.min()), int(x.max())) for x in (a, b) if x.size),
+                default=0)
+    dtype = np.int64 if 4 * bound <= _INT64.max else object
+    return a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+
+
+def _integer_rows(A: IntervalSet, B: IntervalSet):
+    """(d, a, b): A and B as one-row endpoint arrays over the lcm d of their
+    endpoint denominators."""
+    d = math.lcm(*(x.denominator for X in (A, B)
+                   for comp in X.components for x in comp))
+    a, b = (np.array([[[x.numerator * (d // x.denominator) for x in comp]
+                       for comp in X.components]], dtype=object)
+            for X in (A, B))
+    return (d, *_endpoint_arrays(a, b))
+
+
 def interval_sumset(A: IntervalSet, B: IntervalSet) -> IntervalSet:
     """Exact A + B as a normalized interval union."""
     if A.is_empty() or B.is_empty():
         raise ValueError("interval_sumset needs nonempty operands")
-    sums = [(a0 + a1, b0 + b1)
-            for a0, b0 in A.components for a1, b1 in B.components]
-    return IntervalSet.from_intervals(sums)
+    d, a, b = _integer_rows(A, B)
+    s, e, gap = (x[:, 0] for x in _sweep(_pair_sums(a.T, b.T)))
+    first = np.flatnonzero(np.r_[True, gap > 0])
+    last = np.r_[first[1:] - 1, len(s) - 1]
+    return IntervalSet(tuple((Fraction(int(lo), d), Fraction(int(hi), d))
+                             for lo, hi in zip(s[first], e[last])))
+
+
+def kemperman_batch(a, b) -> dict:
+    """Kemperman's test (see `kemperman_stability`) on arrays of pairs.
+
+    a and b hold interval unions as (..., k, 2) and (..., k', 2) integer
+    endpoint arrays over one common denominator; a union with fewer
+    components repeats its first.  Their leading axes broadcast as numpy's
+    do: (N, k, 2) rows test N pairs (a[i], b[i]), and a[:, None] against
+    b[None] tests every pair.  Returns arrays of the broadcast leading shape
+    under "delta", "excessA", "excessB" (in units of the denominator),
+    "applicable" and "pass".  Each union is measured once, and the pairwise
+    sums are swept in chunks of at most _SUM_CHUNK interval sums.
+    """
+    a, b = _endpoint_arrays(a, b)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    ia, ib = (np.broadcast_to(np.arange(math.prod(x.shape[:-2]))
+                              .reshape(x.shape[:-2]), lead).ravel()
+              for x in (a, b))
+    a, b = (np.ascontiguousarray(x.reshape(-1, *x.shape[-2:]).T) for x in (a, b))
+    mA, mB = _union_length(a), _union_length(b)
+    exA = (a[1].max(axis=0) - a[0].min(axis=0) - mA)[ia]
+    exB = (b[1].max(axis=0) - b[0].min(axis=0) - mB)[ib]
+    mA, mB = mA[ia], mB[ib]
+    step = max(1, _SUM_CHUNK // (a.shape[1] * b.shape[1]))
+    delta = np.concatenate([
+        _union_length(_pair_sums(np.take(a, ia[i:i + step], axis=2),
+                                 np.take(b, ib[i:i + step], axis=2)))
+        for i in range(0, max(len(ia), 1), step)]) - mA - mB
+    applicable = delta < np.minimum(mA, mB)
+    out = {"delta": delta, "excessA": exA, "excessB": exB,
+           "applicable": applicable,
+           "pass": applicable & (exA <= delta) & (exB <= delta)}
+    return {key: x.reshape(lead) for key, x in out.items()}
 
 
 def kemperman_stability(A: IntervalSet, B: IntervalSet) -> dict:
@@ -288,26 +395,21 @@ def kemperman_stability(A: IntervalSet, B: IntervalSet) -> dict:
     |B| = g <= 2, where the hull excess is g while delta = g as well only
     when the sum's two branches stay disjoint, i.e. g >= |B|).  When
     applicable, the hulls I, J of A, B must satisfy |I \\ A| <= delta and
-    |J \\ B| <= delta.
+    |J \\ B| <= delta.  The pair goes through `kemperman_batch` as one row
+    over its endpoints' lcm denominator.
     """
     if A.is_empty() or B.is_empty():
         raise ValueError("kemperman_stability needs nonempty operands")
-    S = interval_sumset(A, B)
-    delta = S.measure() - A.measure() - B.measure()
-    I = A.hull()
-    J = B.hull()
-    excessA = (I[1] - I[0]) - A.measure()
-    excessB = (J[1] - J[0]) - B.measure()
-    applicable = delta < min(A.measure(), B.measure())
-    passed = bool(applicable and excessA <= delta and excessB <= delta)
+    d, a, b = _integer_rows(A, B)
+    v = {key: x[0] for key, x in kemperman_batch(a, b).items()}
     return {
-        "applicable": bool(applicable),
-        "delta": delta,
-        "I": I,
-        "J": J,
-        "excessA": excessA,
-        "excessB": excessB,
-        "pass": passed,
+        "applicable": bool(v["applicable"]),
+        "delta": Fraction(int(v["delta"]), d),
+        "I": A.hull(),
+        "J": B.hull(),
+        "excessA": Fraction(int(v["excessA"]), d),
+        "excessB": Fraction(int(v["excessB"]), d),
+        "pass": bool(v["pass"]),
     }
 
 
@@ -333,5 +435,8 @@ def parse_iset(text: str) -> IntervalSet:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad component line: {ln!r}")
-        comps.append((Fraction(parts[0]), Fraction(parts[1])))
+        try:
+            comps.append((Fraction(parts[0]), Fraction(parts[1])))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in component line: {ln!r}") from None
     return IntervalSet(tuple(comps))

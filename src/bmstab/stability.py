@@ -309,7 +309,7 @@ class StabilityReport:
     K: Polytope
     D_star: Fraction
     bound: float
-    threshold: Fraction | float  # e^(-M_n(tau)), the ceiling for delta: exact at n = 1
+    threshold: Fraction | mp.mpf  # e^(-M_n(tau)), the ceiling for delta: exact at n = 1
     verdict: str          # pass | vacuous | fail
 
     CSV_HEADER = "id,n,t,tau,delta_norm,delta_raw,vx,vy,vz,D_star,bound,verdict"
@@ -335,7 +335,8 @@ def check_stability(A: LatticeSet, B: LatticeSet, t, tau,
     The verdict is `vacuous` when delta exceeds e^(-M_n(tau)) (the typical
     desk-scale outcome, reported honestly), `pass` when the hypothesis holds
     and D* <= tau^(-5n) * delta^(eps_n(tau)), and `fail` otherwise.  At
-    n = 1, M = log(3/tau), so the threshold is the exact rational tau/3.
+    n = 1, M = log(3/tau), so the threshold is the exact rational tau/3;
+    at n >= 2 it is e^(-M) as an mpf at _PREC_BITS, below binary64's range.
     The measured pair feeds empirical-exponent fits regardless of the verdict.
     """
     t = Fraction(t)
@@ -346,14 +347,17 @@ def check_stability(A: LatticeSet, B: LatticeSet, t, tau,
     table = constants(n, tau)
     delta = rec.delta_norm
     with mp.workprec(_PREC_BITS):
-        threshold = tau / 3 if n == 1 else float(mp.e ** (-table.M))
+        # e^-M underflows binary64 at n >= 2 (M ~ 42330 at n = 2), so it
+        # stays an mpf and delta is compared with it at _PREC_BITS
+        threshold = tau / 3 if n == 1 else mp.exp(-table.M)
+        vacuous = delta.numerator > threshold * delta.denominator
         if delta == 0:
             bound = 0.0
         else:
             d = mp.mpf(delta.numerator) / delta.denominator
             bound = float(mp.mpf(tau.numerator) / tau.denominator) ** (-5 * n) \
                 * float(d ** table.eps)
-    if delta > threshold:
+    if vacuous:
         verdict = "vacuous"
     elif float(hd["D_star"]) <= bound:
         verdict = "pass"

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._roots import PI_HI, PI_LO
+from ._roots import PI_HI, PI_LO, nth_root_brackets
 from .vset import (
     LatticeSet, _ball_cells, _columns, intersection_measure, sup_slice_measure,
 )
@@ -117,6 +117,10 @@ def sup_slice_ratio_check(A: LatticeSet, B: LatticeSet, t, delta) -> dict:
     gamma is the sup-slice ratio raised to the complementary weight (operands
     exchanged if needed so gamma <= 1); the verified inequality is
     4*delta >= (tau/2) * |gamma - 1|^2, i.e. |gamma - 1| <= sqrt(8*delta/tau).
+    For t = p/q, gamma is the q-th root of a rational power of the ratio, so
+    it comes as a certified bracket, and `pass` is False only when the
+    bracket proves (1 - gamma)^2 > 8*delta/tau.  `gamma` and `bound` are
+    reported as floats.
     """
     t = Fraction(t)
     delta = Fraction(delta)
@@ -127,12 +131,14 @@ def sup_slice_ratio_check(A: LatticeSet, B: LatticeSet, t, delta) -> dict:
     if supA == 0 or supB == 0:
         raise ValueError("zero sup-slice measure")
     tau = min(t, 1 - t)
-    g1 = float(supA / supB) ** float(1 - t)
-    g2 = float(supB / supA) ** float(t)
-    gamma = min(g1, g2)
-    bound = math.sqrt(8 * float(delta) / float(tau))
+    p, q = t.numerator, t.denominator
+    if supA <= supB:
+        ratio, power = supA / supB, q - p  # gamma = (supA/supB)^(1-t)
+    else:
+        ratio, power = supB / supA, p  # gamma = (supB/supA)^t
+    lo, hi = nth_root_brackets(ratio ** power, q)
     return {
-        "gamma": gamma,
-        "bound": bound,
-        "pass": abs(gamma - 1) <= bound + 1e-12,
+        "gamma": float((lo + hi) / 2),
+        "bound": math.sqrt(8 * float(delta) / float(tau)),
+        "pass": (1 - min(hi, 1)) ** 2 <= 8 * delta / tau,
     }

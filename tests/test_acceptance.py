@@ -9,13 +9,16 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from bmstab.cli import fit_loglog_slope
 from bmstab.convexity import (
     GridFunction, concave_envelope, concavity_fit, convex_hull,
     four_point_residual,
 )
 from bmstab.minkowski import (
-    IntervalSet, convex_combination, deficit, kemperman_stability,
+    IntervalSet, convex_combination, deficit, kemperman_batch,
+    kemperman_stability,
 )
 from bmstab.scenarios import ScenarioSpec, SplitMix64, generate_scenario
 from bmstab.stability import check_stability, constants, cos_pipeline
@@ -82,45 +85,21 @@ def test_criterion_02_bm_nonnegativity_1000_scenarios():
 # --- criterion 3: exhaustive 1D stability ------------------------------------
 
 
-def _merge_total(sums):
-    sums.sort()
-    total = 0
-    cl, ch = sums[0]
-    for a, b in sums[1:]:
-        if a <= ch:
-            if b > ch:
-                ch = b
-        else:
-            total += ch - cl
-            cl, ch = a, b
-    return total + ch - cl
-
-
-def _kemperman_fast(A, B):
-    """Exact integer check; returns (applicable, passed)."""
-    compsA, mA, exA = A
-    compsB, mB, exB = B
-    sums = [(a0 + a1, b0 + b1) for a0, b0 in compsA for a1, b1 in compsB]
-    delta = _merge_total(sums) - mA - mB
-    if delta >= min(mA, mB):
-        return False, True
-    return True, exA <= delta and exB <= delta
-
-
-def _pack(comps):
-    m = sum(b - a for a, b in comps)
-    ex = (comps[-1][1] - comps[0][0]) - m
-    return comps, m, ex
-
-
 def _enum_anchored(grid_pts, max_comp):
     """Translation representatives: endpoint 0, all endpoints <= grid_pts."""
     out = []
     for k in range(1, max_comp + 1):
         for cuts in combinations(range(1, grid_pts + 1), 2 * k - 1):
             ep = (0,) + cuts
-            out.append(_pack(tuple((ep[2 * i], ep[2 * i + 1]) for i in range(k))))
+            out.append(tuple((ep[2 * i], ep[2 * i + 1]) for i in range(k)))
     return out
+
+
+def _rows(sets, k):
+    """Integer endpoint rows, each union padded to k components by repeating
+    its first."""
+    return np.array([comps + comps[:1] * (k - len(comps)) for comps in sets],
+                    dtype=np.int64)
 
 
 def test_criterion_03_kemperman_exhaustive():
@@ -128,44 +107,49 @@ def test_criterion_03_kemperman_exhaustive():
     # Exhaustive sweep over all translation-deduplicated pairs with endpoints
     # on (1/16)Z and span <= 1 (the full stated span [0, 4] is sampled below;
     # the all-pairs enumeration over the whole span is combinatorially out of
-    # reach of any per-pair check).
+    # reach of any per-pair check).  Every pair goes through the library's
+    # integer batch, in units of 1/16.
     sets = _enum_anchored(16, 3)
+    rows = _rows(sets, 3)
+    idx = np.arange(len(sets))
     checked = 0
     applicable = 0
-    for i in range(len(sets)):
-        Ai = sets[i]
-        for j in range(i, len(sets)):
-            app, ok = _kemperman_fast(Ai, sets[j])
-            assert ok
-            checked += 1
-            applicable += app
+    for i0 in range(0, len(sets), 64):
+        # sets i0..i0+63 against every set from i0 on; the pairs j < i inside
+        # the block are checked too, and counted once, as (j, i)
+        res = kemperman_batch(rows[i0:i0 + 64, None], rows[None, i0:])
+        upper = idx[None, i0:] >= idx[i0:i0 + 64, None]
+        assert (res["pass"] | ~res["applicable"]).all()
+        checked += int(upper.sum())
+        applicable += int((res["applicable"] & upper).sum())
     # randomized coverage of the stated [0, 4] span
     rng = SplitMix64(12345)
-    sampled = 0
+    pairs = []
     for _ in range(200_000):
         pair = []
         for _ in range(2):
             k = 1 + rng.next_below(3)
             cuts = sorted({rng.next_below(65) for _ in range(2 * k)})
-            comps = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if b > a]
-            pair.append(_pack(tuple(comps)) if comps else None)
-        if pair[0] is None or pair[1] is None:
-            continue
-        app, ok = _kemperman_fast(pair[0], pair[1])
-        assert ok
-        sampled += 1
-    # cross-validate the fast integer path against the library on a sample
+            comps = tuple((a, b) for a, b in zip(cuts[::2], cuts[1::2]) if b > a)
+            pair.append(comps)
+        if pair[0] and pair[1]:
+            pairs.append(pair)
+    res = kemperman_batch(_rows([A for A, _ in pairs], 3),
+                          _rows([B for _, B in pairs], 3))
+    assert (res["pass"] | ~res["applicable"]).all()
+    sampled = len(pairs)
+    # cross-validate the batch against the library's single-pair check
     rng2 = random.Random(7)
-    for _ in range(500):
-        A = sets[rng2.randrange(len(sets))]
-        B = sets[rng2.randrange(len(sets))]
+    picks = [(rng2.randrange(len(sets)), rng2.randrange(len(sets)))
+             for _ in range(500)]
+    res = kemperman_batch(rows[[a for a, _ in picks]], rows[[b for _, b in picks]])
+    for r, (a, b) in enumerate(picks):
         ref = kemperman_stability(
-            IntervalSet(tuple((Fraction(a, 16), Fraction(b, 16)) for a, b in A[0])),
-            IntervalSet(tuple((Fraction(a, 16), Fraction(b, 16)) for a, b in B[0])))
-        app, ok = _kemperman_fast(A, B)
-        assert app == ref["applicable"]
-        if app:
-            assert ok == ref["pass"]
+            IntervalSet(tuple((Fraction(x, 16), Fraction(y, 16)) for x, y in sets[a])),
+            IntervalSet(tuple((Fraction(x, 16), Fraction(y, 16)) for x, y in sets[b])))
+        assert res["applicable"][r] == ref["applicable"]
+        if ref["applicable"]:
+            assert res["pass"][r] == ref["pass"]
     elapsed = time.time() - t0
     assert elapsed < 300.0
     _report(3, "kemperman-exhaustive",
@@ -401,7 +385,8 @@ def test_criterion_12_stability_trend():
                                  instance_id=f"bites-{k}")
         rows.append(rep)
         assert rep.verdict == "vacuous"
-        assert rep.record.delta_norm > rep.threshold
+        delta = rep.record.delta_norm
+        assert rep.threshold * delta.denominator < delta.numerator
         assert rep.bound > 10 * float(rep.D_star)  # vacuously satisfied
         deltas.append(float(rep.record.delta_norm))
         dstars.append(float(rep.D_star))

@@ -74,6 +74,9 @@ def test_kemperman_exit_codes(tmp_path):
     missing = run(["kemperman", "--in-a", str(tmp_path / "nope.iset"),
                    "--in-b", str(ok)])
     assert missing == 2
+    zero = tmp_path / "zero.iset"
+    zero.write_text("iset 1\n1/0 1\n")
+    assert run(["kemperman", "--in-a", str(zero), "--in-b", str(ok)]) == 2
 
 
 def test_constants_subcommand(tmp_path):
@@ -110,7 +113,9 @@ def test_sweep_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     for text in ("family=boundary-bites\n",  # missing eps_list/seeds
                  "family=boundary-bites\neps_list=\nseeds=1\n",
-                 "family=boundary-bites\neps_list=1/8\nseeds= ,\n"):
+                 "family=boundary-bites\neps_list=1/8\nseeds= ,\n",
+                 "family=boundary-bites\nt=1/0\neps_list=1/8\nseeds=1\n",
+                 "family=boundary-bites\neps_list=1/0\nseeds=1\n"):
         cfg.write_text(text)
         assert run(["sweep", "--config", str(cfg)]) == 2
     assert capsys.readouterr().out == ""

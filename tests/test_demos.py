@@ -22,6 +22,8 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     if demo.stem == "concave_fitting":
         assert "concave input reproduced to 0.0\n" in proc.stdout
+    if demo.stem == "kemperman_intervals":
+        assert "->  no violations\n" in proc.stdout
     if demo.stem == "stability_sweep":
         for name in ("bites_sweep.csv", "bites_sweep.svg"):
             got = (tmp_path / "output" / name).read_bytes()

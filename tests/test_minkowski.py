@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -269,6 +270,92 @@ def test_kemperman_randomized_sound():
         v = kemperman_stability(A, B)
         if v["applicable"]:
             assert v["pass"], (A.components, B.components, v)
+
+
+def _kemperman_oracle(A, B):
+    """(A + B, Kemperman's dict) from Fraction sums merged by from_intervals."""
+    S = IntervalSet.from_intervals([(a0 + a1, b0 + b1) for a0, b0 in A.components
+                                    for a1, b1 in B.components])
+    delta = S.measure() - A.measure() - B.measure()
+    (i0, i1), (j0, j1) = A.hull(), B.hull()
+    exA, exB = i1 - i0 - A.measure(), j1 - j0 - B.measure()
+    applicable = delta < min(A.measure(), B.measure())
+    return S, {"applicable": applicable, "delta": delta, "I": (i0, i1),
+               "J": (j0, j1), "excessA": exA, "excessB": exB,
+               "pass": applicable and exA <= delta and exB <= delta}
+
+
+def _padded_rows(sets, d, k=3):
+    """Integer endpoint rows in units of 1/d, padded to k components."""
+    rows = []
+    for X in sets:
+        comps = [[int(x * d) for x in comp] for comp in X.components]
+        rows.append(comps + comps[:1] * (k - len(comps)))
+    return np.array(rows, dtype=object)
+
+
+def test_interval_engine_matches_fraction_oracle(monkeypatch):
+    rng = random.Random(29)
+
+    def union(den, offset):
+        # endpoints drawn with repeats: point components, and sums that touch
+        k = rng.randrange(1, 4)
+        cuts = sorted(rng.randrange(0, 13) for _ in range(2 * k))
+        return IntervalSet.from_intervals(
+            [(Fraction(a, den) + offset, Fraction(b, den) + offset)
+             for a, b in zip(cuts[::2], cuts[1::2])])
+
+    I = IntervalSet.from_intervals([(0, 1)])
+    # [0,1] u [2,3] + [0,1] touches at 2; {0} u [1,2] + [0,1] touches at 1
+    fixed = [(IntervalSet.from_intervals([(0, 1), (2, 3)]), I),
+             (IntervalSet.from_intervals([(0, 0), (1, 2)]), I)]
+    d = 48  # every denominator below divides it
+    # the last offset puts endpoint sums outside int64: the object path
+    for offset, dtype in ((0, np.int64), (Fraction(-7, 3), np.int64),
+                          (2 ** 62, object)):
+        pairs = [(union(rng.choice([1, 2, 4, 16]), offset),
+                  union(rng.choice([1, 3, 16]), offset)) for _ in range(150)]
+        if offset == 0:
+            pairs += fixed
+        refs = []
+        for A, B in pairs:
+            S, ref = _kemperman_oracle(A, B)
+            assert interval_sumset(A, B) == S
+            assert kemperman_stability(A, B) == ref
+            refs.append(ref)
+        a = _padded_rows([A for A, _ in pairs], d)
+        b = _padded_rows([B for _, B in pairs], d)
+        assert mk._endpoint_arrays(a, b)[0].dtype == dtype
+        got = mk.kemperman_batch(a, b)
+        for r, ref in enumerate(refs):
+            for key in ("delta", "excessA", "excessB"):
+                assert got[key][r] == ref[key] * d
+            assert got["applicable"][r] == ref["applicable"]
+            assert got["pass"][r] == ref["pass"]
+        # every pair at once by broadcasting, and one interval sum per chunk
+        grid = mk.kemperman_batch(a[:, None], b[None])
+        for key, x in got.items():
+            assert (np.diagonal(grid[key]) == x).all()
+        for i, j in ((0, 1), (5, 2), (9, 140)):
+            ref = _kemperman_oracle(pairs[i][0], pairs[j][1])[1]
+            assert grid["delta"][i, j] == ref["delta"] * d
+            assert grid["pass"][i, j] == ref["pass"]
+        monkeypatch.setattr(mk, "_SUM_CHUNK", 1)
+        for key, x in mk.kemperman_batch(a, b).items():
+            assert (x == got[key]).all()
+        monkeypatch.undo()
+
+
+def test_kemperman_batch_rejects_malformed_rows():
+    ok = np.array([[[0, 1]]])
+    for bad in (np.zeros((2, 3), dtype=np.int64), np.array([[[0.5, 1]]]),
+                np.array([[[2, 1]]]), np.zeros((1, 0, 2), dtype=np.int64),
+                np.array([[[Fraction(1, 2), 1]]], dtype=object)):
+        with pytest.raises(ValueError):
+            mk.kemperman_batch(bad, ok)
+    with pytest.raises(ValueError):
+        mk.kemperman_batch(np.zeros((2, 1, 2), dtype=np.int64),
+                           np.zeros((3, 1, 2), dtype=np.int64))
 
 
 def test_iset_round_trip():

@@ -289,7 +289,8 @@ def test_check_stability_typical_instance_vacuous():
     bitten = LatticeSet(2, 4, sq.cells - {(0, 0)})
     rep = check_stability(sq, bitten, Fraction(1, 2), Fraction(1, 2))
     assert rep.verdict == "vacuous"
-    assert rep.record.delta_norm > rep.threshold
+    delta = rep.record.delta_norm
+    assert rep.threshold * delta.denominator < delta.numerator
     # the bound is astronomically larger than the measured distance
     assert rep.bound > float(rep.D_star)
 
@@ -304,6 +305,18 @@ def test_check_stability_1d_threshold_is_exact():
     assert rep.D_star == Fraction(2, 3)
     assert abs(rep.bound - 16 / 3) < 1e-12
     assert rep.verdict == "pass"
+
+
+def test_check_stability_threshold_does_not_underflow():
+    # at n = 2, e^(-M) is about 2.4e-18384, far below the smallest float, so
+    # the threshold must stay a positive mpf for delta to be compared with it
+    A, B = generate_scenario(ScenarioSpec(family="boundary-bites", n=2, denom=16,
+                                          eps=Fraction(1, 64), seed=1))
+    rep = check_stability(A, B, Fraction(1, 2), Fraction(1, 2))
+    assert rep.record.delta_norm == Fraction(1, 64)
+    assert 0 < rep.threshold < mp.mpf(1) / 64
+    assert rep.threshold > mp.mpf(10) ** -18400
+    assert rep.verdict == "vacuous"
 
 
 def test_cos_pipeline_3d_certified():

@@ -133,6 +133,22 @@ def test_sup_slice_ratio_check():
     with pytest.raises(ValueError):
         sup_slice_ratio_check(sq, LatticeSet(2, 4), Fraction(1, 2), Fraction(0))
 
+    # a column against the square: sup-slice ratio 1/4.  At t = 1/2, gamma =
+    # 1/2 exactly, so (1 - gamma)^2 = 8*delta/tau at delta = 1/64, and any
+    # smaller delta is a proven violation, however close
+    col = LatticeSet(2, 4, frozenset((0, j) for j in range(4)))
+    for X, Y in ((col, sq), (sq, col)):
+        res = sup_slice_ratio_check(X, Y, Fraction(1, 2), Fraction(1, 64))
+        assert res["gamma"] == 0.5 and res["pass"]
+        assert not sup_slice_ratio_check(X, Y, Fraction(1, 2),
+                                         Fraction(1, 64) - Fraction(1, 10**15))["pass"]
+    # at t = 1/3, gamma = (1/4)^(2/3) is irrational and comes as a bracket
+    gamma = 0.25 ** (2 / 3)
+    edge = Fraction((1 - gamma) ** 2) / 24  # delta with 8*delta/tau = (1 - gamma)^2
+    for step, ok in ((Fraction(1, 10**9), True), (-Fraction(1, 10**9), False)):
+        res = sup_slice_ratio_check(col, sq, Fraction(1, 3), edge + step)
+        assert abs(res["gamma"] - gamma) < 1e-15 and res["pass"] == ok
+
 
 _SYM_CASES = {  # family -> (eps, denom for n = 2, 3)
     "boundary-bites": (Fraction(1, 2), (6, 4)),
