@@ -134,13 +134,13 @@ class Polytope:
 def convex_hull(E: LatticeSet) -> Polytope:
     """Exact convex hull of a lattice set (of all its cell corners).
 
-    It is built from `E.hull_points()`, the corners of each last-axis
-    column's end cells, and sits on the coarsest lattice 1/L, L dividing
-    E.denom, that holds its vertices.
+    Its vertices are the extreme points among `E.hull_points()`, the exact
+    hull candidates, and it sits on the coarsest lattice 1/L, L dividing
+    E.denom, that holds those vertices.
     """
     if E.is_empty():
         raise ValueError("convex_hull needs a nonempty set")
-    return Polytope.from_lattice_points(E.hull_points(), E.denom)
+    return Polytope.from_lattice_points(hull(E.hull_points())[0], E.denom)
 
 
 def hull_excess(E: LatticeSet) -> Fraction:

@@ -11,6 +11,7 @@ against their closed-form bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,12 +93,21 @@ def _eps_M(n: int, tau: Fraction, cache: dict):
 
 
 def constants(n: int, tau) -> ConstantsTable:
-    """Constant table for dimension n and weight floor tau in (0, 1/2]."""
+    """Constant table for dimension n and weight floor tau in (0, 1/2].
+
+    The tables of the last 128 distinct (n, tau) are kept: equal arguments
+    then return the same immutable object, and a sweep's rows share one.
+    """
     tau = Fraction(tau)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0 < tau <= Fraction(1, 2)):
         raise ValueError("tau must lie in (0, 1/2]")
+    return _constants(n, tau)
+
+
+@functools.lru_cache
+def _constants(n: int, tau: Fraction) -> ConstantsTable:
     with mp.workprec(_PREC_BITS):
         eps, M, beta, alpha_bar, eta, zeta = _eps_M(n, tau, {})
         t = mp.mpf(tau.numerator) / tau.denominator
@@ -122,15 +132,18 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     fine-lattice translations v, with every D(v) evaluated exactly; since the
     set measures are fixed, this is 2*vol(hull) - |A| - |B|, and candidates
     are compared by the hull's integer d!-volume on the lattice.  Each hull
-    is built from the two sets' hull vertices, which come from the corners of
-    each last-axis column's end cells (`LatticeSet.hull_points`).  Coarse
-    stride scan over the alignment window, then stride halving to 1;
-    deterministic lexicographic tie-breaking.
+    is built from the two sets' hull vertices, found once from their exact
+    hull candidates (`LatticeSet.hull_points`).  Coarse stride scan over the
+    alignment window, then stride halving to 1; deterministic lexicographic
+    tie-breaking.
 
     Each level visits its shifts in increasing order of a lower bound on
     their volume (`_box_bound`) and stops at the first whose bound exceeds
     the best volume so far.  A skipped shift is strictly worse than the
     level's minimum, so every level ends at the same shift as a full scan.
+    The level's bounds come from one exact table per axis, the bounding
+    boxes' overlap at each of its offsets, and only the shifts whose bound
+    does not exceed the best volume at the level's start are sorted.
     `hull_evals` counts the distinct shifts whose hull was built.
     """
     if A.is_empty() or B.is_empty():
@@ -162,8 +175,9 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
 
     def scan(span):
         nonlocal best, best_v
-        for bound, v in sorted((_box_bound(VA, boxA, VB, boxB, v), v)
-                               for v in product(*span)):
+        bounds = _box_bounds(VA, boxA, VB, boxB, span)
+        for bound, v in sorted((b, v) for b, v in zip(bounds, product(*span))
+                               if b <= best):
             if bound > best:
                 break
             d = vol(v)
@@ -205,6 +219,21 @@ def _box_bound(VA: int, boxA, VB: int, boxB, v) -> int:
     overlap = math.prod(max(0, min(ha, hb + x) - max(la, lb + x))
                         for (la, ha), (lb, hb), x in zip(boxA, boxB, v))
     return VA + VB - math.factorial(len(v)) * overlap
+
+
+def _box_bounds(VA: int, boxA, VB: int, boxB, span) -> list:
+    """`_box_bound` of every shift of product(*span), in that order.
+
+    The box overlap factors by axis, so each axis gets one exact table of
+    its overlap at each offset of its range, and a shift's bound is VA + VB
+    less d! times the product of its table entries.
+    """
+    overlaps = [1]
+    for r, (la, ha), (lb, hb) in zip(span, boxA, boxB):
+        table = [max(0, min(ha, hb + x) - max(la, lb + x)) for x in r]
+        overlaps = [o * t for o in overlaps for t in table]
+    f = math.factorial(len(span))
+    return [VA + VB - f * o for o in overlaps]
 
 
 # ---------------------------------------------------------------------------

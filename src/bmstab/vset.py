@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _INT64 = np.iinfo(np.int64)
+# the offsets {0,1}^(n-1) from a base cell to its corners, by dimension n
+_BASE_CORNERS = {n: np.array(list(product((0, 1), repeat=n - 1))) for n in (2, 3)}
 
 
 def _integer(x, what: str) -> int:
@@ -110,16 +112,21 @@ def _canonical(c: np.ndarray) -> np.ndarray:
 
 
 def _column_breaks(c: np.ndarray) -> np.ndarray:
-    """brk[i]: row i of a sorted array starts a new last-axis column.
+    """brk[i]: row i of a sorted array starts a new last-axis column."""
+    return _row_breaks(c[:, :-1])
+
+
+def _row_breaks(a: np.ndarray) -> np.ndarray:
+    """brk[i]: row i of a differs from row i-1; row 0 always starts a run.
 
     Like every row test and per-axis reduction here, it works one column at
     a time: numpy reduces across the short second axis of a (k, n) array
     many times slower than it makes n passes over strided columns.
     """
-    brk = np.zeros(len(c), dtype=bool)
+    brk = np.zeros(len(a), dtype=bool)
     brk[:1] = True
-    for j in range(c.shape[1] - 1):
-        brk[1:] |= c[1:, j] != c[:-1, j]
+    for j in range(a.shape[1]):
+        brk[1:] |= a[1:, j] != a[:-1, j]
     return brk
 
 
@@ -310,21 +317,79 @@ class LatticeSet:
         return {tuple(x + o for x, o in zip(c, off))
                 for c in self.array.tolist() for off in offs}
 
-    def hull_points(self):
-        """Integer points (coordinates x denom) with the hull of all cell corners.
+    def hull_points(self) -> list:
+        """Exact hull candidates: distinct integer points (coordinates x denom)
+        whose convex hull is the hull of all cell corners.
 
-        For each last-axis column y, the 2^(n-1) base corners y+o at the
-        heights lo and hi+1 of its lowest and highest cell: every corner of
-        the column lies on a segment between two of them.
+        In 1D these are the two end points.  In 2D and 3D every base corner p
+        (a corner y+o, o in {0,1}^(n-1), of a last-axis column y) first gets
+        the least low end `lo` and the largest high end `hi+1` of the columns
+        that touch it; any other corner above p lies between those two.  Then
+        a point of the lower envelope (p, low(p)) is dropped when it lies on
+        or above the chord of its two neighbours on its line along a base
+        axis, and a point of the upper envelope when it lies on or below its
+        chord: along the last base axis, and in 3D then along axis 0 on the
+        survivors.  This is exact because an extreme point of a hull stays
+        extreme in the hull of the points on any plane through it.  The
+        arithmetic is int64 when every corner fits in int64 and every axis
+        extent is below 2^31, so that each cross product is exact, and on
+        Python ints otherwise.
         """
         c = self.array
-        starts = _column_starts(c)
-        stops = np.append(starts[1:], len(c)) - 1
-        offs = list(product((0, 1), repeat=self.dim - 1))
-        return {tuple(x + o for x, o in zip(y, off)) + (z,)
-                for y, lo, hi in zip(c[starts, :-1].tolist(), c[starts, -1].tolist(),
-                                     c[stops, -1].tolist())
-                for off in offs for z in (lo, hi + 1)}
+        if not len(c):
+            return []
+        if self.dim == 1:
+            return [(int(c[0, 0]),), (int(c[-1, 0]) + 1,)]
+        head = _column_breaks(c)  # the first and the last row of each column
+        tail = np.empty_like(head)
+        tail[:-1], tail[-1] = head[1:], True
+        base, lo, hi = c[head, :-1], c[head, -1], c[tail, -1]
+        mins = base.min(axis=0).tolist() + [int(lo.min())]
+        maxs = base.max(axis=0).tolist() + [int(hi.max())]
+        if max(maxs) == _INT64.max or max(map(operator.sub, maxs, mins)) >= (1 << 31) - 1:
+            base, lo, hi = base.astype(object), lo.astype(object), hi.astype(object)
+        hi = hi + 1
+        # each base corner once, sorted, with the least low and the largest
+        # high end of the columns that touch it
+        p = (base[None] + _BASE_CORNERS[self.dim][:, None]).reshape(-1, self.dim - 1)
+        order = np.lexsort(p.T[::-1])
+        first = np.flatnonzero(_row_breaks(p[order]))
+        p = p[order[first]]
+        col = order % len(lo)  # the column of each sorted corner
+        low = np.minimum.reduceat(lo[col], first)
+        high = np.maximum.reduceat(hi[col], first)
+        # the lower envelope (p, low) and the mirrored upper one (p, -high),
+        # told apart by a leading tag column, go through the same passes
+        k = len(p)
+        tagged = np.empty((2 * k, self.dim), dtype=p.dtype)
+        tagged[:k, 0], tagged[k:, 0] = 0, 1
+        tagged[:k, 1:] = tagged[k:, 1:] = p
+        h = np.concatenate([low, -high])
+        keep = _chord_keep(tagged, h)
+        if self.dim == 3:  # then along base axis 0, on the survivors
+            q = tagged[keep][:, [0, 2, 1]]
+            order = np.lexsort(q.T[::-1])
+            keep = keep[order][_chord_keep(q[order], h[keep[order]])]
+        z = np.concatenate([low, high])
+        pts = np.column_stack([tagged[keep, 1:], z[keep]])
+        return list(map(tuple, pts.tolist()))
+
+
+def _chord_keep(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Indices of the points (p, z) that one chord pass along p's last
+    column keeps; p's rows are distinct and sorted lexicographically.
+
+    A line is a run of rows that differ only in the last column.  A point
+    between two neighbours on its line is dropped when it lies on or above
+    their chord (a non-positive cross product); the ends of a line stay.
+    """
+    brk = _column_breaks(p)
+    x = p[:, -1]
+    dx, dz = x[1:-1] - x[:-2], z[1:-1] - z[:-2]
+    cross = dx * (z[2:] - z[:-2]) - dz * (x[2:] - x[:-2])
+    drop = np.zeros(len(p), dtype=bool)
+    drop[1:-1] = ~brk[1:-1] & ~brk[2:] & (cross <= 0)
+    return np.flatnonzero(~drop)
 
 
 @dataclass(frozen=True)

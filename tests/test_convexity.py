@@ -333,12 +333,13 @@ def test_overlap_bracket_3d_certified():
     assert lo <= Fraction(1, 6) <= hi
     assert hi - lo < Fraction(1, 2)
     assert lo == hi == Fraction(1, 6)
-    # K = [-1, -1/2] x [0, 1]^2 and its mirror image carry scale 4, and each
-    # meets the slab of cells at denom 3 next to it in volume 1/6
+    # K = [-1, -1/2] x [0, 1]^2 and its mirror image carry scale 2, the
+    # coarsest that holds their vertices, and each meets the slab of cells
+    # at denom 3 next to it in volume 1/6
     for k_xs, e_x in ((range(-4, -2), -2), (range(2, 4), 1)):
         K = convex_hull(LatticeSet(3, 4, frozenset(product(k_xs, range(4), range(4)))))
         E = LatticeSet(3, 3, frozenset(product([e_x], range(3), range(3))))
-        assert K.scale == 4
+        assert K.scale == 2
         lo, hi = lattice_polytope_overlap(E, K)
         assert lo <= Fraction(1, 6) <= hi
         assert lo == hi == Fraction(1, 6)
@@ -735,7 +736,11 @@ _GEOMETRY_SPECS = (
 # centroid or a float in the last digit fails here.  The 3D overlap is only
 # taken against a polytope that contains the set.  The concave_envelope
 # entries hold the exact envelope rounded once to floats, the values that
-# test_envelope_matches_exact_oracle checks against Caratheodory.
+# test_envelope_matches_exact_oracle checks against Caratheodory.  The
+# homothetic-convex n = 2 convex_hull and translate entries were re-recorded
+# when convex_hull began to take its lattice from the hull's vertices: the
+# unit square now has scale 1, not 4, with the same vertices as Fractions,
+# faces, volume and centroid.
 _GEOMETRY_DIGESTS = {
     ("convex_hull", "perturbed-square", 1, 1):
         "b6dc4556a500a541cb0af3bb948ce4d22d9d5455a768d936c10b7e5b1c29c622",
@@ -762,9 +767,9 @@ _GEOMETRY_DIGESTS = {
     ("cos_pipeline", "perturbed-square", 1, 2):
         "fae915b0b8003ca6f20363e0a8365c6ff2d700078e6db0f972a62b393d8fd28f",
     ("convex_hull", "homothetic-convex", 2, 1):
-        "f5805d95fbfb0c49de1b1641a2e442d880343b7e5b4f0f7f11c0049694b820b7",
+        "c69a6a27a6be7fe080e882a2754aee2c49fa1fe602d776600d08b255de59b139",
     ("translate", "homothetic-convex", 2, 1):
-        "bc16fd2a9177fa47d1ce6d770a100d9ed95a3e89f536c2df308c2fbe3266e6a9",
+        "d43065eb753314cfd411f3bb2d2f0200fb609c2cb962762afcb33683934f1907",
     ("scale_about", "homothetic-convex", 2, 1):
         "532226b73688e2530ffdba547e47a125936892143b543a791a2f53d36ddc5ce2",
     ("overlap", "homothetic-convex", 2, 1):
@@ -774,9 +779,9 @@ _GEOMETRY_DIGESTS = {
     ("cos_pipeline", "homothetic-convex", 2, 1):
         "4d5b92479b5525915aac8825e43b3d018f9e474976895624b66be9b6394de643",
     ("convex_hull", "homothetic-convex", 2, 2):
-        "f5805d95fbfb0c49de1b1641a2e442d880343b7e5b4f0f7f11c0049694b820b7",
+        "c69a6a27a6be7fe080e882a2754aee2c49fa1fe602d776600d08b255de59b139",
     ("translate", "homothetic-convex", 2, 2):
-        "bc16fd2a9177fa47d1ce6d770a100d9ed95a3e89f536c2df308c2fbe3266e6a9",
+        "d43065eb753314cfd411f3bb2d2f0200fb609c2cb962762afcb33683934f1907",
     ("scale_about", "homothetic-convex", 2, 2):
         "532226b73688e2530ffdba547e47a125936892143b543a791a2f53d36ddc5ce2",
     ("overlap", "homothetic-convex", 2, 2):

@@ -10,7 +10,7 @@ from bmstab._hull import hull
 from bmstab.convexity import Polytope, convex_hull, lattice_polytope_overlap
 from bmstab.scenarios import ScenarioSpec, generate_scenario
 from bmstab.stability import (
-    _box, _box_bound, _shifted_overlap, check_stability, constants,
+    _box, _box_bound, _box_bounds, _shifted_overlap, check_stability, constants,
     cos_pipeline, hull_distance,
 )
 from bmstab.vset import LatticeSet, reconcile
@@ -44,6 +44,18 @@ def test_constants_bounds_sample():
 def test_constants_rejects_bad_tau():
     with pytest.raises(ValueError):
         constants(2, Fraction(3, 4))
+
+
+def test_constants_are_computed_once_per_argument():
+    tb = constants(2, Fraction(1, 2))
+    assert constants(2, "1/2") is tb and constants(2, 0.5) is tb
+    assert constants(3, Fraction(1, 2)) is not tb
+    assert constants(3, Fraction(1, 4)).tau == Fraction(1, 4)
+    # arguments are checked on every call, before the cache
+    for n, tau in ((0, Fraction(1, 2)), (2, Fraction(3, 4)), (2, 0), (2, -1)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                constants(n, tau)
 
 
 def test_hull_distance_identical_convex():
@@ -166,12 +178,17 @@ def test_hull_distance_matches_unpruned_search(family):
     assert dims == {1, 2, 3}
 
 
-def _window(A, B):
-    """hull_distance's shift window, on A's lattice (A and B share it)."""
+def _span(A, B):
+    """hull_distance's shift window as one range per axis, on A's lattice
+    (A and B share it)."""
     ptsA, ptsB = hull(A.hull_points())[0], hull(B.hull_points())[0]
     boxA, boxB = _box(ptsA), _box(ptsB)
-    return product(*(range(la - hb - 1, ha - lb + 1)
-                     for (la, ha), (lb, hb) in zip(boxA, boxB)))
+    return [range(la - hb - 1, ha - lb + 1) for (la, ha), (lb, hb) in zip(boxA, boxB)]
+
+
+def _window(A, B):
+    """hull_distance's shift window, on A's lattice (A and B share it)."""
+    return product(*_span(A, B))
 
 
 def test_box_bound_is_a_lower_bound():
@@ -190,6 +207,22 @@ def test_box_bound_is_a_lower_bound():
             checked += 1
             tight += bound == exact
     assert checked > 1000 and tight > 0
+
+
+def test_box_bounds_table_matches_box_bound():
+    for family, n, m, seed in (("boundary-bites", 2, 4, 1), ("random-boxes", 2, 4, 2),
+                               ("perturbed-square", 3, 2, 1), ("random-boxes", 3, 2, 1)):
+        A, B = reconcile(*generate_scenario(ScenarioSpec(
+            family=family, n=n, denom=m, eps=Fraction(1, 4), seed=seed)))
+        ptsA, _, VA = hull(A.hull_points())
+        ptsB, _, VB = hull(B.hull_points())
+        boxA, boxB = _box(ptsA), _box(ptsB)
+        span = _span(A, B)
+        # the whole window, and a strided level as the coarse scan takes it
+        for sp in (span, [range(r.start, r.stop, 3) for r in span]):
+            got = _box_bounds(VA, boxA, VB, boxB, sp)
+            want = [_box_bound(VA, boxA, VB, boxB, v) for v in product(*sp)]
+            assert got == want, (family, n)
 
 
 def test_hull_distance_ties_pick_the_smallest_shift():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bmstab._hull import hull
 from bmstab.cli import sweep
 from bmstab.convexity import convex_hull
 from bmstab.minkowski import convex_combination, convex_combination_bruteforce, deficit
@@ -261,7 +262,9 @@ def test_array_ops_match_tuple_oracle():
             continue
         assert E.bounding_box() == [(min(c[a] for c in cells), max(c[a] for c in cells) + 1)
                                     for a in range(n)]
-        assert E.hull_points() == _oracle_hull_points(cells, n)
+        hp = E.hull_points()
+        assert len(set(hp)) == len(hp) and set(hp) <= _oracle_hull_points(cells, n)
+        assert hull(hp) == hull(E.corner_points())
         if n == 1:
             continue
         fibers = _oracle_counts(c[:-1] for c in cells)
@@ -280,6 +283,59 @@ def test_array_ops_match_tuple_oracle():
         scaled = _materialize_scaling(E, lam)
         _assert_canonical(scaled)
         assert scaled.cells == _oracle_scaling(cells, n, lam)
+
+
+def _hull_point_clouds(rng, n):
+    """Cell sets whose hulls stress the envelope filter of `hull_points`."""
+    side = 9 if n == 2 else 5
+    # unions of boxes: collinear rims and coplanar faces
+    for _ in range(8):
+        cells = set()
+        for _ in range(rng.randrange(1, 4)):
+            lo = [rng.randrange(-side, side) for _ in range(n)]
+            cells |= set(product(*(range(a, a + rng.randrange(1, 5)) for a in lo)))
+        yield cells
+    # random clouds: columns with holes, gaps along base lines
+    for density in (0.15, 0.5, 0.9):
+        yield {c for c in product(range(-3, side - 3), repeat=n)
+               if rng.random() < density} or {(0,) * n}
+    # a single cell, a lone column, a lone base row, a lattice ball
+    yield {tuple(rng.randrange(-side, side) for _ in range(n))}
+    yield {(0,) * (n - 1) + (z,) for z in range(-3, 4)}
+    yield {(x,) + (0,) * (n - 1) for x in range(-3, 4)}
+    yield {c for c in product(range(-4, 5), repeat=n) if sum(x * x for x in c) <= 12}
+    # scattered cells: sparse lines with gaps of every length
+    yield {tuple(rng.randrange(-40, 40) for _ in range(n)) for _ in range(12)}
+
+
+def test_hull_points_are_exact_hull_candidates():
+    rng = random.Random(2718)
+    w = 2 ** 31 - 2  # the widest cell span whose corners stay on int64
+    huge = [
+        {(0, 0), (w, w), (1, w - 1), (w - 1, 1), (w // 2, 3), (w // 2 + 1, w - 3)},
+        {(0, 0, 0), (w, w, w), (w, 0, 1), (1, w, 0), (0, 2, w), (w // 3, w // 2, 5)},
+        # an axis extent of 2^31 or more, and corners at both ends of int64
+        {(0, 0), (2 ** 31, 5), (-3, 2 ** 40), (7, 1)},
+        {(0, 0, 0), (2 ** 31, 1, 2), (3, -2 ** 33, 1), (1, 1, 2 ** 50), (2, 2, 2)},
+        {(2 ** 63 - 1, 0), (2 ** 63 - 2, 3), (2 ** 63 - 5, 1)},
+        {(-2 ** 63, 2 ** 63 - 1), (2 ** 63 - 1, -2 ** 63), (0, 0)},
+        {(5, 2 ** 63 - 1, -2 ** 63), (-2 ** 63, 0, 2 ** 63 - 1), (1, 2, 3)},
+    ]
+    clouds = [(n, cells) for n in (2, 3) for _ in range(4)
+              for cells in _hull_point_clouds(rng, n)]
+    clouds += [(len(next(iter(cells))), cells) for cells in huge]
+    for n, cells in clouds:
+        E = LatticeSet(n, rng.choice([1, 3]), cells)
+        hp = E.hull_points()
+        corners = E.corner_points()
+        assert all(type(x) is int for p in hp for x in p)
+        assert len(set(hp)) == len(hp) and set(hp) <= corners, cells
+        assert hull(hp) == hull(corners), cells
+    # flat rims leave only the vertices, of 514 column-end corners at denom 256
+    assert len(LatticeSet(2, 256, np.argwhere(np.ones((256, 256)))).hull_points()) == 4
+    assert len(LatticeSet(3, 8, np.argwhere(np.ones((8, 8, 8)))).hull_points()) == 8
+    assert LatticeSet(1, 2, [(3,), (-1,)]).hull_points() == [(-1,), (4,)]
+    assert LatticeSet(2, 2).hull_points() == []
 
 
 def test_equal_sets_built_five_ways_are_equal_and_hash_equal():
