@@ -18,8 +18,10 @@ from functools import cached_property
 from itertools import product
 from operator import mul
 
+import numpy as np
+
 from ._hull import face_planes, hull, hull_3d_centroid, polygon_centroid
-from .vset import LatticeSet
+from .vset import _INT64, LatticeSet
 
 __all__ = [
     "Polytope", "GridFunction", "EnvelopeFit", "convex_hull", "hull_excess",
@@ -191,39 +193,48 @@ def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
 
     A cell corner c/m meets K's plane n.x <= d (lattice 1/L) iff
     L*(n.c) <= m*d; the corners with the least and the largest n.c decide the
-    cell.  Cells inside every plane count whole, cells outside one count 0.
-    A cut cell's overlap is the hull volume of its edges clipped to K and
-    K's edges clipped to it: for dim <= 3 every vertex of the intersection
-    of two convex polytopes lies on an edge of one of them.
+    cell.  One matrix product gives every cell's L*(n.c) for every plane, on
+    coordinates relative to the cells' least corner: cells inside every
+    plane count whole, cells outside one count 0.  It runs in int64 when a
+    bound on every compared value fits, and on Python ints otherwise.  Only
+    a cut cell is visited alone: its overlap is the hull volume of its edges
+    clipped to the planes that cut it and K's edges clipped to it, since for
+    dim <= 3 every vertex of the intersection of two convex polytopes lies
+    on an edge of one of them.
     """
     if E.dim != K.dim:
         raise ValueError("dimension mismatch")
-    if not K.volume:
+    if not K.volume or E.is_empty():
         return Fraction(0), Fraction(0)
     m, L = E.denom, K.scale
+    cells = E.array
+    box = E.bounding_box()
+    base = [lo for lo, _ in box]
+    normals = [[L * x for x in n] for n, _ in K.planes]
+    # corner c/m is inside (n, d) iff (L*n).(c - base) <= m*d - (L*n).base
+    md = [m * d - sum(map(mul, n, base)) for n, (_, d) in zip(normals, K.planes)]
+    bound = max(sum(abs(x) * (hi - lo) for x, (lo, hi) in zip(n, box))
+                for n in normals)
+    dtype = np.int64 if max(bound, *map(abs, md)) <= _INT64.max else object
+    N = np.array(normals, dtype=dtype)
+    S = (cells.astype(dtype, copy=False) - np.array(base, dtype=dtype)) @ N.T
+    md = np.array(md, dtype=dtype)
+    miss = (S + np.minimum(N, 0).sum(axis=1) > md).any(axis=1)
+    cut = (S + np.maximum(N, 0).sum(axis=1) > md) & ~miss[:, None]
+    cut_rows = np.flatnonzero(cut.any(axis=1))
+    inside = len(cells) - int(np.count_nonzero(miss)) - len(cut_rows)
     k_edges = _edges(K)
-    tests = [(n, d, L * sum(min(x, 0) for x in n), L * sum(max(x, 0) for x in n),
-              m * d) for n, d in K.planes]
-    inside, cut = 0, Fraction(0)
-    for cell in E.array.tolist():
-        cutting = []
-        for n, d, neg, pos, md in tests:
-            s = L * sum(map(mul, n, cell))
-            if s + neg > md:  # every corner outside: the cell misses K
-                break
-            if s + pos > md:
-                cutting.append((n, d))
-        else:
-            if not cutting:
-                inside += 1
-                continue
-            C = Polytope.from_lattice_points(product(*((x, x + 1) for x in cell)), m)
-            pts = _clip(_edges(C), m, cutting, L) | _clip(k_edges, L, C.planes, m)
-            if pts:
-                M = math.lcm(*(D for D, _ in pts))
-                cut += Polytope.from_lattice_points(
-                    [tuple(x * (M // D) for x in x_D) for D, x_D in pts], M).volume
-    total = Fraction(inside, m ** E.dim) + cut
+    part = Fraction(0)
+    for r in cut_rows:
+        cutting = [K.planes[j] for j in np.flatnonzero(cut[r])]
+        C = Polytope.from_lattice_points(
+            product(*((x, x + 1) for x in cells[r].tolist())), m)
+        pts = _clip(_edges(C), m, cutting, L) | _clip(k_edges, L, C.planes, m)
+        if pts:
+            M = math.lcm(*(D for D, _ in pts))
+            part += Polytope.from_lattice_points(
+                [tuple(x * (M // D) for x in x_D) for D, x_D in pts], M).volume
+    total = Fraction(inside, m ** E.dim) + part
     return total, total
 
 

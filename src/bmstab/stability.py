@@ -268,28 +268,35 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
     Measures zeta = |A d K_A| + |B d K_B| exactly (reported as zeta_lo ==
     zeta_hi), aligns K_A and K_B (with their sets) to a common
     barycenter, and inflates co(K_A u K_B) about it by 1 + c*zeta^(1/(2n^3)),
-    growing c geometrically from 1 until A and the translated B are inside
-    (tested at the vertices of their hulls); the first sufficient c is the
-    calibrated constant.  Also reports |A d B| in the aligned frame against
-    the zeta^(1/(2n)) trend.
+    growing c geometrically from 1 until A and the translated B are inside;
+    the first sufficient c is the calibrated constant.  A set that its own
+    K holds (|A n K_A| = |A|, from the overlap zeta needs) is inside every
+    inflated K; only a set that its K does not hold has its hull built, and
+    is tested at the hull's vertices.  Also reports |A d B| in the aligned
+    frame against the zeta^(1/(2n)) trend.
     """
     t = Fraction(t)
     tau = Fraction(tau)
     n = A.dim
     if not (0 < tau <= Fraction(1, 2)) or not (tau <= t <= 1 - tau):
         raise ValueError("need 0 < tau <= 1/2 and t in [tau, 1-tau]")
-    zeta = (A.measure() + K_A.volume - 2 * lattice_polytope_overlap(A, K_A)[0]
-            + B.measure() + K_B.volume - 2 * lattice_polytope_overlap(B, K_B)[0])
+    inA = lattice_polytope_overlap(A, K_A)[0]
+    inB = lattice_polytope_overlap(B, K_B)[0]
+    zeta = (A.measure() + K_A.volume - 2 * inA
+            + B.measure() + K_B.volume - 2 * inB)
 
     gA = K_A.centroid()
     gB = K_B.centroid()
     shiftB = tuple(a - b for a, b in zip(gA, gB))
     K_B2 = K_B.translate(shiftB)
-    # a convex K holds a set iff it holds the vertices of the set's hull
-    vertsA = [tuple(Fraction(c, A.denom) for c in p)
-              for p in hull(A.hull_points())[0]]
-    vertsB = [tuple(Fraction(c, B.denom) + s for c, s in zip(p, shiftB))
-              for p in hull(B.hull_points())[0]]
+    # a convex K holds a set iff it holds the vertices of the set's hull; a
+    # set of closed cells inside K_A (|A n K_A| = |A|) is inside every K,
+    # since K contains K0, which contains K_A and K_B + shift_B
+    vertsA = [] if inA == A.measure() else [
+        tuple(Fraction(c, A.denom) for c in p) for p in hull(A.hull_points())[0]]
+    vertsB = [] if inB == B.measure() else [
+        tuple(Fraction(c, B.denom) + s for c, s in zip(p, shiftB))
+        for p in hull(B.hull_points())[0]]
     if zeta == 0 and not all(K_A.contains(p) for p in vertsA):
         raise ValueError("zeta = 0 but A is not contained in K_A")
 

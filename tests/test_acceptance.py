@@ -4,6 +4,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines; plain `pytest -v` shows the same pass/fail status per test name.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -102,6 +103,66 @@ def _rows(sets, k):
                     dtype=np.int64)
 
 
+def _splitmix_u64(seed, count):
+    """The first `count` outputs of `SplitMix64(seed).next_u64()`, as uint64;
+    the arithmetic wraps modulo 2^64 as the generator's masks do."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _accepted(u, n):
+    """Whether `next_below(n)` accepts each draw: u < 2^64 - 2^64 % n."""
+    return u < np.uint64(2 ** 64 - 2 ** 64 % n)
+
+
+def _sampled_pairs(seed, count):
+    """`count` pairs of interval unions drawn from SplitMix64(seed), as
+    `_rows` endpoint arrays of the pairs whose unions are both nonempty.
+
+    Each union takes k = 1 + next_below(3) and then 2k draws of
+    next_below(65); its components pair up its sorted distinct cuts.  Where
+    a union starting at draw p ends depends on p alone, so the whole stream
+    is drawn at once, every p is read as a start, and only the starts that
+    are used are chained.
+    """
+    u = _splitmix_u64(seed, 14 * count + 64)  # 14 draws a pair at most, + rejects
+    ok3 = np.append(np.flatnonzero(_accepted(u, 3)), len(u))
+    k_at = ok3[np.searchsorted(ok3, np.arange(len(u)))]
+    k = (u[np.minimum(k_at, len(u) - 1)] % np.uint64(3)).astype(np.int8) + 1
+    # the union's 2k cut draws are the accepted ones after its k draw
+    ok65 = np.flatnonzero(_accepted(u, 65))
+    first = np.searchsorted(ok65, k_at + 1)
+    del ok3, k_at
+    last = first + 2 * k - 1
+    nxt = ok65[np.minimum(last, len(ok65) - 1)]
+    nxt += 1
+    starts = np.empty(2 * count, dtype=np.int64)
+    p = 0
+    for h in range(2 * count):
+        starts[h] = p
+        p = nxt[p]
+    assert (last[starts] < len(ok65)).all(), "the stream ran out"
+    k = k[starts]
+    draws = ok65[np.minimum(first[starts, None] + np.arange(6), len(ok65) - 1)]
+    cuts = (u[draws] % np.uint64(65)).astype(np.int64)
+    cuts[np.arange(6) >= 2 * k[:, None]] = 65  # 65 marks no cut
+    cuts.sort(axis=1)
+    cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = 65
+    cuts.sort(axis=1)
+    comps = (cuts < 65).sum(axis=1) // 2
+    rows = cuts.reshape(-1, 3, 2)
+    pad = np.arange(3) >= comps[:, None]  # a union repeats its first component
+    rows[pad] = np.broadcast_to(rows[:, :1], rows.shape)[pad]
+    keep = (comps[0::2] > 0) & (comps[1::2] > 0)
+    return rows[0::2][keep], rows[1::2][keep]
+
+
 def test_criterion_03_kemperman_exhaustive():
     t0 = time.time()
     # Exhaustive sweep over all translation-deduplicated pairs with endpoints
@@ -124,20 +185,15 @@ def test_criterion_03_kemperman_exhaustive():
         applicable += int((res["applicable"] & upper).sum())
     # randomized coverage of the stated [0, 4] span
     rng = SplitMix64(12345)
-    pairs = []
-    for _ in range(200_000):
-        pair = []
-        for _ in range(2):
-            k = 1 + rng.next_below(3)
-            cuts = sorted({rng.next_below(65) for _ in range(2 * k)})
-            comps = tuple((a, b) for a, b in zip(cuts[::2], cuts[1::2]) if b > a)
-            pair.append(comps)
-        if pair[0] and pair[1]:
-            pairs.append(pair)
-    res = kemperman_batch(_rows([A for A, _ in pairs], 3),
-                          _rows([B for _, B in pairs], 3))
+    assert _splitmix_u64(12345, 8).tolist() == [rng.next_u64() for _ in range(8)]
+    rows_a, rows_b = _sampled_pairs(12345, 200_000)
+    sampled = len(rows_a)
+    # the count and the pairs that drawing one next_below at a time gave
+    assert sampled == 197_971
+    assert hashlib.sha256(rows_a.tobytes() + rows_b.tobytes()).hexdigest() == \
+        "fe5fa3e80c5198a3faee612eb642f001075952d358b3f931643c08d2ba3cab33"
+    res = kemperman_batch(rows_a, rows_b)
     assert (res["pass"] | ~res["applicable"]).all()
-    sampled = len(pairs)
     # cross-validate the batch against the library's single-pair check
     rng2 = random.Random(7)
     picks = [(rng2.randrange(len(sets)), rng2.randrange(len(sets)))

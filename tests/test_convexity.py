@@ -433,6 +433,100 @@ def test_overlap_exact_by_volume_additivity_and_refinement():
     assert min(cut.values()) >= 5 and cut_disjoint >= 5, (cut, cut_disjoint)
 
 
+def _clip_segment(p, q, halfspaces):
+    """The part of segment pq with a.x <= b for every (a, b), as end points."""
+    t0, t1 = Fraction(0), Fraction(1)
+    for a, b in halfspaces:
+        fp = sum(map(operator.mul, a, p)) - b
+        fq = sum(map(operator.mul, a, q)) - b
+        if fp > 0 and fq > 0:
+            return []
+        if fp > 0:
+            t0 = max(t0, fp / (fp - fq))
+        elif fq > 0:
+            t1 = min(t1, fp / (fp - fq))
+    if t0 > t1:
+        return []
+    return [tuple(x + t * (y - x) for x, y in zip(p, q)) for t in (t0, t1)]
+
+
+def _overlap_oracle(E, K):
+    """|C n K| for every cell C of E, each cell clipped against every plane.
+
+    C n K is the hull of the segments between any two vertices of C clipped
+    to K and those between any two vertices of K clipped to C.  A flat K
+    has volume 0, and so has every part of it.
+    """
+    if not K.volume:
+        return [Fraction(0)] * len(E.cells)
+    k_half = [(nrm, Fraction(off, K.scale)) for nrm, off in _outward_planes(K)]
+    out = []
+    for cell in E.cells:
+        box = [(Fraction(c, E.denom), Fraction(c + 1, E.denom)) for c in cell]
+        c_half = [h for i, (lo, hi) in enumerate(box)
+                  for h in ((tuple(-(j == i) for j in range(E.dim)), -lo),
+                            (tuple(int(j == i) for j in range(E.dim)), hi))]
+        pts = [x for p, q in combinations(list(product(*box)), 2)
+               for x in _clip_segment(p, q, k_half)]
+        pts += [x for p, q in combinations(K.vertices, 2)
+                for x in _clip_segment(p, q, c_half)]
+        out.append(Polytope.from_rational_points(pts).volume if pts else Fraction(0))
+    return out
+
+
+_OVERLAP_CASES = ("hull", "shrunk", "disjoint", "flat", "empty", "far", "far-fine")
+
+
+def _overlap_case(case, E):
+    """(E, K) for a random cell set E: K its hull, the hull shrunk (cut cells
+    and cells outside), the hull moved clear of E, a flat K, or an empty E.
+    The far cases move E by 2^40 cells: "far" keeps int64 (coordinates
+    relative to the cells' least corner), and "far-fine" shrinks the hull
+    by 1 - 2^-40, a lattice so fine that only Python ints hold the products.
+    """
+    if case in ("far", "far-fine"):
+        E = E.translate((2 ** 40,) * E.dim)
+    K = convex_hull(E)
+    if case == "disjoint":
+        (lo, hi), *_ = E.bounding_box()
+        return E, K.translate((Fraction(hi - lo, E.denom) + Fraction(1, 3),)
+                              + (0,) * (E.dim - 1))
+    if case == "flat":
+        return E, Polytope.from_rational_points(
+            [p + (Fraction(1, 2),) for p in product((-1, Fraction(3, 2)), repeat=E.dim - 1)])
+    if case == "empty":
+        E = LatticeSet(E.dim, E.denom, frozenset())
+    if case != "hull":
+        K = K.scale_about(K.centroid(), 1 - Fraction(1, 2 ** 40) if case == "far-fine"
+                          else Fraction(3, 4))
+    return E, K
+
+
+@pytest.mark.parametrize("case", _OVERLAP_CASES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_overlap_matches_cell_by_cell_oracle(n, case):
+    rng = random.Random(f"{n} {case}")
+    partial = 0
+    for _ in range(3):
+        m = rng.randrange(1, 4)
+        E = LatticeSet(n, m, frozenset(
+            tuple(rng.randrange(-2 * m, 2 * m) for _ in range(n))
+            for _ in range(rng.randrange(2, 30 if n == 2 else 12))))
+        E, K = _overlap_case(case, E)
+        if case == "far-fine":  # so the int64 bound fails
+            assert K.scale * max(abs(x) for nrm, _ in K.planes for x in nrm) > 2 ** 63
+        parts = _overlap_oracle(E, K)
+        exact = sum(parts, Fraction(0))
+        assert lattice_polytope_overlap(E, K) == (exact, exact)
+        partial += sum(0 < x < Fraction(1, m ** n) for x in parts)
+        if case == "hull":
+            assert exact == E.measure()
+        if case in ("disjoint", "flat", "empty"):
+            assert exact == 0
+    if case in ("shrunk", "far", "far-fine"):
+        assert partial > 0
+
+
 def test_envelope_concave_input_reproduced():
     pts = grid_2d(3)
     vals = tuple(-(0.4 * i * i + 0.3 * j * j) + 0.1 * i for i, j in pts)

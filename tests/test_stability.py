@@ -292,6 +292,33 @@ def test_cos_pipeline_inflation_captures_outliers():
     assert res["inflation_factor"] > 1
 
 
+def test_cos_pipeline_tests_vertices_only_of_sets_outside_their_k(monkeypatch):
+    # A set that its own K holds (|A n K_A| = |A|) is inside every inflated
+    # K, so with the sets' hulls as K_A and K_B no hull is rebuilt and no
+    # point is tested; a set that K_small misses still takes the vertex test.
+    cases = []
+    for n, denom in ((2, 16), (3, 4)):
+        A, B = generate_scenario(ScenarioSpec(family="boundary-bites", n=n,
+                                              denom=denom, eps=Fraction(1, 8)))
+        cases.append((A, B, convex_hull(A), convex_hull(B)))
+    sq = unit_square(4)
+    K_small = convex_hull(LatticeSet(2, 4, frozenset(
+        (i, j) for i in range(3) for j in range(4))))
+    calls = {"hull_points": 0, "contains": 0}
+    for cls, name in ((LatticeSet, "hull_points"), (Polytope, "contains")):
+        def counted(*args, _f=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(cls, name, counted)
+    for A, B, K_A, K_B in cases:
+        res = cos_pipeline(A, B, K_A, K_B, Fraction(1, 2), Fraction(1, 2))
+        assert res["inflation_c"] == 1
+    assert calls == {"hull_points": 0, "contains": 0}
+    res = cos_pipeline(sq, sq, K_small, K_small, Fraction(1, 2), Fraction(1, 2))
+    assert res["inflation_factor"] > 1
+    assert calls["hull_points"] == 2 and calls["contains"] > 0
+
+
 def test_cos_pipeline_barycenters_align():
     r1 = LatticeSet(2, 4, frozenset((i, j) for i in range(4) for j in range(4)))
     r2 = LatticeSet(2, 4, frozenset((i + 9, j) for i in range(4) for j in range(5)))
