@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
 from ._hull import face_planes, hull, hull_3d_centroid, polygon_centroid
-from .vset import _INT64, LatticeSet
+from .vset import _CORNERS, _INT64, LatticeSet
 
 __all__ = [
     "Polytope", "GridFunction", "EnvelopeFit", "convex_hull", "hull_excess",
@@ -224,11 +224,12 @@ def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
     cut_rows = np.flatnonzero(cut.any(axis=1))
     inside = len(cells) - int(np.count_nonzero(miss)) - len(cut_rows)
     k_edges = _edges(K)
+    corners = _CORNERS[E.dim].tolist()
     part = Fraction(0)
     for r in cut_rows:
         cutting = [K.planes[j] for j in np.flatnonzero(cut[r])]
-        C = Polytope.from_lattice_points(
-            product(*((x, x + 1) for x in cells[r].tolist())), m)
+        c = cells[r].tolist()
+        C = Polytope.from_lattice_points([tuple(map(add, c, o)) for o in corners], m)
         pts = _clip(_edges(C), m, cutting, L) | _clip(k_edges, L, C.planes, m)
         if pts:
             M = math.lcm(*(D for D, _ in pts))
@@ -305,8 +306,6 @@ def concave_envelope(f: GridFunction) -> GridFunction:
     """
     if not f.points:
         raise ValueError("empty domain")
-    if len(f.points) <= 2:
-        return f.with_values(f.values)
     D, ints = _dyadic(f.values)
     return f.with_values(float(e / D) for e in _envelope(f.points, ints))
 
@@ -318,8 +317,10 @@ def _envelope(points, ints) -> list:
     each upper plane (n[-1] > 0) lies on or over the hull's top, and the
     facet containing p attains it.  A flat lift means the values are affine,
     unless the domain itself is flat: a collinear 2D domain recurses along an
-    axis it spreads on.
+    axis it spreads on.  Two points or fewer are their own envelope.
     """
+    if len(points) <= 2:
+        return list(map(Fraction, ints))
     lifted = Polytope.from_lattice_points(
         [p + (v,) for p, v in zip(points, ints)], 1)
     if not lifted.volume:
@@ -511,13 +512,17 @@ def concavity_fit(psi: GridFunction, sigma, varsigma, tau) -> EnvelopeFit:
     level_h = _truncation_level(phi, w, target)
     phi_bar = [min(v, level_h) for v in phi]
 
-    Phi = concave_envelope(psi.with_values(phi_bar))
+    D, ints = _dyadic(phi_bar)
+    env = _envelope(psi.points, ints)
+    Phi = psi.with_values(float(e / D) for e in env)
     Psi_vals = [(v - 2.0) * Mhat for v in Phi.values]
     Psi = psi.with_values(Psi_vals)
 
     l1 = sum(abs(a - b) for a, b in zip(Psi_vals, psi.values)) * w
 
-    contact = sum(1 for a, b in zip(Phi.values, phi_bar) if a <= b + 1e-9)
+    # exact: contacts where the envelope equals phi_bar; range_ok iff Phi in [0, 4]
+    contact = sum(e == v for e, v in zip(env, ints))
+    range_ok = all(0 <= e <= 4 * D for e in env)
     in_H, out_H = level_set_convexity_integral(psi)
     D, ints = _dyadic(psi.values)
     res4 = float(Fraction(_four_point_scan(ints, psi.points, t_prime), D))
@@ -528,7 +533,7 @@ def concavity_fit(psi: GridFunction, sigma, varsigma, tau) -> EnvelopeFit:
         "level_excess_in_H": in_H,
         "level_mass_out_H": out_H,
         "four_point_res4": res4,
-        "range_ok": all(-2 * Mhat - 1e-9 <= v <= 2 * Mhat + 1e-9 for v in Psi_vals),
+        "range_ok": range_ok,
         "roundness": _domain_roundness(psi),
     }
     return EnvelopeFit(

@@ -7,13 +7,13 @@ computes it fiber by fiber.  A run [a0, a1) of A over base cell y and a run
 [b0, b1) of B over base cell z combine into the single fine interval
 [p*a0 + (q-p)*b0, p*(a1-1) + (q-p)*(b1-1) + q) over the base corner
 p*y + (q-p)*z; it is contiguous because consecutive corner sums differ by p
-or q-p, both below the block length q.  Run pairs are enumerated in chunks of
-at most _PAIR_CHUNK, so memory stays bounded by the guarded output grid
-whatever the pair count.  The runs are read straight off each operand's
-sorted cell array, and the engine's result is the covered output grid.
-Only `convex_combination` turns it into S's cells (already sorted, read off
-in C order); `deficit` needs |S| alone and counts the grid's true entries.
-No cell passes through a Python tuple.
+or q-p, both below the block length q.  The intervals lie on one flat int32
+line of S's base rows, each a cell longer than S's last axis so that rows
+never touch, and their union is the 1D engine's sort-and-sweep (`_merge`).
+Run pairs are merged in chunks of at most _PAIR_CHUNK into a running union,
+so memory stays bounded by the chunk plus the union's runs.  `deficit` sums
+the runs' lengths; only `convex_combination` lays them out as S's cells,
+already sorted.  No cell passes through a Python tuple.
 Everything is exact integer arithmetic: S's extent is sized in Python ints
 first, and a combination whose cells would leave int64 is refused.
 Randomized tests compare the engine, at every chunking, against a
@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 from ._roots import nth_root_brackets
-from .vset import _INT64, LatticeSet, _check_int64, _column_breaks, reconcile
+from .vset import _INT64, LatticeSet, _check_int64, reconcile
 
 __all__ = [
     "convex_combination", "convex_combination_bruteforce", "deficit",
@@ -39,8 +38,11 @@ __all__ = [
 ]
 
 _DENOM_GUARD = 1 << 20
+# S's box holds at most 2^25 cells, so its flat line, each base row one cell
+# longer than S's last axis, has at most 2 * 2^25 = 2^26 < 2^31 positions:
+# every key, end and block shift of the engine is an exact int32
 _GRID_GUARD = 1 << 25
-_PAIR_CHUNK = 1 << 20  # run pairs combined per vectorized step
+_PAIR_CHUNK = 1 << 18  # run pairs merged per vectorized step
 _SUM_CHUNK = 1 << 20  # interval sums swept per vectorized step
 
 
@@ -58,14 +60,17 @@ def convex_combination(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:
     rational approximation first (the combination measure is continuous in
     t, so the approximation error is the caller's to budget).
     """
-    return LatticeSet.from_mask(*_combination_grid(A, B, t))
+    n, denom, lo, shape, s, e = _combination_runs(A, B, t)
+    head = np.array(np.unravel_index(s, shape[:-1] + [shape[-1] + 1])).T + lo
+    return LatticeSet._from_runs(n, denom, head[:, :-1], head[:, -1], e - s)
 
 
-def _combination_grid(A: LatticeSet, B: LatticeSet, t):
-    """The engine: (covered grid, denom, origin) of S = t*A + (1-t)*B.
+def _combination_runs(A: LatticeSet, B: LatticeSet, t):
+    """The engine: (n, denom, lo, shape, starts, ends) of S = t*A + (1-t)*B.
 
-    S is the cells origin + i for the true entries i of the grid, at denom
-    m*q; the grid has no entries when an operand is empty.
+    S lies in the box [lo, lo + shape) at denom m*q; its last-axis runs are
+    [starts[r], ends[r]) on the line that puts cell lo + c at the C-order
+    index of c in shape[:-1] + [shape[-1] + 1] (sorted int32 arrays).
     """
     t = _as_lowest_terms(t)
     p, q = t.numerator, t.denominator
@@ -75,7 +80,8 @@ def _combination_grid(A: LatticeSet, B: LatticeSet, t):
         raise ValueError(f"fine denom {q * m} exceeds guard {_DENOM_GUARD}")
     n = A.dim
     if A.is_empty() or B.is_empty():
-        return np.zeros((0,) * n, dtype=bool), m * q, 0
+        none = np.empty(0, dtype=np.int32)
+        return n, m * q, [0] * n, [1] * n, none, none
 
     # S's cells span [lo, lo + shape) per axis; sized with Python ints, so
     # coordinates that would leave int64 are refused before any numpy step
@@ -87,66 +93,37 @@ def _combination_grid(A: LatticeSet, B: LatticeSet, t):
     _check_int64(min(lo), max(l + s - 1 for l, s in zip(lo, shape)))
     if math.prod(shape) > _GRID_GUARD:
         raise ValueError("combination grid too large; reduce denom or set size")
-    runs_a = _fiber_runs(A, p, box_a)
-    runs_b = _fiber_runs(B, q - p, box_b)
-
-    # reach[y, s]: the furthest end of a fine interval starting at s over
-    # base corner y; a fine cell x is covered iff some interval starting at
-    # or before x reaches past it.  A run pair's key is the flat index of its
-    # interval start, so pairs combine by adding per-run keys and ends.
-    row = shape[-1]
-    base_ext = tuple(s - q + 1 for s in shape[:-1])
-    reach = np.zeros(base_ext + (row,), dtype=np.int32)
-    flat = reach.reshape(-1)
-    strides = np.array([math.prod(base_ext[a + 1:]) for a in range(n - 1)],
-                       dtype=np.int64)
-    key_a = (runs_a.base @ strides) * row + runs_a.first
-    key_b = (runs_b.base @ strides) * row + runs_b.first
-    # ends as int32, the dtype of reach, keep np.maximum.at off its casting
-    # path; every end is at most row <= _GRID_GUARD = 2^25 < 2^31
-    end_a = (runs_a.last + q).astype(np.int32)
-    end_b = runs_b.last.astype(np.int32)
-    nb = min(len(key_b), _PAIR_CHUNK)
+    # each axis' unit step on the line; a run pair's interval starts at the
+    # sum of its runs' first positions and ends at their last ones' sum + q
+    line = [math.prod(shape[a + 1:-1]) * (shape[-1] + 1) for a in range(n - 1)] + [1]
+    sa, ea = _fiber_runs(A, p, box_a, line)
+    sb, eb = _fiber_runs(B, q - p, box_b, line)
+    ea += q
+    nb = min(len(sb), _PAIR_CHUNK)
     na = max(1, _PAIR_CHUNK // nb)
-    for i in range(0, len(key_a), na):
-        for j in range(0, len(key_b), nb):
-            keys = key_a[i:i + na, None] + key_b[None, j:j + nb]
-            ends = end_a[i:i + na, None] + end_b[None, j:j + nb]
-            np.maximum.at(flat, keys.ravel(), ends.ravel())
-    np.maximum.accumulate(reach, axis=-1, out=reach)
-    cover = reach > np.arange(row, dtype=np.int32)
-
-    # Each base corner spans the q^(n-1) block of fine base cells filling a
-    # face of side 1/m.
-    out = np.zeros(shape, dtype=bool)
-    for off in np.ndindex(*(q,) * (n - 1)):
-        out[tuple(slice(o, o + e) for o, e in zip(off, base_ext))] |= cover
-    return out, m * q, lo
+    s = e = np.empty(0, dtype=np.int32)
+    for i in range(0, len(sa), na):
+        for j in range(0, len(sb), nb):
+            s, e = _merge(np.concatenate([s, (sa[i:i + na, None] + sb[j:j + nb]).ravel()]),
+                          np.concatenate([e, (ea[i:i + na, None] + eb[j:j + nb]).ravel()]))
+    # each base corner spans q fine base rows per base axis; as runs are >= q
+    # long and never touch, q shifted copies hold fewer entries than the line
+    for a in range(n - 1):
+        shift = np.arange(0, q * line[a], line[a], dtype=np.int32)[:, None]
+        s, e = _merge((s + shift).ravel(), (e + shift).ravel())
+    return n, m * q, lo, shape, s, e
 
 
-class _Runs(NamedTuple):
-    """Maximal runs of cells along the last axis, coordinates scaled by w.
-
-    base[r] is the run's scaled (n-1)-dim base cell and [first[r], last[r]]
-    its scaled first and last cell on the fiber, all shifted so the set's
-    per-axis minima sit at 0.
-    """
-    base: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
-
-
-def _fiber_runs(E: LatticeSet, w: int, box) -> _Runs:
-    """E's runs scaled by w; box is E.bounding_box()."""
-    c = E.array  # sorted, so each run is a block of consecutive rows
-    brk = _column_breaks(c)
-    brk[1:] |= c[1:, -1] != c[:-1, -1] + 1
-    starts = np.flatnonzero(brk)
-    stops = np.append(starts[1:], len(c)) - 1
-    lo = np.array([l for l, _ in box], dtype=np.int64)
-    return _Runs(base=(c[starts, :-1] - lo[:-1]) * w,
-                 first=(c[starts, -1] - lo[-1]) * w,
-                 last=(c[stops, -1] - lo[-1]) * w)
+def _fiber_runs(E: LatticeSet, w: int, box, line):
+    """E's maximal last-axis runs as int32 (first, last) line positions: cell
+    lo + c of E's box sits at w * (c @ line), summed one column at a time."""
+    pos = sum((E.array[:, a] - lo) * (w * k)
+              for a, ((lo, _), k) in enumerate(zip(box, line))).astype(np.int32)
+    # E is sorted, so a run is a block of rows one scaled cell apart;
+    # brk[i]: a run starts at row i, and the run before it ends at row i - 1
+    brk = np.ones(len(pos) + 1, dtype=bool)
+    np.not_equal(pos[1:], pos[:-1] + w, out=brk[1:-1])
+    return pos[brk[:-1]], pos[brk[1:]]
 
 
 def convex_combination_bruteforce(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:
@@ -198,7 +175,7 @@ class DeficitRecord:
 def deficit(A: LatticeSet, B: LatticeSet, t) -> DeficitRecord:
     """Both deficit flavors for (A, B, t), S = t*A + (1-t)*B.
 
-    |S| is the count of the engine's covered grid; S's cells are not built.
+    |S| is the total length of the engine's runs; S's cells are not built.
 
     delta_norm = ||A|-1| + ||B|-1| + ||S|-1| is exact; the root-form gap
     |S|^(1/n) - t|A|^(1/n) - (1-t)|B|^(1/n) comes with a certified rational
@@ -207,10 +184,9 @@ def deficit(A: LatticeSet, B: LatticeSet, t) -> DeficitRecord:
     t = _as_lowest_terms(t)
     if A.is_empty() or B.is_empty():
         raise ValueError("deficit needs nonempty operands")
-    out, denom, _ = _combination_grid(A, B, t)
-    n = A.dim
+    n, denom, _, _, s, e = _combination_runs(A, B, t)
     vA, vB = A.measure(), B.measure()
-    vS = Fraction(int(np.count_nonzero(out)), denom ** n)
+    vS = Fraction(int((e - s).sum()), denom ** n)
     one = Fraction(1)
     delta_norm = abs(vA - one) + abs(vB - one) + abs(vS - one)
     sA = nth_root_brackets(vA, n)
@@ -276,27 +252,31 @@ class IntervalSet:
 # and a union with fewer than k repeats its first interval, which leaves it
 # unchanged.  Inside, a batch of N unions is a (2, k, N) array of starts and
 # ends, one union per column, so every step runs along the long axis.  One
-# sort-and-sweep measures every union.  Sort a union's starts and,
-# separately, its ends: where the (i+1)-th start exceeds the i-th end, a new
-# component starts and the gap between them is uncovered; every other gap is
-# covered.  (This is the sweep in start order with a running max of the
-# ends: where the (i+1)-th start exceeds the ends of the i intervals before
-# it, those are the i intervals with the smallest ends.)  The union's length
-# is its span less its gaps, and A + B is the union of all pairwise interval
-# sums.
+# sort-and-sweep merges every union, here and in the lattice-set engine.
+# Sort a union's starts and, separately, its ends: where the (i+1)-th start
+# exceeds the i-th end, a new component starts and the gap between them is
+# uncovered; every other gap is covered.  (This is the sweep in start order
+# with a running max of the ends: where the (i+1)-th start exceeds the ends
+# of the i intervals before it, those are the i intervals with the smallest
+# ends.)  The union's length is its span less its gaps, and A + B is the
+# union of all pairwise interval sums.
 
 
-def _sweep(iv):
-    """(starts, ends, gaps) of a (2, K, N) batch of unions, as (K, N) arrays:
-    each union's starts and ends sorted, and the (i+1)-th start less the
-    i-th end, positive exactly where a new component starts."""
-    s, e = np.sort(iv, axis=1)
-    return s, e, s[1:] - e[:-1]
+def _merge(s, e):
+    """The components of the union of the intervals [s[i], e[i]], as sorted
+    (starts, ends); s and e are 1D and nonempty, need not stay paired, and
+    are sorted in place."""
+    s.sort()
+    e.sort()
+    new = np.ones(len(s) + 1, dtype=bool)  # new[i]: component starts at i
+    np.greater(s[1:], e[:-1], out=new[1:-1])
+    return s[new[:-1]], e[new[1:]]
 
 
 def _union_length(iv):
-    s, e, gap = _sweep(iv)
-    return e[-1] - s[0] - np.maximum(gap, 0).sum(axis=0)
+    """The length of each union of a (2, K, N) batch."""
+    s, e = np.sort(iv, axis=1)
+    return e[-1] - s[0] - np.maximum(s[1:] - e[:-1], 0).sum(axis=0)
 
 
 def _pair_sums(a, b):
@@ -345,11 +325,9 @@ def interval_sumset(A: IntervalSet, B: IntervalSet) -> IntervalSet:
     if A.is_empty() or B.is_empty():
         raise ValueError("interval_sumset needs nonempty operands")
     d, a, b = _integer_rows(A, B)
-    s, e, gap = (x[:, 0] for x in _sweep(_pair_sums(a.T, b.T)))
-    first = np.flatnonzero(np.r_[True, gap > 0])
-    last = np.r_[first[1:] - 1, len(s) - 1]
+    s, e = _merge(*_pair_sums(a.T, b.T)[..., 0])
     return IntervalSet(tuple((Fraction(int(lo), d), Fraction(int(hi), d))
-                             for lo, hi in zip(s[first], e[last])))
+                             for lo, hi in zip(s, e)))
 
 
 def kemperman_batch(a, b) -> dict:

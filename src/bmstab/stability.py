@@ -22,7 +22,7 @@ import mpmath as mp
 from ._hull import hull
 from .convexity import Polytope, lattice_polytope_overlap
 from .minkowski import DeficitRecord, deficit
-from .vset import LatticeSet, intersection_measure, reconcile
+from .vset import _CORNERS, LatticeSet, intersection_measure, reconcile
 
 __all__ = [
     "ConstantsTable", "StabilityReport", "constants", "hull_distance",
@@ -253,7 +253,7 @@ def _shifted_overlap(A: LatticeSet, B: LatticeSet, shift) -> Fraction:
     A, B = reconcile(A, B)
     split = [divmod(Fraction(s) * A.denom, 1) for s in shift]  # (k_i, m*r_i)
     total = Fraction(0)
-    for e in product((0, 1), repeat=A.dim):
+    for e in _CORNERS[A.dim].tolist():
         w = math.prod(f if ei else 1 - f for (_, f), ei in zip(split, e))
         if w:
             step = [k + ei for (k, _), ei in zip(split, e)]

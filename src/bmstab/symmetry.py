@@ -61,10 +61,8 @@ def steiner(E: LatticeSet) -> SymmetrizedBody:
     # result, in order, each with its source column's count c
     F = E._boxes((2,) * (E.dim - 1) + (1,), 2 * E.denom)
     starts, counts = _columns(F)
-    bases = np.repeat(F.array[starts, :-1], 2 * counts, axis=0)
-    heights = np.arange(len(bases)) - np.repeat(np.cumsum(2 * counts) - counts, 2 * counts)
-    cells = np.column_stack([bases, heights])
-    return SymmetrizedBody("steiner", exact=LatticeSet._from_canonical(E.dim, F.denom, cells))
+    return SymmetrizedBody("steiner", exact=LatticeSet._from_runs(
+        E.dim, F.denom, F.array[starts, :-1], -counts, 2 * counts))
 
 
 def schwarz(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:

@@ -23,7 +23,6 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -36,8 +35,14 @@ __all__ = [
 ]
 
 _INT64 = np.iinfo(np.int64)
-# the offsets {0,1}^(n-1) from a base cell to its corners, by dimension n
-_BASE_CORNERS = {n: np.array(list(product((0, 1), repeat=n - 1))) for n in (2, 3)}
+
+
+def _box_offsets(steps) -> np.ndarray:
+    """The (k, n) int64 offsets of the box prod_i [0, steps_i), sorted."""
+    return np.indices(steps, dtype=np.int64).reshape(len(steps), math.prod(steps)).T
+
+
+_CORNERS = {n: _box_offsets((2,) * n) for n in range(4)}  # a cell's 2^n corners
 
 
 def _integer(x, what: str) -> int:
@@ -225,6 +230,19 @@ class LatticeSet:
         return cls._from_canonical(dim, denom, cells)
 
     @classmethod
+    def _from_runs(cls, dim: int, denom: int, base, first, length) -> "LatticeSet":
+        """The cells (base[r], first[r] + i), 0 <= i < length[r], of disjoint
+        last-axis runs in lexicographic order; base is (k, dim-1)."""
+        count = int(length.sum())
+        cells = np.empty((count, dim), dtype=np.int64)
+        cells[:, :-1] = np.repeat(base, length, axis=0)
+        # cell i, in run r, sits i - offset[r] past first[r]; a wraparound
+        # of int64 on the way cancels, as every cell fits int64
+        np.subtract(np.arange(count), np.repeat(np.cumsum(length) - length - first, length),
+                    out=cells[:, -1])
+        return cls._from_canonical(dim, denom, cells)
+
+    @classmethod
     def _from_canonical(cls, dim: int, denom: int, array: np.ndarray) -> "LatticeSet":
         """Wrap an int64 (k, dim) array that is already sorted and unique."""
         E = object.__new__(cls)
@@ -286,8 +304,8 @@ class LatticeSet:
         if not self.is_empty():
             for (lo, hi), s in zip(self.bounding_box(), steps):
                 _check_int64(lo * s, hi * s - 1)
-        offs = np.argwhere(np.ones(steps, dtype=bool))
-        cells = (self.array * np.array(steps, dtype=np.int64))[:, None, :] + offs
+        cells = self.array * np.array(steps, dtype=np.int64)
+        cells = cells[:, None, :] + _box_offsets(steps)
         return LatticeSet._from_canonical(
             self.dim, denom, _canonical(cells.reshape(-1, self.dim)))
 
@@ -313,7 +331,7 @@ class LatticeSet:
 
     def corner_points(self):
         """All cell corners as integer lattice points (coordinates x denom)."""
-        offs = list(product((0, 1), repeat=self.dim))
+        offs = _CORNERS[self.dim].tolist()
         return {tuple(x + o for x, o in zip(c, off))
                 for c in self.array.tolist() for off in offs}
 
@@ -351,7 +369,7 @@ class LatticeSet:
         hi = hi + 1
         # each base corner once, sorted, with the least low and the largest
         # high end of the columns that touch it
-        p = (base[None] + _BASE_CORNERS[self.dim][:, None]).reshape(-1, self.dim - 1)
+        p = (base[None] + _CORNERS[self.dim - 1][:, None]).reshape(-1, self.dim - 1)
         order = np.lexsort(p.T[::-1])
         first = np.flatnonzero(_row_breaks(p[order]))
         p = p[order[first]]

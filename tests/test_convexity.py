@@ -757,6 +757,27 @@ def test_concavity_fit_sigma_zero_recovers_concave():
     assert fit.level_h == max(v + 2 for v in vals)
 
 
+def test_concavity_fit_contacts_are_exact():
+    # affine values touch their envelope everywhere; a dip of 2^-40 at one
+    # point, far below any float slack, takes that point off the envelope
+    pts = tuple((i, j) for i in range(-2, 3) for j in range(-2, 3))
+    vals = [(i - 2 * j) / 8 for i, j in pts]
+    fit = concavity_fit(GridFunction(2, Fraction(1, 4), pts, tuple(vals)),
+                        0.0, 0.0, Fraction(1, 2))
+    assert fit.diagnostics["contact_density"] == 1.0
+    assert fit.diagnostics["range_ok"]
+    vals[pts.index((0, 0))] -= 2.0 ** -40
+    fit = concavity_fit(GridFunction(2, Fraction(1, 4), pts, tuple(vals)),
+                        0.0, 0.0, Fraction(1, 2))
+    assert fit.diagnostics["contact_density"] == 24 / 25
+    assert dict(zip(fit.Phi.points, fit.Phi.values))[(0, 0)] == 2.0
+    line = tuple((i,) for i in range(3))
+    fit = concavity_fit(GridFunction(1, Fraction(1, 4), line, (0.0, -2.0 ** -40, 0.0)),
+                        0.0, 0.0, Fraction(1, 2))
+    assert fit.diagnostics["contact_density"] == 2 / 3
+    assert fit.Phi.values == (2.0, 2.0, 2.0)
+
+
 def test_concavity_fit_truncation_removes_spike():
     pts = grid_2d(3)
     vals = [-(0.1 * (i * i + j * j)) for i, j in pts]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -65,13 +66,56 @@ def test_engines_agree(monkeypatch):
         B = random_set(rng, n=n)
         t = Fraction(1, 3)
         ref = convex_combination(A, B, t)
-        # deficit counts the engine's grid without building S's cells
+        # deficit sums the engine's runs without building S's cells
         assert deficit(A, B, t).volS == ref.measure()
-        monkeypatch.setattr(mk, "_PAIR_CHUNK", 1)  # every run pair its own chunk
-        assert convex_combination(A, B, t) == ref
-        assert deficit(A, B, t).volS == ref.measure()
+        for chunk in (1, 3):  # every run pair its own chunk, then ragged chunks
+            monkeypatch.setattr(mk, "_PAIR_CHUNK", chunk)
+            assert convex_combination(A, B, t) == ref
+            assert deficit(A, B, t).volS == ref.measure()
         monkeypatch.undo()
         assert ref == convex_combination_bruteforce(A, B, t)
+
+
+def _splits_a_column(E):
+    """Whether some last-axis column of E holds more than one run."""
+    c = E.array.tolist()
+    return any(a[:-1] == b[:-1] and b[-1] > a[-1] + 1 for a, b in zip(c, c[1:]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_engine_columns_with_several_runs(n):
+    split = 0
+    for denom in (2, 3):
+        for seed in range(4):
+            A, B = generate_scenario(ScenarioSpec(family="random-boxes", n=n,
+                                                  denom=denom, seed=seed))
+            split += _splits_a_column(A) + _splits_a_column(B)
+            for t in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
+                S = convex_combination(A, B, t)
+                assert S == convex_combination_bruteforce(A, B, t)
+                assert deficit(A, B, t).volS == S.measure()
+    assert split  # the family does split columns at these sizes
+
+
+def test_grid_guard_edge():
+    # S's box holds exactly _GRID_GUARD cells, so the engine's line, one
+    # spare cell per base row, is at its longest: 2^24 rows of 3 in 2D
+    assert mk._GRID_GUARD == 1 << 25
+    half = 1 << 23
+    for n, far in ((1, (2 * half - 1,)), (2, (half - 1, 0)),
+                   (2, (2 ** 11 - 1, 2 ** 12 - 1)), (3, (2 ** 11 - 1, 2 ** 11 - 1, 0))):
+        A = LatticeSet(n, 1, [(0,) * n, far])
+        t = Fraction(1, 2)
+        S = convex_combination(A, A, t)
+        assert math.prod(hi - lo for lo, hi in S.bounding_box()) == mk._GRID_GUARD
+        assert S == convex_combination_bruteforce(A, A, t)
+        assert deficit(A, A, t).volS == S.measure()
+        # one more cell on axis 0 of S's box is refused, as before
+        B = LatticeSet(n, 1, [(0,) * n, (far[0] + 1,) + far[1:]])
+        for f in (convex_combination, deficit):
+            with pytest.raises(ValueError) as err:
+                f(A, B, t)
+            assert str(err.value) == "combination grid too large; reduce denom or set size"
 
 
 # SHA-256 of S's cell array and its denom on criterion 01's family (unit

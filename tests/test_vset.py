@@ -15,9 +15,10 @@ from bmstab.minkowski import convex_combination, convex_combination_bruteforce, 
 from bmstab.scenarios import ScenarioSpec, generate_scenario
 from bmstab.stability import cos_pipeline, hull_distance
 from bmstab.vset import (
-    LatticeSet, _materialize_scaling, fiber_profile, intersection_measure, measure,
-    normalize_Mtau, parse_vset, reconcile, slice_measure, slice_profile,
-    superlevel_set, symmetric_difference_measure, write_vset,
+    LatticeSet, _box_offsets, _materialize_scaling, fiber_profile,
+    intersection_measure, measure, normalize_Mtau, parse_vset, reconcile,
+    slice_measure, slice_profile, superlevel_set, symmetric_difference_measure,
+    write_vset,
 )
 
 
@@ -474,3 +475,20 @@ def test_hot_paths_never_build_cell_tuples(monkeypatch, tmp_path):
         cfg.write_text(f"family={family}\nn=2\nm=8\nt=1/2\ntau=1/2\n"
                        "eps_list=1/8,1/4\nseeds=1,2\n")
         assert sweep(str(cfg)).count("\n") == 5
+
+
+def test_box_offsets_and_runs_layout():
+    for steps in ((3,), (2, 2), (1, 3, 2), (2, 2, 2)):
+        offs = _box_offsets(steps)
+        assert offs.dtype == np.int64
+        assert list(map(tuple, offs.tolist())) == list(product(*map(range, steps)))
+    # runs (base, first, length) laid out as cells, near both int64 ends
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+    base = np.array([[lo], [0], [0], [hi]], dtype=np.int64)
+    first = np.array([lo, -2, 5, hi - 2], dtype=np.int64)
+    length = np.array([2, 3, 1, 3])
+    E = LatticeSet._from_runs(2, 7, base, first, length)
+    want = [(lo, lo), (lo, lo + 1), (0, -2), (0, -1), (0, 0), (0, 5),
+            (hi, hi - 2), (hi, hi - 1), (hi, hi)]
+    assert E == LatticeSet(2, 7, want)
+    assert E.array.tolist() == [list(c) for c in want]
