@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["iroot", "nth_root_brackets", "PI_LO", "PI_HI"]
+__all__ = ["iroot", "root_bracket", "nth_root_brackets", "PI_LO", "PI_HI"]
 
 # Rational brackets for pi, from the decimal expansion
 # 3.14159265358979323846264338327950... (30 digits shown; last digit of the
@@ -40,35 +40,35 @@ def iroot(x: int, n: int) -> int:
     return r
 
 
-def _exact_root(x: Fraction, n: int):
-    """Return x**(1/n) as a Fraction when x is a perfect n-th power, else None."""
-    p, q = x.numerator, x.denominator
-    rp, rq = iroot(p, n), iroot(q, n)
-    if rp ** n == p and rq ** n == q:
-        return Fraction(rp, rq)
-    return None
+def root_bracket(c: int, D: int, n: int, bits: int = 64) -> tuple[int, int]:
+    """Numerators (lo, hi) over 2**bits * D of a certified bracket of
+    (c / D**n)**(1/n), for integers c >= 0 and D >= 1.
+
+    The bracket is exact, lo == hi, when c is a perfect n-th power, which is
+    when c / D**n is the n-th power of a rational.  Otherwise lo and hi are
+    r and r + 2 over 2**bits, where r = iroot(floor(c * 2**(n*bits) / D**n), n),
+    so the bracket's ends satisfy lo**n <= c / D**n < hi**n as exact integer
+    facts, and hi - lo = 2**(1-bits).
+    """
+    if c < 0:
+        raise ValueError("root_bracket needs c >= 0")
+    r = iroot(c, n)
+    if r ** n == c:
+        return r << bits, r << bits
+    r = iroot((c << bits * n) // D ** n, n)
+    return r * D, (r + 2) * D
 
 
 def nth_root_brackets(x: Fraction, n: int, bits: int = 64) -> tuple[Fraction, Fraction]:
     """Certified bracket lo <= x**(1/n) <= hi with hi - lo <= 2**(1-bits).
 
-    Exact when x is a perfect n-th power of a rational.  The bracket is built
-    from the integer n-th root of floor(x * 2**(n*bits)), so lo**n <= x and
-    hi**n > x are exact integer facts.
+    Exact when x is a perfect n-th power of a rational.  x = a/b is the
+    count a * b**(n-1) over b**n, bracketed by `root_bracket`, the integer
+    primitive that `minkowski.deficit` calls on its cell counts directly.
     """
     x = Fraction(x)
     if x < 0:
         raise ValueError("nth_root_brackets needs x >= 0")
-    if n == 1:
-        return x, x
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    exact = _exact_root(x, n)
-    if exact is not None:
-        return exact, exact
-    scale = 1 << bits
-    y = (x.numerator * scale ** n) // x.denominator
-    r = iroot(y, n)
-    lo = Fraction(r, scale)
-    hi = Fraction(r + 2, scale)
-    return lo, hi
+    a, b = x.numerator, x.denominator
+    lo, hi = root_bracket(a * b ** (n - 1), b, n, bits)
+    return Fraction(lo, b << bits), Fraction(hi, b << bits)

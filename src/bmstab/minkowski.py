@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._roots import nth_root_brackets
+from ._roots import root_bracket
 from .vset import _INT64, LatticeSet, _check_int64, reconcile
 
 __all__ = [
@@ -176,6 +176,10 @@ def deficit(A: LatticeSet, B: LatticeSet, t) -> DeficitRecord:
     """Both deficit flavors for (A, B, t), S = t*A + (1-t)*B.
 
     |S| is the total length of the engine's runs; S's cells are not built.
+    The three volumes are integer cell counts over D**n, on S's lattice
+    D = m*q, and their roots are integer brackets over 2**64 * D
+    (`root_bracket`), so every sum below is integer and each field is one
+    Fraction, built at the end.
 
     delta_norm = ||A|-1| + ||B|-1| + ||S|-1| is exact; the root-form gap
     |S|^(1/n) - t|A|^(1/n) - (1-t)|B|^(1/n) comes with a certified rational
@@ -184,19 +188,20 @@ def deficit(A: LatticeSet, B: LatticeSet, t) -> DeficitRecord:
     t = _as_lowest_terms(t)
     if A.is_empty() or B.is_empty():
         raise ValueError("deficit needs nonempty operands")
-    n, denom, _, _, s, e = _combination_runs(A, B, t)
-    vA, vB = A.measure(), B.measure()
-    vS = Fraction(int((e - s).sum()), denom ** n)
-    one = Fraction(1)
-    delta_norm = abs(vA - one) + abs(vB - one) + abs(vS - one)
-    sA = nth_root_brackets(vA, n)
-    sB = nth_root_brackets(vB, n)
-    sS = nth_root_brackets(vS, n)
-    lo = sS[0] - t * sA[1] - (1 - t) * sB[1]
-    hi = sS[1] - t * sA[0] - (1 - t) * sB[0]
+    p, q = t.numerator, t.denominator
+    n, D, _, _, s, e = _combination_runs(A, B, t)
+    vol = D ** n
+    cA = len(A.array) * (D // A.denom) ** n
+    cB = len(B.array) * (D // B.denom) ** n
+    cS = int((e - s).sum())
+    aA, bB, sS = (root_bracket(c, D, n) for c in (cA, cB, cS))
+    scale = (q * D) << 64
     return DeficitRecord(
-        t=t, tau=min(t, 1 - t), volA=vA, volB=vB, volS=vS,
-        delta_norm=delta_norm, delta_raw_lo=lo, delta_raw_hi=hi,
+        t=t, tau=t if 2 * p <= q else 1 - t, volA=A.measure(), volB=B.measure(),
+        volS=Fraction(cS, vol),
+        delta_norm=Fraction(abs(cA - vol) + abs(cB - vol) + abs(cS - vol), vol),
+        delta_raw_lo=Fraction(q * sS[0] - p * aA[1] - (q - p) * bB[1], scale),
+        delta_raw_hi=Fraction(q * sS[1] - p * aA[0] - (q - p) * bB[0], scale),
     )
 
 

@@ -297,7 +297,10 @@ class LatticeSet:
         """Per-axis (lo, hi) cell-index ranges, hi exclusive."""
         if self.is_empty():
             raise ValueError("empty set has no bounding box")
-        return [(int(col.min()), int(col.max()) + 1) for col in self.array.T]
+        # the rows are sorted, so axis 0 runs from the first row to the last
+        a = self.array
+        return [(int(a[0, 0]), int(a[-1, 0]) + 1)] + [
+            (int(col.min()), int(col.max()) + 1) for col in a.T[1:]]
 
     def _boxes(self, steps, denom: int) -> "LatticeSet":
         """Cell c becomes the box prod_i [c_i*steps_i, (c_i+1)*steps_i) at denom."""

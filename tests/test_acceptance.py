@@ -302,6 +302,9 @@ def test_criterion_07_four_point_bound():
             r = four_point_residual(f, f, t)
             assert r["res4_f"] <= 2 / float(t) * r["res3"] + 1e-12
             assert r["res4_g"] <= 2 / float(1 - t) * r["res3"] + 1e-12
+            # the same bounds compared exactly on the residuals' integers
+            assert r["res4_f_within_bound"] is True
+            assert r["res4_g_within_bound"] is True
             cases += 1
     _report(7, "four-point-bound", f"{cases} exhaustive quadruple scans")
 

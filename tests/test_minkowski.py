@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bmstab.minkowski as mk
+from bmstab._roots import nth_root_brackets
 from bmstab.minkowski import (
     IntervalSet, convex_combination, convex_combination_bruteforce, deficit,
     interval_sumset, kemperman_stability, parse_iset, write_iset,
@@ -218,8 +220,51 @@ def test_deficit_nonnegative_and_oracle():
 def test_deficit_rejects_empty():
     cube = LatticeSet(2, 1, frozenset([(0, 0)]))
     empty = LatticeSet(2, 1)
-    with pytest.raises(ValueError):
-        deficit(cube, empty, Fraction(1, 2))
+    for A, B in ((cube, empty), (empty, cube), (empty, empty)):
+        with pytest.raises(ValueError, match="^deficit needs nonempty operands$"):
+            deficit(A, B, Fraction(1, 2))
+
+
+def _deficit_from_fractions(A, B, t):
+    """The deficit formula on Fraction volumes and `nth_root_brackets`."""
+    n = A.dim
+    vA, vB, vS = A.measure(), B.measure(), convex_combination(A, B, t).measure()
+    one = Fraction(1)
+    sA, sB, sS = (nth_root_brackets(v, n) for v in (vA, vB, vS))
+    return mk.DeficitRecord(
+        t=t, tau=min(t, 1 - t), volA=vA, volB=vB, volS=vS,
+        delta_norm=abs(vA - one) + abs(vB - one) + abs(vS - one),
+        delta_raw_lo=sS[0] - t * sA[1] - (1 - t) * sB[1],
+        delta_raw_hi=sS[1] - t * sA[0] - (1 - t) * sB[0])
+
+
+def test_deficit_matches_fraction_formula():
+    # deficit counts cells on S's lattice and brackets integer roots; every
+    # field must equal the Fraction formula's, on operands of unequal denoms
+    # (the reconcile path), t = p/q with q <= 5, and perfect n-th powers
+    rng = random.Random(43)
+    ts = sorted({Fraction(p, q) for q in range(2, 6) for p in range(1, q)})
+    cases = []
+    for _ in range(150):
+        n = rng.choice([1, 2, 3])
+        cases.append((random_set(rng, n=n, m=rng.choice([1, 2, 3, 4])),
+                      random_set(rng, n=n, m=rng.choice([1, 2, 3, 4])),
+                      rng.choice(ts)))
+    block = LatticeSet(2, 4, [(i, j) for i in range(2) for j in range(2)])
+    cube = LatticeSet(3, 2, [(i, j, k) for i in range(2) for j in range(2)
+                             for k in range(2)])
+    line = LatticeSet(1, 3, [(0,), (1,), (5,)])
+    cases += [(block, block, Fraction(1, 2)), (block, block.translate((3, 1)), Fraction(2, 5)),
+              (cube, cube, Fraction(1, 3)), (cube, random_set(rng, n=3, m=2), Fraction(3, 4)),
+              (line, line, Fraction(1, 2)), (line, LatticeSet(1, 2, [(0,)]), Fraction(1, 5))]
+    exact = 0
+    for A, B, t in cases:
+        rec, ref = deficit(A, B, t), _deficit_from_fractions(A, B, t)
+        for f in fields(rec):
+            got, want = getattr(rec, f.name), getattr(ref, f.name)
+            assert type(got) is Fraction and got == want, (A, B, t, f.name)
+        exact += rec.exact and A.dim > 1
+    assert exact >= 3  # the perfect-power branch ran in 2D and 3D
 
 
 def test_deficit_bracket_contains_highprec_value():

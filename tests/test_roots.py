@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
-from bmstab._roots import PI_HI, PI_LO, iroot, nth_root_brackets
+from bmstab._roots import PI_HI, PI_LO, iroot, nth_root_brackets, root_bracket
 
 
 def test_iroot_small_cases():
@@ -58,3 +59,37 @@ def test_pi_brackets():
 def test_negative_rejected():
     with pytest.raises(ValueError):
         nth_root_brackets(Fraction(-1), 2)
+    with pytest.raises(ValueError):
+        root_bracket(-1, 1, 2)
+
+
+def _bracket_from_fraction(x, n, bits):
+    """The bracket computed on x's lowest terms: exact when numerator and
+    denominator are perfect n-th powers, else from iroot(floor(x * 2**(n*bits)))."""
+    if n == 1 or x == 0:
+        return x, x
+    p, q = x.numerator, x.denominator
+    rp, rq = iroot(p, n), iroot(q, n)
+    if rp ** n == p and rq ** n == q:
+        return Fraction(rp, rq), Fraction(rp, rq)
+    r = iroot((p << bits * n) // q, n)
+    return Fraction(r, 1 << bits), Fraction(r + 2, 1 << bits)
+
+
+def test_integer_primitive_matches_fraction_bracket():
+    rng = random.Random(71)
+    for k in range(3000):
+        n, bits = rng.randint(1, 5), rng.choice((48, 64))
+        if k % 10 == 0:
+            x = Fraction(0)
+        elif k % 10 < 4:  # perfect n-th powers
+            x = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) ** n
+        else:
+            x = Fraction(rng.randint(1, 10 ** rng.randint(1, 25)),
+                         rng.randint(1, 10 ** rng.randint(1, 25)))
+        want = _bracket_from_fraction(x, n, bits)
+        assert nth_root_brackets(x, n, bits) == want
+        # the primitive on x as a count c over D**n, for any D with x*D**n integral
+        D = x.denominator * rng.randint(1, 12)
+        lo, hi = root_bracket(int(x * D ** n), D, n, bits)
+        assert (Fraction(lo, D << bits), Fraction(hi, D << bits)) == want
