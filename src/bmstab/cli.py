@@ -61,9 +61,7 @@ def _emit(args, text: str):
 def _cmd_generate(args) -> int:
     spec = ScenarioSpec(
         family=args.family, n=args.n, denom=args.denom,
-        t=_fraction(args.t), tau=_fraction(args.tau),
-        eps=_fraction(args.eps), seed=args.seed, L=args.L,
-        bracket=args.bracket,
+        eps=_fraction(args.eps), seed=args.seed, L=args.L, bracket=args.bracket,
     )
     A, B = generate_scenario(spec)
     if spec.family == "interval-unions":
@@ -233,8 +231,7 @@ def sweep(config_path: str) -> str:
         raise UsageError(f"family {family!r} not sweepable")
 
     def row(eps, seed):
-        spec = ScenarioSpec(family=family, n=n, denom=m, t=t, tau=tau,
-                            eps=eps, seed=seed)
+        spec = ScenarioSpec(family=family, n=n, denom=m, eps=eps, seed=seed)
         A, B = generate_scenario(spec)
         rep = check_stability(A, B, t, tau,
                                  instance_id=f"{family}-e{float(eps):g}-s{seed}")
@@ -355,8 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--family", choices=FAMILIES, required=True)
     g.add_argument("--n", type=int, default=2)
     g.add_argument("--denom", type=int, default=8)
-    g.add_argument("--t", default="1/2")
-    g.add_argument("--tau", default="1/2")
     g.add_argument("--eps", default="0")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--L", type=int, default=4)

@@ -60,8 +60,6 @@ class ScenarioSpec:
     family: str
     n: int = 2
     denom: int = 8
-    t: Fraction = Fraction(1, 2)
-    tau: Fraction = Fraction(1, 2)
     eps: Fraction = Fraction(0)
     seed: int = 0
     L: int = 4                      # counterexample separation
@@ -70,11 +68,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "t", Fraction(self.t))
-        object.__setattr__(self, "tau", Fraction(self.tau))
         object.__setattr__(self, "eps", Fraction(self.eps))
-        if not (0 < self.t < 1):
-            raise ValueError("t must lie in (0,1)")
         if self.eps < 0 or self.eps >= 1:
             raise ValueError("eps must lie in [0,1)")
         if self.denom < 1 or self.n not in (1, 2, 3):

@@ -297,8 +297,6 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
     vertsB = [] if inB == B.measure() else [
         tuple(Fraction(c, B.denom) + s for c, s in zip(p, shiftB))
         for p in hull(B.hull_points())[0]]
-    if zeta == 0 and not all(K_A.contains(p) for p in vertsA):
-        raise ValueError("zeta = 0 but A is not contained in K_A")
 
     K0 = Polytope.from_rational_points(K_A.vertices + K_B2.vertices)
     g0 = K0.centroid()

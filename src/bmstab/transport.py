@@ -1,21 +1,25 @@
 """Slice densities, 1D monotone rearrangement, and slice-deficit analysis.
 
-Slice densities of lattice sets are piecewise-constant rationals, their
-distribution functions are piecewise linear, and the monotone rearrangement
-T = G_B^(-1) o G_A is assembled exactly by composing quantiles on the merged
-mass grid.  Everything stays rational except (n-1)-th roots in the slice
-deficit, which carry certified brackets; piecewise-constant integrands make
-per-piece midpoint evaluation exact.
+Slice densities of lattice sets are piecewise-constant rationals, formed
+from the integer cell counts of the occupied rows; their distribution
+functions are piecewise linear, and the monotone rearrangement
+T = G_B^(-1) o G_A is assembled exactly in one merge over the positive pieces
+of both densities.  Everything stays rational except n-th and (n-1)-th roots
+in the slice deficit, which carry certified brackets; piecewise-constant
+integrands make per-piece midpoint evaluation exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._roots import nth_root_brackets
+import numpy as np
+
+from ._roots import nth_root_brackets, root_bracket
 from .minkowski import convex_combination
-from .vset import LatticeSet, slice_profile
+from .vset import LatticeSet, _slice_counts
 
 __all__ = [
     "DensityProfile", "TransportMap", "SliceDeficitReport",
@@ -46,13 +50,6 @@ class DensityProfile:
         return sum((v * (b1 - b0) for v, b0, b1 in
                     zip(self.values, self.breaks, self.breaks[1:])), Fraction(0))
 
-    def cumulative(self) -> tuple:
-        """Masses at the breaks: G(breaks[0]) = 0 ... G(breaks[-1]) = mass."""
-        out = [Fraction(0)]
-        for v, b0, b1 in zip(self.values, self.breaks, self.breaks[1:]):
-            out.append(out[-1] + v * (b1 - b0))
-        return tuple(out)
-
     def integrate(self, lo, hi) -> Fraction:
         """Exact integral of the density over [lo, hi]."""
         lo, hi = Fraction(lo), Fraction(hi)
@@ -67,40 +64,31 @@ class DensityProfile:
 
 
 def slice_density(E: LatticeSet) -> DensityProfile:
-    """Normalized slice density of a lattice set along its last coordinate."""
+    """Normalized slice density of a lattice set along its last coordinate.
+
+    A run of adjacent occupied rows with c cells each is one piece of density
+    c*m/k, where k = |E| in cells, and each run of empty rows between them is
+    one zero piece.
+    """
     if E.dim < 2:
         raise ValueError("slice_density needs dim >= 2")
     if E.is_empty():
         raise ValueError("slice_density needs a nonempty set")
-    vol = E.measure()
-    prof = dict(slice_profile(E).lengths)
-    rows = sorted(s for (s,) in prof)
-    lo, hi = rows[0], rows[-1] + 1
-    m = E.denom
-    breaks = [Fraction(j, m) for j in range(lo, hi + 1)]
-    values = [prof.get((j,), Fraction(0)) / vol for j in range(lo, hi)]
-    return _compress(DensityProfile(tuple(breaks), tuple(values)))
-
-
-def _compress(p: DensityProfile) -> DensityProfile:
-    """Merge equal-value neighbours and strip zero tails (mass unchanged)."""
-    breaks, values = list(p.breaks), list(p.values)
-    while values and values[0] == 0:
-        breaks.pop(0)
-        values.pop(0)
-    while values and values[-1] == 0:
-        breaks.pop()
-        values.pop()
-    if not values:
-        raise ValueError("density has no mass")
-    out_b, out_v = [breaks[0]], []
-    for v, b1 in zip(values, breaks[1:]):
-        if out_v and v == out_v[-1]:
-            out_b[-1] = b1
-        else:
-            out_v.append(v)
-            out_b.append(b1)
-    return DensityProfile(tuple(out_b), tuple(out_v))
+    rows, counts = _slice_counts(E)
+    # index of the first row of every run; rows[1:] - 1 cannot overflow
+    starts = np.flatnonzero(np.concatenate(
+        [[True], (rows[1:] - 1 != rows[:-1]) | (counts[1:] != counts[:-1])]))
+    ends = np.append(starts[1:], len(rows)) - 1
+    m, k = E.denom, len(E.array)
+    breaks, values = [rows[0].item()], []
+    for lo, hi, c in zip(rows[starts].tolist(), rows[ends].tolist(),
+                         counts[starts].tolist()):
+        if lo > breaks[-1]:
+            breaks.append(lo)
+            values.append(0)
+        breaks.append(hi + 1)
+        values.append(Fraction(c * m, k))
+    return DensityProfile(tuple(Fraction(b, m) for b in breaks), tuple(values))
 
 
 @dataclass(frozen=True)
@@ -142,30 +130,31 @@ class TransportMap:
 
 
 def monotone_rearrangement(rho_A: DensityProfile, rho_B: DensityProfile) -> TransportMap:
-    """Exact quantile composition on the merged mass grid of both densities."""
+    """T = G_B^(-1) o G_A, in one merge over both densities' positive pieces
+    that cuts wherever either piece's mass runs out."""
     if rho_A.mass() != 1 or rho_B.mass() != 1:
         raise ValueError("both densities must have unit mass")
-    cum_A = rho_A.cumulative()
-    cum_B = rho_B.cumulative()
-    grid = sorted(set(cum_A) | set(cum_B))
+    A, B = _positive_pieces(rho_A), _positive_pieces(rho_B)
+    (s, va, ma), (u, vb, mb) = next(A), next(B)
     pieces = []
-    for r0, r1 in zip(grid, grid[1:]):
-        if r1 == r0:
-            continue
-        s0, s1, va = _quantile_span(rho_A, cum_A, r0, r1)
-        u0, u1, vb = _quantile_span(rho_B, cum_B, r0, r1)
-        pieces.append((s0, s1, u0, u1, va, vb))
-    return TransportMap(tuple(pieces))
+    while True:
+        r = min(ma, mb)
+        s1, u1 = s + r / va, u + r / vb
+        pieces.append((s, s1, u, u1, va, vb))
+        s, u, ma, mb = s1, u1, ma - r, mb - r
+        if ma == 0:
+            nxt = next(A, None)
+            if nxt is None:  # unit masses: B runs out here too
+                return TransportMap(tuple(pieces))
+            s, va, ma = nxt
+        if mb == 0:
+            u, vb, mb = next(B)
 
 
-def _quantile_span(p: DensityProfile, cum, r0, r1):
-    """The s-interval carrying mass (r0, r1); one strictly positive piece."""
-    for i, v in enumerate(p.values):
-        if v > 0 and cum[i] <= r0 and r1 <= cum[i + 1]:
-            s0 = p.breaks[i] + (r0 - cum[i]) / v
-            s1 = p.breaks[i] + (r1 - cum[i]) / v
-            return s0, s1, v
-    raise ValueError("mass cell does not sit inside a single density piece")
+def _positive_pieces(p: DensityProfile):
+    """(start, value, mass) of each positive piece of p, in order."""
+    return ((b0, v, v * (b1 - b0))
+            for v, b0, b1 in zip(p.values, p.breaks, p.breaks[1:]) if v > 0)
 
 
 def transport_ratio_integral(T: TransportMap) -> Fraction:
@@ -229,8 +218,8 @@ def slice_deficit(A: LatticeSet, B: LatticeSet, t) -> SliceDeficitReport:
     rho_B = slice_density(B)
     T = monotone_rearrangement(rho_A, rho_B)
 
-    s_rows = dict(slice_profile(S).lengths)
-    mS = S.denom
+    s_rows = dict(zip(*(x.tolist() for x in _slice_counts(S))))
+    mS, area = S.denom, S.denom ** (n - 1)
 
     pieces = []
     mu_pieces = []
@@ -253,17 +242,18 @@ def slice_deficit(A: LatticeSet, B: LatticeSet, t) -> SliceDeficitReport:
             mid = (q0 + q1) / 2
             u_mid = t * mid + (1 - t) * (u0 + (mid - s0) * Tp)
             row = u_mid * mS
-            aS = s_rows.get((_floor(row),), Fraction(0))
+            aS = Fraction(s_rows.get(math.floor(row), 0), area)
             chain += aS * w * (q1 - q0)
             e_lo, e_hi = _slice_gap(aS, aA, aB, t, n)
             int_lo += e_lo * w * (q1 - q0)
             int_hi += e_hi * w * (q1 - q0)
             pieces.append((q0, q1, w, e_lo, e_hi))
 
-    rootA = nth_root_brackets(volA, n)
-    rootB = nth_root_brackets(volB, n)
-    mix_lo = t * rootA[0] + (1 - t) * rootB[0]
-    mix_hi = t * rootA[1] + (1 - t) * rootB[1]
+    # (t|A|^{1/n} + (1-t)|B|^{1/n}) bracketed from the cell counts
+    mix_lo, mix_hi = (
+        t * Fraction(a, A.denom << 64) + (1 - t) * Fraction(b, B.denom << 64)
+        for a, b in zip(root_bracket(len(A.array), A.denom, n),
+                        root_bracket(len(B.array), B.denom, n)))
     lhs_lo = volS - mix_hi ** n
     lhs_hi = volS - mix_lo ** n
 
@@ -277,10 +267,6 @@ def slice_deficit(A: LatticeSet, B: LatticeSet, t) -> SliceDeficitReport:
     )
 
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def _subsplit(s0, s1, u0, va, vb, t, mS):
     """Cut [s0, s1] where T_t(s) crosses multiples of 1/mS (exact rationals)."""
     Tp = va / vb
@@ -288,8 +274,8 @@ def _subsplit(s0, s1, u0, va, vb, t, mS):
     c0 = t * s0 + (1 - t) * u0
     c1 = c0 + slope * (s1 - s0)
     cuts = [s0]
-    j0 = _floor(c0 * mS) + 1
-    j1 = _floor(c1 * mS)
+    j0 = math.floor(c0 * mS) + 1
+    j1 = math.floor(c1 * mS)
     for j in range(j0, j1 + 1):
         s = s0 + (Fraction(j, mS) - c0) / slope
         if s0 < s < s1:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._roots import nth_root_brackets
+from ._roots import iroot, nth_root_brackets
 
 __all__ = [
     "LatticeSet", "FiberProfile", "measure", "symmetric_difference_measure",
@@ -415,11 +415,7 @@ def _chord_keep(p: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiberProfile:
-    """Map from (n-1)-dim base cell indices to exact fiber lengths H^1(E_y).
-
-    The same structure transposed (index = last-coordinate row) stores slice
-    areas H^{n-1}(E(s)).
-    """
+    """Map from (n-1)-dim base cell indices to exact fiber lengths H^1(E_y)."""
     base_dim: int
     denom: int
     lengths: tuple  # sorted tuple of (index_tuple, Fraction)
@@ -471,14 +467,12 @@ def fiber_profile(E: LatticeSet) -> FiberProfile:
     return FiberProfile(E.dim - 1, E.denom, lengths)
 
 
-def slice_profile(E: LatticeSet) -> FiberProfile:
-    """Transposed profile: slice areas H^{n-1}(E(s)) per last-coordinate row."""
+def _slice_counts(E: LatticeSet):
+    """(rows, counts): the last-axis rows that hold a cell, ascending, and
+    each one's cell count; the slice through row s has area count/m^(n-1)."""
     if E.dim < 2:
-        raise ValueError("slice_profile needs dim >= 2")
-    rows, counts = np.unique(E.array[:, -1], return_counts=True)
-    area = E.denom ** (E.dim - 1)
-    return FiberProfile(1, E.denom, tuple(
-        ((s,), Fraction(k, area)) for s, k in zip(rows.tolist(), counts.tolist())))
+        raise ValueError("slice measures need dim >= 2")
+    return np.unique(E.array[:, -1], return_counts=True)
 
 
 def slice_measure(E: LatticeSet, s_row: int) -> Fraction:
@@ -510,13 +504,11 @@ def base_projection(E: LatticeSet) -> LatticeSet:
 
 
 def sup_fiber_length(E: LatticeSet) -> Fraction:
-    prof = fiber_profile(E)
-    return max((l for _, l in prof.lengths), default=Fraction(0))
+    return Fraction(int(_columns(E)[1].max(initial=0)), E.denom)
 
 
 def sup_slice_measure(E: LatticeSet) -> Fraction:
-    prof = slice_profile(E)
-    return max((l for _, l in prof.lengths), default=Fraction(0))
+    return Fraction(int(_slice_counts(E)[1].max(initial=0)), E.denom ** (E.dim - 1))
 
 
 def _scaling_blowup(lam: Fraction, n: int) -> int:
@@ -534,35 +526,18 @@ _MAX_CELL_BLOWUP = 4096  # fine cells per source cell under normalize_Mtau
 
 
 def _feasible_snap(lam_star: Fraction, n: int):
-    """Closest rational to lam_star whose per-cell blowup fits _MAX_CELL_BLOWUP.
+    """Closest rational to lam_star whose per-cell blowup fits
+    _MAX_CELL_BLOWUP, the smaller one on a tie, and its distance to lam_star.
 
-    The materialized set has _scaling_blowup(lam, n)**n fine cells per source
-    cell, so that is the quantity capped; candidates come from continued-
-    fraction convergents at successively coarser denominators, plus integer
-    and reciprocal-integer snaps for the strongly anisotropic cases.
+    lam = a/b puts (a^(n-1)*b)^n fine cells in each source cell, so every
+    feasible lam has a^(n-1)*b <= iroot(_MAX_CELL_BLOWUP, n), and the scan
+    covers them all (a/b not in lowest terms repeats a feasible value).
     """
-    best = None
-    candidates = set()
-    for d in (1 << 16, 4096, 512, 64, 16, 8, 4, 3, 2, 1):
-        candidates.add(Fraction(lam_star).limit_denominator(d))
-    if lam_star >= 1:
-        candidates.add(Fraction(max(1, round(lam_star))))
-    else:
-        inv = 1 / lam_star
-        candidates.add(Fraction(1, max(1, round(inv))))
-    for cand in candidates:
-        if cand <= 0:
-            continue
-        if _scaling_blowup(cand, n) ** n > _MAX_CELL_BLOWUP:
-            continue
-        err = abs(cand - lam_star)
-        if best is None or err < best[1] or (err == best[1] and cand < best[0]):
-            best = (cand, err)
-    if best is None:
-        raise ValueError(
-            f"no representable scaling near lambda={float(lam_star):.6g} "
-            f"within per-cell blowup cap {_MAX_CELL_BLOWUP}")
-    return best
+    cap = iroot(_MAX_CELL_BLOWUP, n)
+    lam = min((Fraction(a, b) for b in range(1, cap + 1)
+               for a in range(1, iroot(cap // b, n - 1) + 1)),
+              key=lambda x: (abs(x - lam_star), x))
+    return lam, abs(lam - lam_star)
 
 
 def normalize_Mtau(A: LatticeSet, B: LatticeSet, tau):

@@ -119,8 +119,6 @@ def test_spec_validation():
         ScenarioSpec(family="no-such-family")
     with pytest.raises(ValueError):
         ScenarioSpec(family="random-boxes", eps=Fraction(3, 2))
-    with pytest.raises(ValueError):
-        ScenarioSpec(family="random-boxes", t=Fraction(2))
 
 
 _DIGEST_DENOMS = {  # family -> (eps, denom for n = 1, 2, 3)

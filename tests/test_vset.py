@@ -15,10 +15,10 @@ from bmstab.minkowski import convex_combination, convex_combination_bruteforce, 
 from bmstab.scenarios import ScenarioSpec, generate_scenario
 from bmstab.stability import cos_pipeline, hull_distance
 from bmstab.vset import (
-    LatticeSet, _box_offsets, _materialize_scaling, fiber_profile,
-    intersection_measure, measure, normalize_Mtau, parse_vset, reconcile,
-    slice_measure, slice_profile, superlevel_set, symmetric_difference_measure,
-    write_vset,
+    _MAX_CELL_BLOWUP, LatticeSet, _box_offsets, _feasible_snap, _materialize_scaling,
+    _scaling_blowup, _slice_counts, fiber_profile, intersection_measure, measure,
+    normalize_Mtau, parse_vset, reconcile,
+    slice_measure, superlevel_set, symmetric_difference_measure, write_vset,
 )
 
 
@@ -154,6 +154,39 @@ def test_normalize_product_bound():
         assert A2.measure() == A.measure()
 
 
+def test_normalize_snaps_to_closest_feasible_lambda():
+    # lambda* = 13/6: 11/5 (blowup 55^2 = 3025) is closer than 9/4
+    A = LatticeSet(2, 13, [(i, j) for i in range(24) for j in range(4)])
+    lam, A2, B2, rep = normalize_Mtau(A, A, Fraction(1, 2))
+    assert rep["lambda_target"] == Fraction(13, 6)
+    assert (lam, rep["snap_error"], rep["cell_blowup"]) == (Fraction(11, 5), Fraction(1, 30), 3025)
+    assert A2.measure() == A.measure()
+    # lambda* = 1/250: 1/64 is the smallest feasible lambda, blowup 64^2 = 4096
+    A = LatticeSet(2, 1, [(i, 0) for i in range(1000)])
+    B = LatticeSet(2, 1, [(0, 0)])
+    lam, A2, B2, rep = normalize_Mtau(A, B, Fraction(1, 2))
+    assert rep["lambda_target"] == Fraction(1, 250)
+    assert (lam, rep["snap_error"], rep["cell_blowup"]) == (
+        Fraction(1, 64), Fraction(1, 64) - Fraction(1, 250), 4096)
+    assert A2.measure() == A.measure() and B2.measure() == B.measure()
+
+
+def test_feasible_snap_matches_exhaustive_scan():
+    # a/b in lowest terms has blowup a^(n-1)*b >= max(a, b), and blowup^n
+    # <= 4096 caps that at 64, so a, b <= 64 holds every feasible lambda
+    rng = random.Random(29)
+    for n in (2, 3):
+        feasible = sorted({x for x in (Fraction(a, b) for a in range(1, 65) for b in range(1, 65))
+                           if _scaling_blowup(x, n) ** n <= _MAX_CELL_BLOWUP})
+        targets = [Fraction(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 4))
+                   for _ in range(150)]
+        targets += [Fraction(1, 250), Fraction(13, 6), Fraction(100)]
+        targets += [(x + y) / 2 for x, y in zip(feasible, feasible[1:])][::7]
+        for lam_star in targets:
+            best = min(feasible, key=lambda x: (abs(x - lam_star), x))
+            assert _feasible_snap(lam_star, n) == (best, abs(best - lam_star))
+
+
 def test_normalize_rejects_small_sets():
     tiny = LatticeSet(2, 4, frozenset([(0, 0)]))
     with pytest.raises(ValueError):
@@ -272,8 +305,7 @@ def test_array_ops_match_tuple_oracle():
         assert fiber_profile(E).lengths == tuple(
             (y, Fraction(c, m)) for y, c in sorted(fibers.items()))
         rows = _oracle_counts(c[-1] for c in cells)
-        assert slice_profile(E).lengths == tuple(
-            ((s,), Fraction(c, m ** (n - 1))) for s, c in sorted(rows.items()))
+        assert list(zip(*(x.tolist() for x in _slice_counts(E)))) == sorted(rows.items())
         for s in (-8, -1, 0, 3, 2 ** 70):
             assert slice_measure(E, s) == Fraction(rows.get(s, 0), m ** (n - 1))
         for lam in (Fraction(0), Fraction(1, 3), Fraction(1, m), Fraction(5, 2)):
