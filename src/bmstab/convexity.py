@@ -62,14 +62,24 @@ class Polytope:
         pts = list(points)
         if not pts:
             raise ValueError("polytope needs at least one point")
-        g = math.gcd(scale, *(x for p in pts for x in p))
+        return cls._from_hull(hull(pts), scale, pts)
+
+    @classmethod
+    def _from_hull(cls, built, scale, points) -> "Polytope":
+        """The polytope `from_lattice_points(points, scale)`, given the hull
+        `built = hull(points)` that the caller already holds.
+
+        The hull of the points divided by their gcd g with scale is the
+        built hull divided by g, faces unchanged, since dividing by a
+        positive integer keeps every orientation test's sign.
+        """
+        verts, faces, vol = built
+        g = math.gcd(scale, *(x for p in points for x in p))
         if g > 1:
-            pts = [tuple(x // g for x in p) for p in pts]
-        L = scale // g
-        verts, faces, vol = hull(pts)
-        dim = len(pts[0])
-        return cls(dim, L, tuple(verts), tuple(faces),
-                   Fraction(vol, math.factorial(dim) * L ** dim))
+            verts = [tuple(x // g for x in p) for p in verts]
+        dim = len(verts[0])
+        return cls(dim, scale // g, tuple(verts), tuple(faces),
+                   Fraction(vol, math.factorial(dim) * scale ** dim))
 
     @classmethod
     def from_rational_points(cls, points) -> "Polytope":
@@ -142,7 +152,8 @@ def convex_hull(E: LatticeSet) -> Polytope:
     """
     if E.is_empty():
         raise ValueError("convex_hull needs a nonempty set")
-    return Polytope.from_lattice_points(hull(E.hull_points())[0], E.denom)
+    built = hull(E.hull_points())
+    return Polytope._from_hull(built, E.denom, built[0])
 
 
 def hull_excess(E: LatticeSet) -> Fraction:

@@ -116,9 +116,19 @@ def _combination_runs(A: LatticeSet, B: LatticeSet, t):
 
 def _fiber_runs(E: LatticeSet, w: int, box, line):
     """E's maximal last-axis runs as int32 (first, last) line positions: cell
-    lo + c of E's box sits at w * (c @ line), summed one column at a time."""
-    pos = sum((E.array[:, a] - lo) * (w * k)
-              for a, ((lo, _), k) in enumerate(zip(box, line))).astype(np.int32)
+    lo + c of E's box sits at w * (c @ line), summed one column at a time.
+
+    The sum is int32 and exact: every term and every partial sum is
+    nonnegative and at most a position on S's line, so below 2^31 by
+    `_GRID_GUARD`.  A column's offset x - lo is formed from the int32 casts
+    of x and lo, that is modulo 2^32, which is exact as it lies in [0, 2^31).
+    """
+    pos = None
+    for col, (lo, _), k in zip(E.array.T, box, line):
+        c = col.astype(np.int32)
+        c -= (lo + (1 << 31)) % (1 << 32) - (1 << 31)
+        c *= w * k
+        pos = c if pos is None else np.add(pos, c, out=pos)
     # E is sorted, so a run is a block of rows one scaled cell apart;
     # brk[i]: a run starts at row i, and the run before it ends at row i - 1
     brk = np.ones(len(pos) + 1, dtype=bool)

@@ -163,26 +163,27 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     def union(v):
         return ptsA + [tuple(x + y for x, y in zip(p, v)) for p in ptsB]
 
-    vols = {}
-
-    def vol(v) -> int:
-        if v not in vols:
-            vols[v] = hull(union(v))[2]
-        return vols[v]
-
+    # the d!-volume of each shift's hull, and the hull at the best shift
     best_v = (0,) * dim
-    best = vol_at_zero = vol(best_v)
+    best_hull = hull(union(best_v))
+    vols = {best_v: best_hull[2]}
+    best = vol_at_zero = best_hull[2]
 
     def scan(span):
-        nonlocal best, best_v
+        nonlocal best, best_v, best_hull
         bounds = _box_bounds(VA, boxA, VB, boxB, span)
         for bound, v in sorted((b, v) for b, v in zip(bounds, product(*span))
                                if b <= best):
             if bound > best:
                 break
-            d = vol(v)
+            # (best, best_v) is the least (volume, shift) over the shifts
+            # built so far, so a shift built before cannot change it
+            if v in vols:
+                continue
+            built = hull(union(v))
+            d = vols[v] = built[2]
             if d < best or (d == best and v < best_v):
-                best, best_v = d, v
+                best, best_v, best_hull = d, v, built
 
     stride = max(1, m // 4)
     # coarse scan of the full window
@@ -196,7 +197,7 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     volAB = A.measure() + B.measure()
     return {
         "v_star": tuple(Fraction(x, m) for x in best_v),
-        "K": Polytope.from_lattice_points(union(best_v), m),
+        "K": Polytope._from_hull(best_hull, m, union(best_v)),
         "D_star": 2 * Fraction(best, scale) - volAB,
         "D_at_zero": 2 * Fraction(vol_at_zero, scale) - volAB,
         "hull_evals": len(vols),

@@ -112,7 +112,7 @@ def _canonical(c: np.ndarray) -> np.ndarray:
             c = c[np.lexsort(c.T[::-1])]
             keep = _column_breaks(c)
             keep[1:] |= c[1:, -1] != c[:-1, -1]
-            c = c[keep]
+            c = c[np.flatnonzero(keep)]
     return c
 
 
@@ -218,21 +218,19 @@ class LatticeSet:
         # the far corner of the grid; an axis of extent 0 still needs its origin
         _check_int64(min(origin),
                      max(o + max(k, 1) - 1 for o, k in zip(origin, mask.shape)))
-        # The flat indices of the true entries, in C order, are sorted and
-        # unique, and so are the index tuples divmod peels off them; they are
-        # written straight into one C-contiguous (k, dim) array.
-        flat = np.flatnonzero(mask)
-        cells = np.empty((len(flat), dim), dtype=np.int64)
-        for a in range(dim - 1, 0, -1):
-            np.divmod(flat, mask.shape[a], out=(flat, cells[:, a]))
-        cells[:, 0] = flat
-        cells += np.array(origin, dtype=np.int64)
+        # np.nonzero lists the true entries in C order, so their index
+        # tuples are sorted and unique; each axis's indices, plus its
+        # origin, are written straight into one C-contiguous (k, dim) array.
+        index = np.nonzero(mask)
+        cells = np.empty((len(index[0]), dim), dtype=np.int64)
+        for a, (i, o) in enumerate(zip(index, origin)):
+            np.add(i, o, out=cells[:, a])
         return cls._from_canonical(dim, denom, cells)
 
     @classmethod
     def _from_runs(cls, dim: int, denom: int, base, first, length) -> "LatticeSet":
         """The cells (base[r], first[r] + i), 0 <= i < length[r], of disjoint
-        last-axis runs in lexicographic order; base is (k, dim-1)."""
+        nonempty last-axis runs in lexicographic order; base is (k, dim-1)."""
         count = int(length.sum())
         cells = np.empty((count, dim), dtype=np.int64)
         cells[:, :-1] = np.repeat(base, length, axis=0)
@@ -303,14 +301,31 @@ class LatticeSet:
             (int(col.min()), int(col.max()) + 1) for col in a.T[1:]]
 
     def _boxes(self, steps, denom: int) -> "LatticeSet":
-        """Cell c becomes the box prod_i [c_i*steps_i, (c_i+1)*steps_i) at denom."""
-        if not self.is_empty():
+        """Cell c becomes the box prod_i [c_i*steps_i, (c_i+1)*steps_i) at denom.
+
+        It works on runs: a maximal last-axis run [f, f + l) over base y
+        becomes the run [f*s, (f + l)*s), s = steps[-1], over each base row
+        y*steps' + o, o in the box of the base steps steps'.  One lexsort
+        of that short list of runs by base row and first cell puts them in
+        lexicographic order, and `_from_runs` writes the cells; no cell
+        array is expanded or sorted.
+        """
+        c = self.array
+        if len(c):
             for (lo, hi), s in zip(self.bounding_box(), steps):
                 _check_int64(lo * s, hi * s - 1)
-        cells = self.array * np.array(steps, dtype=np.int64)
-        cells = cells[:, None, :] + _box_offsets(steps)
-        return LatticeSet._from_canonical(
-            self.dim, denom, _canonical(cells.reshape(-1, self.dim)))
+        # brk[i]: a maximal run starts at row i
+        brk = _column_breaks(c)
+        brk[1:] |= c[1:, -1] - c[:-1, -1] != 1
+        at = np.flatnonzero(brk)
+        length = np.diff(np.append(at, len(c)))
+        base = (c[at, :-1] * np.array(steps[:-1], dtype=np.int64))[:, None]
+        per_run = math.prod(steps[:-1])
+        base = (base + _box_offsets(steps[:-1])).reshape(len(at) * per_run, self.dim - 1)
+        first = np.repeat(c[at, -1] * steps[-1], per_run)
+        order = np.lexsort([first] + [base[:, a] for a in range(self.dim - 2, -1, -1)])
+        return LatticeSet._from_runs(self.dim, denom, base[order], first[order],
+                                     np.repeat(length * steps[-1], per_run)[order])
 
     def refine(self, k: int) -> "LatticeSet":
         """Multiply denom by k; the represented point set (and measure) is unchanged."""
@@ -361,9 +376,8 @@ class LatticeSet:
             return []
         if self.dim == 1:
             return [(int(c[0, 0]),), (int(c[-1, 0]) + 1,)]
-        head = _column_breaks(c)  # the first and the last row of each column
-        tail = np.empty_like(head)
-        tail[:-1], tail[-1] = head[1:], True
+        head = _column_starts(c)  # the first and the last row of each column
+        tail = np.append(head[1:] - 1, len(c) - 1)
         base, lo, hi = c[head, :-1], c[head, -1], c[tail, -1]
         mins = base.min(axis=0).tolist() + [int(lo.min())]
         maxs = base.max(axis=0).tolist() + [int(hi.max())]

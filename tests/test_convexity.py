@@ -138,6 +138,34 @@ def test_hull_from_column_ends_matches_all_corners():
     assert holes >= 10 and inflated >= 3, (holes, inflated)
 
 
+
+def test_hulls_built_once_match_a_second_build():
+    # convex_hull and hull_distance's K reuse the hull they built; each must
+    # equal the polytope that hulls the same vertices again
+    rng = random.Random(577)
+    pairs = []
+    for n, denom in ((2, 8), (2, 16), (3, 2), (3, 4)):
+        for seed in (1, 2):
+            pairs.append(generate_scenario(ScenarioSpec(
+                family="boundary-bites", n=n, denom=denom, eps=Fraction(1, 4), seed=seed)))
+    for n in (1, 2):  # random 3D pairs make the translation search slow
+        for _ in range(4):
+            pairs.append(tuple(LatticeSet(n, rng.choice([2, 4]), {
+                tuple(rng.randrange(-4, 4) for _ in range(n))
+                for _ in range(rng.randrange(1, 12))}) for _ in range(2)))
+    for A, B in pairs:
+        for E in (A, B):
+            assert convex_hull(E) == Polytope.from_lattice_points(
+                hull(E.hull_points())[0], E.denom)
+        hd = hull_distance(A, B)
+        m = max(A.denom, B.denom)
+        v = [int(x * m) for x in hd["v_star"]]
+        ptsA = hull(A.refine(m // A.denom).hull_points())[0]
+        ptsB = hull(B.refine(m // B.denom).hull_points())[0]
+        union = ptsA + [tuple(map(operator.add, p, v)) for p in ptsB]
+        assert hd["K"] == Polytope.from_lattice_points(union, m)
+
+
 def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 

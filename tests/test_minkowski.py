@@ -452,3 +452,34 @@ def test_iset_round_trip():
     assert parse_iset(write_iset(s)) == s
     with pytest.raises(ValueError):
         parse_iset("iset 2\n0/1 1/1\n")
+
+
+def test_fiber_runs_int32_positions_match_int64_formula():
+    # S's box just under _GRID_GUARD, operands far from the origin: the
+    # int32 positions, taken modulo 2^32 per column, equal the int64 sum
+    rng = np.random.default_rng(17)
+    for n, side, shift in ((1, 11_000_000, 2 ** 40), (2, (1900, 1930), -(2 ** 45)),
+                           (3, (107, 107, 107), 2 ** 33 + 5)):
+        side = (side,) if n == 1 else side
+        t = Fraction(1, 3)
+        p, q = t.numerator, t.denominator
+        cells = np.vstack([np.zeros((1, n), dtype=np.int64),
+                           np.array(side, dtype=np.int64) - 1,
+                           rng.integers(0, side, size=(2000, n))]) + shift
+        A = LatticeSet(n, 1, cells)
+        B = LatticeSet(n, 1, cells[:500])
+        box_a, box_b = A.bounding_box(), B.bounding_box()
+        shape = [p * (a1 - 1) + (q - p) * (b1 - 1) + q - p * a0 - (q - p) * b0
+                 for (a0, a1), (b0, b1) in zip(box_a, box_b)]
+        assert mk._GRID_GUARD // 2 < math.prod(shape) <= mk._GRID_GUARD
+        line = [math.prod(shape[a + 1:-1]) * (shape[-1] + 1) for a in range(n - 1)] + [1]
+        for E, w, box in ((A, p, box_a), (B, q - p, box_b)):
+            pos = sum((E.array[:, a] - lo) * (w * k)
+                      for a, ((lo, _), k) in enumerate(zip(box, line)))
+            assert pos.dtype == np.int64 and pos.max() >= 1 << 23
+            brk = np.ones(len(pos) + 1, dtype=bool)
+            brk[1:-1] = pos[1:] != pos[:-1] + w
+            first, last = mk._fiber_runs(E, w, box, line)
+            assert first.dtype == last.dtype == np.int32
+            assert np.array_equal(first, pos[brk[:-1]])
+            assert np.array_equal(last, pos[brk[1:]])

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -524,3 +525,114 @@ def test_box_offsets_and_runs_layout():
             (hi, hi - 2), (hi, hi - 1), (hi, hi)]
     assert E == LatticeSet(2, 7, want)
     assert E.array.tolist() == [list(c) for c in want]
+
+
+# ---------------------------------------------------------------------------
+# the cell-array kernels against test-local oracles
+
+
+def _oracle_boxes(cells, steps):
+    """Every sub-cell of every cell's box, sorted: the brute-force expansion."""
+    return sorted({tuple(c[a] * steps[a] + o[a] for a in range(len(steps)))
+                   for c in cells for o in product(*map(range, steps))})
+
+
+def test_boxes_match_brute_force_expansion():
+    rng = random.Random(4242)
+    lo, hi = -2 ** 62, 2 ** 62 - 1  # times 2: both ends of int64 exactly
+    cases = []
+    for trial in range(90):
+        n = 1 + trial % 3
+        k = rng.randrange(0, 25)  # empty sets included
+        cells = {tuple(rng.randrange(-6, 6) for _ in range(n)) for _ in range(k)}
+        steps = tuple(rng.choice([1, 1, 2, 3]) for _ in range(n))
+        cases.append((n, cells, steps))
+    for n in (1, 2, 3):
+        cases.append((n, set(), (2,) * n))
+        cases.append((n, {(lo,) * n, (hi,) * n, (0,) * (n - 1) + (hi,)}, (2,) * n))
+        cases.append((n, {(hi - 1,) * n, (hi,) * n}, (1,) * (n - 1) + (2,)))
+        # one long column with gaps, and a column of single cells
+        cases.append((n, {(0,) * (n - 1) + (z,) for z in (-5, -4, -3, 0, 2, 3)},
+                      (2,) * (n - 1) + (1,)))
+    for n, cells, steps in cases:
+        E = LatticeSet(n, 3, cells)
+        F = E._boxes(steps, 3 * math.prod(steps))
+        _assert_canonical(F)
+        assert F.array.tolist() == [list(c) for c in _oracle_boxes(cells, steps)]
+        assert F.denom == 3 * math.prod(steps)
+    # the first coordinate one past int64 is refused before any allocation
+    with pytest.raises(ValueError):
+        LatticeSet(2, 1, [(0, hi + 1)])._boxes((1, 2), 2)
+    with pytest.raises(ValueError):
+        LatticeSet(3, 1, [(lo - 1, 0, 0)])._boxes((2, 1, 1), 2)
+
+
+def _oracle_runs(base, first, length):
+    return [tuple(y) + (f + i,) for y, f, l in zip(base, first, length)
+            for i in range(l)]
+
+
+def test_from_runs_lays_out_each_run():
+    rng = random.Random(99)
+    for trial in range(60):
+        n = 1 + trial % 3
+        # distinct base rows, with jumps across empty rows, each with
+        # disjoint runs of length 1 and longer
+        rows = sorted({tuple(rng.randrange(-30, 30) for _ in range(n - 1))
+                       for _ in range(rng.randrange(1, 6))})
+        base, first, length = [], [], []
+        for y in rows:
+            z = rng.randrange(-40, 0)
+            for _ in range(rng.randrange(1, 4)):
+                l = rng.choice([1, 1, 2, 5])
+                base.append(y)
+                first.append(z)
+                length.append(l)
+                z += l + rng.randrange(1, 6)
+        arrays = (np.array(base, dtype=np.int64).reshape(len(base), n - 1),
+                  np.array(first, dtype=np.int64), np.array(length))
+        E = LatticeSet._from_runs(n, 2, *arrays)
+        _assert_canonical(E)
+        assert E.array.tolist() == [list(c) for c in _oracle_runs(base, first, length)]
+    # 1D runs, no base columns; and no runs at all
+    E = LatticeSet._from_runs(1, 1, np.empty((3, 0), dtype=np.int64),
+                              np.array([-7, 0, 4]), np.array([1, 3, 2]))
+    assert E.array.tolist() == [[-7], [0], [1], [2], [4], [5]]
+    for n in (1, 2, 3):
+        E = LatticeSet._from_runs(n, 1, np.empty((0, n - 1), dtype=np.int64),
+                                  np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert E.is_empty() and E.array.shape == (0, n)
+
+
+def test_from_mask_per_axis_origins_and_empty_axes():
+    rng = np.random.default_rng(5)
+    for shape, origin in (((7,), (-4,)), ((4, 6), (3, -100)), ((3, 5, 4), (-2, 0, 9)),
+                          ((3, 0, 2), (1, 2, 3)), ((0,), (5,)), ((2, 3, 0), 4),
+                          ((5, 4), (2 ** 62, -2 ** 62))):
+        mask = rng.random(shape) < 0.5
+        E = LatticeSet.from_mask(mask, 2, origin)
+        _assert_canonical(E)
+        o = (origin,) * len(shape) if isinstance(origin, int) else origin
+        want = [[i + a for i, a in zip(idx, o)]
+                for idx in np.ndindex(*shape) if mask[idx]]
+        assert E.array.tolist() == want
+        assert E.dim == len(shape)
+
+
+def test_hull_points_of_single_cell_columns():
+    rng = random.Random(31)
+    clouds = []
+    for n in (2, 3):
+        # a diagonal, an antidiagonal staircase and random columns of one cell
+        clouds.append({(i,) * n for i in range(-3, 4)})
+        clouds.append({(i,) * (n - 1) + (-2 * i,) for i in range(6)})
+        for _ in range(8):
+            bases = {tuple(rng.randrange(-9, 9) for _ in range(n - 1)) for _ in range(15)}
+            clouds.append({y + (rng.randrange(-20, 20),) for y in bases})
+    for cells in clouds:
+        n = len(next(iter(cells)))
+        E = LatticeSet(n, 2, cells)
+        assert len(E.array) == len({c[:-1] for c in cells})  # one cell per column
+        hp = E.hull_points()
+        assert len(set(hp)) == len(hp) and set(hp) <= _oracle_hull_points(cells, n)
+        assert hull(hp) == hull(E.corner_points()), cells
