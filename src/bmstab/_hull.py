@@ -1,7 +1,8 @@
 """Exact convex hull primitives on an integer lattice.
 
-Areas, volumes and face planes are integer determinants, so nothing here
-carries floating-point error; Fractions appear only in centroids.  2D hulls
+Areas, volumes, face planes and centroids are integer arithmetic, so
+nothing here carries floating-point error: a centroid is integer numerators
+over one positive integer denominator.  2D hulls
 use the monotone chain; 3D hulls use an incremental algorithm with exact
 visibility tests.  Every hull keeps only its extreme points as vertices, in
 every dimension, so its vertex list depends on the body, not on the points
@@ -10,8 +11,6 @@ and its d!-scaled volume is an int in every dimension.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 __all__ = [
     "hull", "hull_2d", "polygon_area2", "polygon_centroid", "hull_3d",
@@ -60,11 +59,11 @@ def polygon_area2(hull):
 
 
 def polygon_centroid(hull):
-    """Centroid of a CCW integer polygon, exact; the vertex mean if flat."""
+    """Centroid X/D of a CCW integer polygon, as (X, D) with D > 0; the
+    vertex mean if flat."""
     a2 = polygon_area2(hull)
     if a2 == 0:
-        n = len(hull)
-        return tuple(Fraction(sum(p[t] for p in hull), n) for t in range(2))
+        return tuple(sum(p[t] for p in hull) for t in range(2)), len(hull)
     cx = cy = 0
     for i in range(len(hull)):
         x0, y0 = hull[i]
@@ -72,7 +71,7 @@ def polygon_centroid(hull):
         w = x0 * y1 - x1 * y0
         cx += (x0 + x1) * w
         cy += (y0 + y1) * w
-    return Fraction(cx, 3 * a2), Fraction(cy, 3 * a2)
+    return (cx, cy), 3 * a2
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +244,8 @@ def hull(points):
 
 
 def hull_3d_centroid(verts, faces):
-    """Centroid of the enclosed solid, exact; the vertex mean if flat."""
+    """Centroid X/D of the enclosed solid, as (X, D) with D > 0; the vertex
+    mean if flat."""
     vol6 = cx = cy = cz = 0
     for i, j, k in faces:
         a, b, c = verts[i], verts[j], verts[k]
@@ -255,9 +255,8 @@ def hull_3d_centroid(verts, faces):
         cy += det * (a[1] + b[1] + c[1])
         cz += det * (a[2] + b[2] + c[2])
     if vol6 == 0:
-        n = len(verts)
-        return tuple(Fraction(sum(v[t] for v in verts), n) for t in range(3))
-    return Fraction(cx, 4 * vol6), Fraction(cy, 4 * vol6), Fraction(cz, 4 * vol6)
+        return tuple(sum(v[t] for v in verts) for t in range(3)), len(verts)
+    return (cx, cy, cz), 4 * vol6
 
 
 def face_planes(verts, faces):

@@ -33,19 +33,21 @@ __all__ = [
 # exact polytopes
 
 
-def _on_lattice(points, scale=1):
-    """Common integer lattice for rational points.
-
-    Returns (L, points x*L), L the least multiple of scale that holds them.
-    """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    L = math.lcm(scale, *(x.denominator for p in pts for x in p))
-    return L, [tuple(x.numerator * (L // x.denominator) for x in p) for p in pts]
+def _lattice_vector(v) -> tuple:
+    """(X, D): the rational vector v as integer numerators X over D, the
+    least common denominator of its coordinates."""
+    v = [Fraction(x) for x in v]
+    D = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (D // x.denominator) for x in v), D
 
 
 @dataclass(frozen=True)
 class Polytope:
-    """Convex polytope with vertices on an integer lattice scaled by 1/scale."""
+    """Convex polytope with vertices on an integer lattice scaled by 1/scale.
+
+    Its maps and membership tests are integer arithmetic on that lattice; a
+    rational argument is put on a common denominator once, on entry.
+    """
     dim: int
     scale: int
     verts: tuple                 # integer coordinate tuples
@@ -84,8 +86,10 @@ class Polytope:
     @classmethod
     def from_rational_points(cls, points) -> "Polytope":
         """Hull of rational points, on the coarsest lattice that holds them."""
-        L, pts = _on_lattice(points)
-        return cls.from_lattice_points(pts, L)
+        pts = [_lattice_vector(p) for p in points]
+        L = math.lcm(*(D for _, D in pts))
+        return cls.from_lattice_points(
+            [tuple(x * (L // D) for x in X) for X, D in pts], L)
 
     @property
     def vertices(self) -> tuple:
@@ -110,37 +114,78 @@ class Polytope:
         """Whether the rational point lies in P or on its boundary, exact."""
         if len(point) != self.dim:
             raise ValueError("point dimension mismatch")
-        L, (x,) = _on_lattice([point], self.scale)
-        k = L // self.scale
-        if not self.volume:  # flat: x is inside iff it is no new extreme point
-            verts = [tuple(c * k for c in v) for v in self.verts]
-            return x in verts or x not in hull(verts + [x])[0]
-        return all(sum(map(mul, n, x)) <= k * d for n, d in self.planes)
+        X, D = _lattice_vector(point)
+        return self._holds([X], D)
+
+    def _holds(self, points, M) -> bool:
+        """Whether every point X/M, X an integer tuple, lies in P.
+
+        X/M is inside the plane (n, d) iff scale*(n.X) <= M*d.
+        """
+        s = self.scale
+        if not self.volume:  # flat: X is inside iff it is no new extreme point
+            L = math.lcm(s, M)
+            verts = [tuple(c * (L // s) for c in v) for v in self.verts]
+            for X in points:
+                x = tuple(c * (L // M) for c in X)
+                if x not in verts and x in hull(verts + [x])[0]:
+                    return False
+            return True
+        return all(s * sum(map(mul, n, X)) <= M * d
+                   for X in points for n, d in self.planes)
+
+    @cached_property
+    def _centroid(self) -> tuple:
+        """(X, D) with the centroid X/D, X integer and D > 0."""
+        if self.dim == 1:
+            return (self.verts[0][0] + self.verts[1][0],), 2 * self.scale
+        if self.dim == 2:
+            X, D = polygon_centroid(self.verts)
+        else:
+            X, D = hull_3d_centroid(self.verts, self.faces)
+        return X, D * self.scale
 
     def centroid(self) -> tuple:
-        if self.dim == 1:
-            return (Fraction(self.verts[0][0] + self.verts[1][0], 2 * self.scale),)
-        if self.dim == 2:
-            cx, cy = polygon_centroid(self.verts)
-            return (cx / self.scale, cy / self.scale)
-        cx, cy, cz = hull_3d_centroid(self.verts, self.faces)
-        return (cx / self.scale, cy / self.scale, cz / self.scale)
+        X, D = self._centroid
+        return tuple(Fraction(x, D) for x in X)
 
     def translate(self, v) -> "Polytope":
-        L, (shift,) = _on_lattice([v], self.scale)
-        k = L // self.scale
-        verts = tuple(tuple(c * k + s for c, s in zip(vert, shift))
+        """P + v, on the lattice of scale lcm(scale, v's denominators)."""
+        return self._translate(*_lattice_vector(v))
+
+    def _translate(self, X, D) -> "Polytope":
+        """P + X/D, X an integer tuple, on the lattice of scale lcm(scale, D)."""
+        L = math.lcm(self.scale, D)
+        k, j = L // self.scale, L // D
+        verts = tuple(tuple(c * k + x * j for c, x in zip(vert, X))
                       for vert in self.verts)
         return Polytope(self.dim, L, verts, self.faces, self.volume)
 
     def scale_about(self, center, factor) -> "Polytope":
-        """Dilation x -> center + factor*(x - center), factor a rational > 0."""
-        f = Fraction(factor)
-        c = tuple(Fraction(x) for x in center)
-        L, verts = _on_lattice(tuple(ci + f * (xi - ci) for ci, xi in zip(c, vert))
-                               for vert in self.vertices)
-        return Polytope(self.dim, L, tuple(verts), self.faces,
-                        self.volume * f ** self.dim)
+        """Dilation x -> center + factor*(x - center), factor a rational > 0.
+
+        The result sits on the coarsest lattice that holds its vertices.
+        """
+        return self._dilate(*_lattice_vector(center), Fraction(factor))
+
+    def _dilate(self, C, D, f: Fraction) -> "Polytope":
+        """`scale_about(C/D, f)`, C an integer tuple.
+
+        On L = lcm(scale, D), a vertex x/scale is x*k/L with k = L/scale, and
+        the centre is C*(L/D)/L; the image of x is
+        (b*C' + a*(x*k - C'))/(b*L) for f = a/b and C' = C*(L/D), divided by
+        the gcd of b*L and every image coordinate.
+        """
+        a, b = f.numerator, f.denominator
+        L = math.lcm(self.scale, D)
+        k = L // self.scale
+        C = [c * (L // D) for c in C]
+        verts = [tuple(b * c + a * (x * k - c) for x, c in zip(vert, C))
+                 for vert in self.verts]
+        g = math.gcd(b * L, *(x for v in verts for x in v))
+        return Polytope(self.dim, b * L // g,
+                        tuple(tuple(x // g for x in v) for v in verts),
+                        self.faces, self.volume * f ** self.dim)
 
 
 def convex_hull(E: LatticeSet) -> Polytope:

@@ -18,11 +18,13 @@ from fractions import Fraction
 from itertools import product
 
 import mpmath as mp
+import numpy as np
 
 from ._hull import hull
-from .convexity import Polytope, lattice_polytope_overlap
+from ._roots import iroot
+from .convexity import Polytope, _lattice_vector, lattice_polytope_overlap
 from .minkowski import DeficitRecord, deficit
-from .vset import _CORNERS, LatticeSet, intersection_measure, reconcile
+from .vset import _CORNERS, LatticeSet, _check_int64, _common_rows, reconcile
 
 __all__ = [
     "ConstantsTable", "StabilityReport", "constants", "hull_distance",
@@ -244,22 +246,43 @@ def _box_bounds(VA: int, boxA, VB: int, boxB, span) -> list:
 def _shifted_overlap(A: LatticeSet, B: LatticeSet, shift) -> Fraction:
     """Exact |A intersect (B + shift)| for two cell unions, any rational shift.
 
-    On the common lattice 1/m, write s_i = k_i/m + r_i with 0 <= r_i < 1/m.
-    The overlap of two cells is a product of per-axis tents, linear in s_i
-    between lattice steps, so the overlap is the multilinear interpolation of
-    the 2^n integer translates: sum over e in {0,1}^n of
-    prod_i w_i(e_i) * |A intersect (B + (k+e)/m)|, w_i(0) = 1 - m*r_i and
-    w_i(1) = m*r_i.
+    On the common lattice 1/m, write m*s_i = k_i + u_i/D, 0 <= u_i < D, over
+    one common denominator D.  The overlap of two cells is a product of
+    per-axis tents, linear in s_i between lattice steps, so the overlap is
+    the multilinear interpolation of the 2^n integer translates: sum over e
+    in {0,1}^n of prod_i w_i(e_i) * |A intersect (B + (k+e)/m)|, with
+    D*w_i(0) = D - u_i and D*w_i(1) = u_i.  The sum is one integer over
+    (D*m)^n: the weights' numerators times the common cell counts.
     """
     A, B = reconcile(A, B)
-    split = [divmod(Fraction(s) * A.denom, 1) for s in shift]  # (k_i, m*r_i)
-    total = Fraction(0)
-    for e in _CORNERS[A.dim].tolist():
-        w = math.prod(f if ei else 1 - f for (_, f), ei in zip(split, e))
+    if B.is_empty():
+        return Fraction(0)
+    m = A.denom
+    X, D = _lattice_vector(shift)
+    split = [divmod(x * m, D) for x in X]  # (k_i, u_i)
+    # every step k + e keeps B's cells in int64
+    for (lo, hi), (k, _) in zip(B.bounding_box(), split):
+        _check_int64(lo + k, hi + k)
+    base = B.array + np.array([k for k, _ in split], dtype=np.int64)
+    total = 0
+    for e, row in zip(_CORNERS[A.dim].tolist(), _CORNERS[A.dim]):
+        w = math.prod(u if ei else D - u for (_, u), ei in zip(split, e))
         if w:
-            step = [k + ei for (k, _), ei in zip(split, e)]
-            total += w * intersection_measure(A, B.translate(step))
-    return total
+            total += w * _common_rows(A.array, base + row)
+    return Fraction(total, (D * m) ** A.dim)
+
+
+def _inflation_step(zeta: Fraction, n: int, j: int) -> int:
+    """The least integer N >= 2^j * _SNAP_DENOM * zeta^(1/(2n^3)).
+
+    With k = 2n^3 it is the least N with N^k >= y, y the ceiling of
+    zeta * (2^j * _SNAP_DENOM)^k: iroot(y - 1, k) + 1, or 0 when zeta = 0.
+    """
+    if not zeta:
+        return 0
+    k = 2 * n ** 3
+    y = -(-zeta.numerator * (_SNAP_DENOM << j) ** k // zeta.denominator)
+    return iroot(y - 1, k) + 1
 
 
 def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
@@ -268,13 +291,16 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
 
     Measures zeta = |A d K_A| + |B d K_B| exactly (reported as zeta_lo ==
     zeta_hi), aligns K_A and K_B (with their sets) to a common
-    barycenter, and inflates co(K_A u K_B) about it by 1 + c*zeta^(1/(2n^3)),
-    growing c geometrically from 1 until A and the translated B are inside;
-    the first sufficient c is the calibrated constant.  A set that its own
-    K holds (|A n K_A| = |A|, from the overlap zeta needs) is inside every
-    inflated K; only a set that its K does not hold has its hull built, and
-    is tested at the hull's vertices.  Also reports |A d B| in the aligned
-    frame against the zeta^(1/(2n)) trend.
+    barycenter, and inflates co(K_A u K_B) about it by 1 + N/_SNAP_DENOM,
+    N the least integer >= c * _SNAP_DENOM * zeta^(1/(2n^3)), doubling c
+    from 1 until A and the translated B are inside; the first sufficient c
+    is the calibrated constant.  A set that its own K holds
+    (|A n K_A| = |A|, from the overlap zeta needs) is inside every inflated
+    K; only a set that its K does not hold has its hull built, and is tested
+    at the hull's vertices.  Also reports |A d B| in the aligned frame
+    against the zeta^(1/(2n)) trend.  Every polytope stays integer vertices
+    on a lattice 1/L, and the centroids and the shift integer numerators
+    over one denominator; Fractions are built only for the returned values.
     """
     t = Fraction(t)
     tau = Fraction(tau)
@@ -283,48 +309,52 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
         raise ValueError("need 0 < tau <= 1/2 and t in [tau, 1-tau]")
     inA = lattice_polytope_overlap(A, K_A)[0]
     inB = lattice_polytope_overlap(B, K_B)[0]
-    zeta = (A.measure() + K_A.volume - 2 * inA
-            + B.measure() + K_B.volume - 2 * inB)
+    volA, volB = A.measure(), B.measure()
+    zeta = volA + K_A.volume - 2 * inA + volB + K_B.volume - 2 * inB
 
-    gA = K_A.centroid()
-    gB = K_B.centroid()
-    shiftB = tuple(a - b for a, b in zip(gA, gB))
-    K_B2 = K_B.translate(shiftB)
+    # shift_B = S/D moves K_B's centroid onto K_A's
+    XA, DA = K_A._centroid
+    XB, DB = K_B._centroid
+    D = math.lcm(DA, DB)
+    S = tuple(a * (D // DA) - b * (D // DB) for a, b in zip(XA, XB))
+    K_B2 = K_B._translate(S, D)
     # a convex K holds a set iff it holds the vertices of the set's hull; a
     # set of closed cells inside K_A (|A n K_A| = |A|) is inside every K,
-    # since K contains K0, which contains K_A and K_B + shift_B
-    vertsA = [] if inA == A.measure() else [
-        tuple(Fraction(c, A.denom) for c in p) for p in hull(A.hull_points())[0]]
-    vertsB = [] if inB == B.measure() else [
-        tuple(Fraction(c, B.denom) + s for c, s in zip(p, shiftB))
+    # since K contains K0, which contains K_A and K_B + shift_B.  A's hull
+    # vertices are on 1/A.denom, and B's, shifted, on 1/MB
+    MB = math.lcm(B.denom, D)
+    vertsA = [] if inA == volA else hull(A.hull_points())[0]
+    vertsB = [] if inB == volB else [
+        tuple(c * (MB // B.denom) + s * (MB // D) for c, s in zip(p, S))
         for p in hull(B.hull_points())[0]]
 
-    K0 = Polytope.from_rational_points(K_A.vertices + K_B2.vertices)
-    g0 = K0.centroid()
+    L = math.lcm(K_A.scale, K_B2.scale)
+    K0 = Polytope.from_lattice_points(
+        [tuple(x * (L // P.scale) for x in v) for P in (K_A, K_B2) for v in P.verts], L)
+    X0, D0 = K0._centroid
 
-    root = float(zeta) ** (1.0 / (2 * n ** 3))
-    c = 1.0
-    for _ in range(80):
-        factor = 1 + Fraction(math.ceil(c * root * _SNAP_DENOM), _SNAP_DENOM)
-        K = K0.scale_about(g0, factor) if factor != 1 else K0
-        if all(K.contains(p) for p in vertsA) and all(K.contains(p) for p in vertsB):
+    for j in range(80):
+        N = _inflation_step(zeta, n, j)
+        factor = 1 + Fraction(N, _SNAP_DENOM)
+        K = K0._dilate(X0, D0, factor) if N else K0
+        if K._holds(vertsA, A.denom) and K._holds(vertsB, MB):
             break
-        c *= 2.0
     else:
         raise RuntimeError("inflation failed to capture A and B")
 
-    sym_AB = A.measure() + B.measure() - 2 * _shifted_overlap(A, B, shiftB)
+    shiftB = tuple(Fraction(s, D) for s in S)
+    sym_AB = volA + volB - 2 * _shifted_overlap(A, B, shiftB)
     return {
         "zeta_lo": zeta,
         "zeta_hi": zeta,
         "K": K,
         "K0": K0,
-        "inflation_c": c,
+        "inflation_c": 2.0 ** j,
         "inflation_factor": factor,
-        "excess_A": K.volume - A.measure(),
-        "excess_B": K.volume - B.measure(),
+        "excess_A": K.volume - volA,
+        "excess_B": K.volume - volB,
         "sym_diff_AB": sym_AB,
-        "barycenter": gA,
+        "barycenter": K_A.centroid(),
         "shift_B": shiftB,
     }
 
@@ -370,8 +400,10 @@ def check_stability(A: LatticeSet, B: LatticeSet, t, tau,
     The verdict is `vacuous` when delta exceeds e^(-M_n(tau)) (the typical
     desk-scale outcome, reported honestly), `pass` when the hypothesis holds
     and D* <= tau^(-5n) * delta^(eps_n(tau)), and `fail` otherwise.  At
-    n = 1, M = log(3/tau), so the threshold is the exact rational tau/3;
-    at n >= 2 it is e^(-M) as an mpf at _PREC_BITS, below binary64's range.
+    n = 1, M = log(3/tau), so the threshold is the exact rational tau/3,
+    and eps_1 = 1, so the bound tau^(-5) * delta is exact and D* is graded
+    against it as a Fraction; at n >= 2 the threshold is e^(-M) as an mpf at
+    _PREC_BITS, below binary64's range.
     The measured pair feeds empirical-exponent fits regardless of the verdict.
     """
     t = Fraction(t)
@@ -394,7 +426,8 @@ def check_stability(A: LatticeSet, B: LatticeSet, t, tau,
                 * float(d ** table.eps)
     if vacuous:
         verdict = "vacuous"
-    elif float(hd["D_star"]) <= bound:
+    elif (hd["D_star"] <= delta / tau ** 5 if n == 1
+          else float(hd["D_star"]) <= bound):
         verdict = "pass"
     else:
         verdict = "fail"

@@ -14,8 +14,8 @@ import numpy as np
 
 from bmstab.cli import fit_loglog_slope
 from bmstab.convexity import (
-    GridFunction, concave_envelope, concavity_fit, convex_hull,
-    four_point_residual,
+    GridFunction, _dyadic, _envelope, concave_envelope, concavity_fit,
+    convex_hull, four_point_residual,
 )
 from bmstab.minkowski import (
     IntervalSet, convex_combination, deficit, kemperman_batch,
@@ -313,6 +313,7 @@ def test_criterion_08_envelope_properties():
     rng = random.Random(109)
     worst_major = 0.0
     worst_mid = 0.0
+    exact_mid = 0
     worst_concave = 0.0
     for fn in range(100):
         if fn % 2:
@@ -333,6 +334,9 @@ def test_criterion_08_envelope_properties():
         env = concave_envelope(f)
         vd = env.as_dict()
         fd = f.as_dict()
+        # the exact envelope that concave_envelope rounds, over the values'
+        # integer numerators
+        exact = dict(zip(pts, _envelope(pts, _dyadic(vals)[1])))
         for p in pts:
             worst_major = max(worst_major, fd[p] - vd[p])
         for p in pts:
@@ -341,11 +345,14 @@ def test_criterion_08_envelope_properties():
                 if all((a + b) % 2 == 0 for a, b in zip(p, q)):
                     worst_mid = max(worst_mid,
                                     (vd[p] + vd[q]) / 2 - vd[mid])
+                    exact_mid = max(exact_mid,
+                                    exact[p] + exact[q] - 2 * exact[mid])
         if fn % 5 == 0:
             worst_concave = max(worst_concave,
                                 max(abs(vd[p] - fd[p]) for p in pts))
     assert worst_major <= 0.0
     assert worst_mid <= 1e-9
+    assert exact_mid <= 0
     assert worst_concave <= 1e-12
     _report(8, "envelope-properties",
             f"100 envelopes: majorant exact, midpoint slack {worst_mid:.1e}, "

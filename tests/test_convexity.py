@@ -74,6 +74,66 @@ def test_polytope_scale_translate():
                             Fraction(1, 2) - Fraction(1, 7))
 
 
+def _fraction_on_lattice(points, scale=1):
+    """(L, points*L), L the least multiple of scale that holds the rational
+    points: the Fraction-tuple formula the polytope maps once went through."""
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    L = math.lcm(scale, *(x.denominator for p in pts for x in p))
+    return L, [tuple(x.numerator * (L // x.denominator) for x in p) for p in pts]
+
+
+def _fraction_translate(P, v):
+    L, (shift,) = _fraction_on_lattice([v], P.scale)
+    k = L // P.scale
+    return Polytope(P.dim, L, tuple(tuple(c * k + s for c, s in zip(vert, shift))
+                                    for vert in P.verts), P.faces, P.volume)
+
+
+def _fraction_scale_about(P, center, factor):
+    f = Fraction(factor)
+    c = tuple(Fraction(x) for x in center)
+    L, verts = _fraction_on_lattice(
+        tuple(ci + f * (xi - ci) for ci, xi in zip(c, vert)) for vert in P.vertices)
+    return Polytope(P.dim, L, tuple(verts), P.faces, P.volume * f ** P.dim)
+
+
+def _fraction_from_rational_points(points):
+    L, pts = _fraction_on_lattice(points)
+    return Polytope.from_lattice_points(pts, L)
+
+
+def test_polytope_maps_match_fraction_oracle():
+    # the integer translate, scale_about and from_rational_points against
+    # the Fraction formulas, on 2D and 3D polytopes with scales up to about
+    # 2^42, centres and shifts off the lattice, factors below and above 1
+    rng = random.Random(2407)
+    factors = (Fraction(1, 3), Fraction(2 ** 40 - 1, 2 ** 40), Fraction(3, 2),
+               Fraction(7, 5), 1 + Fraction(1, 2 ** 16), Fraction(5))
+
+    def rational():
+        q = rng.choice((1, 3, 14, 2 ** 40, 3 ** 30 + 2))
+        return Fraction(rng.randint(-10 * q, 10 * q), q)
+
+    for trial in range(60):
+        n = 2 + trial % 2
+        scale = rng.choice((1, 6, 2 ** 40 + 3, 3 * 2 ** 41))
+        pts = [tuple(rng.randint(-5 * scale, 5 * scale) for _ in range(n))
+               for _ in range(rng.randint(n + 1, 12))]
+        P = Polytope.from_lattice_points(pts, scale)
+        v = tuple(rational() for _ in range(n))
+        center = P.centroid() if trial % 3 == 0 else tuple(rational() for _ in range(n))
+        factor = rng.choice(factors)
+        moved = [tuple(x + y for x, y in zip(p, v)) for p in P.vertices]
+        for got, want in (
+                (P.translate(v), _fraction_translate(P, v)),
+                (P.scale_about(center, factor),
+                 _fraction_scale_about(P, center, factor)),
+                (Polytope.from_rational_points(moved),
+                 _fraction_from_rational_points(moved))):
+            assert (got.dim, got.scale, got.verts, got.faces, got.volume) == (
+                want.dim, want.scale, want.verts, want.faces, want.volume)
+
+
 def test_hull_from_column_ends_matches_all_corners():
     # Hulls are built from the corners of each last-axis column's end cells.
     # Every value here is recomputed from all cell corners instead.

@@ -304,19 +304,20 @@ def test_cos_pipeline_tests_vertices_only_of_sets_outside_their_k(monkeypatch):
     sq = unit_square(4)
     K_small = convex_hull(LatticeSet(2, 4, frozenset(
         (i, j) for i in range(3) for j in range(4))))
-    calls = {"hull_points": 0, "contains": 0}
-    for cls, name in ((LatticeSet, "hull_points"), (Polytope, "contains")):
+    # hull_points counts calls; _holds counts the points it tests
+    calls = {"hull_points": 0, "_holds": 0}
+    for cls, name in ((LatticeSet, "hull_points"), (Polytope, "_holds")):
         def counted(*args, _f=getattr(cls, name), _name=name):
-            calls[_name] += 1
+            calls[_name] += len(args[1]) if _name == "_holds" else 1
             return _f(*args)
         monkeypatch.setattr(cls, name, counted)
     for A, B, K_A, K_B in cases:
         res = cos_pipeline(A, B, K_A, K_B, Fraction(1, 2), Fraction(1, 2))
         assert res["inflation_c"] == 1
-    assert calls == {"hull_points": 0, "contains": 0}
+    assert calls == {"hull_points": 0, "_holds": 0}
     res = cos_pipeline(sq, sq, K_small, K_small, Fraction(1, 2), Fraction(1, 2))
     assert res["inflation_factor"] > 1
-    assert calls["hull_points"] == 2 and calls["contains"] > 0
+    assert calls["hull_points"] == 2 and calls["_holds"] > 0
 
 
 def test_cos_pipeline_barycenters_align():
@@ -365,6 +366,23 @@ def test_check_stability_1d_threshold_is_exact():
     assert rep.D_star == Fraction(2, 3)
     assert abs(rep.bound - 16 / 3) < 1e-12
     assert rep.verdict == "pass"
+
+
+def test_check_stability_1d_tie_with_the_bound_passes():
+    # at n = 1, eps_1 = 1, so the bound tau^(-5) * delta is exact and D* is
+    # graded against it as a Fraction: here D* = 1 = 5^5 * (1/3125), a tie,
+    # which passes, although the float product in the bound column rounds
+    # below 1.  On this family D*/delta = 2/(1 - t), so the tie needs t
+    # outside [tau, 1 - tau], which check_stability does not refuse.
+    A = LatticeSet(1, 2, [(0,), (1,)])
+    B = LatticeSet(1, 2, [(0,), (2,)])
+    tau = Fraction(1, 5)
+    rep = check_stability(A, B, Fraction(3123, 3125), tau)
+    assert rep.record.delta_norm == Fraction(1, 3125) <= rep.threshold
+    assert rep.D_star == rep.record.delta_norm / tau ** 5 == 1
+    assert rep.bound < 1
+    assert rep.verdict == "pass"
+    assert rep.csv_row().split(",")[-2:] == [f"{rep.bound:.12g}", "pass"]
 
 
 def test_check_stability_threshold_does_not_underflow():
@@ -448,6 +466,7 @@ def _box_pair_overlap(A, B, shift):
 
 def test_shifted_overlap_matches_box_pairs():
     rng = random.Random(20150224)
+    axes = random.Random(24)
     nonzero = 0
     for trial in range(60):
         n = 1 + trial % 3
@@ -465,4 +484,9 @@ def test_shifted_overlap_matches_box_pairs():
         got = _shifted_overlap(A, B, shift)
         assert got == _box_pair_overlap(A, B, shift), (A, B, shift)
         nonzero += got > 0
+        # a different denominator on each axis
+        mixed = tuple(Fraction(axes.randint(-2 * q, 2 * q), q)
+                      for q in axes.sample((2, 3, 5, 7, 9, 11), n))
+        assert _shifted_overlap(A, B, mixed) == _box_pair_overlap(A, B, mixed), (
+            A, B, mixed)
     assert nonzero >= 40
