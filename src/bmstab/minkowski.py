@@ -10,10 +10,13 @@ p*y + (q-p)*z; it is contiguous because consecutive corner sums differ by p
 or q-p, both below the block length q.  The intervals lie on one flat int32
 line of S's base rows, each a cell longer than S's last axis so that rows
 never touch, and their union is the 1D engine's sort-and-sweep (`_merge`).
-Run pairs are merged in chunks of at most _PAIR_CHUNK into a running union,
-so memory stays bounded by the chunk plus the union's runs.  `deficit` sums
-the runs' lengths; only `convex_combination` lays them out as S's cells,
-already sorted.  No cell passes through a Python tuple.
+The operands' runs are read from `LatticeSet.runs`, derived once per set and
+cached.  Run pairs are merged in chunks of at most _PAIR_CHUNK into a running
+union, so memory stays bounded by the chunk plus the union's runs.  `deficit`
+sums the runs' lengths, and `convex_combination` returns S as those runs:
+S's cells are laid out only if a caller reads `S.array`, so
+`convex_combination(A, B, t).measure()` never lays them out.  No cell passes
+through a Python tuple.
 Everything is exact integer arithmetic: S's extent is sized in Python ints
 first, and a combination whose cells would leave int64 is refused.
 Randomized tests compare the engine, at every chunking, against a
@@ -60,20 +63,20 @@ def convex_combination(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:
     rational approximation first (the combination measure is continuous in
     t, so the approximation error is the caller's to budget).
     """
-    n, denom, lo, shape, s, e = _combination_runs(A, B, t)
+    t = _as_lowest_terms(t)
+    n, denom, lo, shape, s, e = _combination_runs(A, B, t.numerator, t.denominator)
     head = np.array(np.unravel_index(s, shape[:-1] + [shape[-1] + 1])).T + lo
     return LatticeSet._from_runs(n, denom, head[:, :-1], head[:, -1], e - s)
 
 
-def _combination_runs(A: LatticeSet, B: LatticeSet, t):
-    """The engine: (n, denom, lo, shape, starts, ends) of S = t*A + (1-t)*B.
+def _combination_runs(A: LatticeSet, B: LatticeSet, p: int, q: int):
+    """The engine: (n, denom, lo, shape, starts, ends) of S = t*A + (1-t)*B,
+    t = p/q in lowest terms with 0 < p < q.
 
-    S lies in the box [lo, lo + shape) at denom m*q; its last-axis runs are
-    [starts[r], ends[r]) on the line that puts cell lo + c at the C-order
-    index of c in shape[:-1] + [shape[-1] + 1] (sorted int32 arrays).
+    S lies in the box [lo, lo + shape) at denom m*q; its maximal last-axis
+    runs are [starts[r], ends[r]) on the line that puts cell lo + c at the
+    C-order index of c in shape[:-1] + [shape[-1] + 1] (sorted int32 arrays).
     """
-    t = _as_lowest_terms(t)
-    p, q = t.numerator, t.denominator
     A, B = reconcile(A, B)
     m = A.denom
     if q * m > _DENOM_GUARD:
@@ -116,24 +119,26 @@ def _combination_runs(A: LatticeSet, B: LatticeSet, t):
 
 def _fiber_runs(E: LatticeSet, w: int, box, line):
     """E's maximal last-axis runs as int32 (first, last) line positions: cell
-    lo + c of E's box sits at w * (c @ line), summed one column at a time.
+    lo + c of E's box sits at w * (c @ line), summed one column of E.runs at
+    a time, and a run of length l ends w * (l - 1) past its first cell.
 
-    The sum is int32 and exact: every term and every partial sum is
+    The sums are int32 and exact: every term and every partial sum is
     nonnegative and at most a position on S's line, so below 2^31 by
     `_GRID_GUARD`.  A column's offset x - lo is formed from the int32 casts
     of x and lo, that is modulo 2^32, which is exact as it lies in [0, 2^31).
     """
+    runs = E.runs
     pos = None
-    for col, (lo, _), k in zip(E.array.T, box, line):
+    for col, (lo, _), k in zip(runs.T, box, line):  # base columns and first
         c = col.astype(np.int32)
         c -= (lo + (1 << 31)) % (1 << 32) - (1 << 31)
         c *= w * k
         pos = c if pos is None else np.add(pos, c, out=pos)
-    # E is sorted, so a run is a block of rows one scaled cell apart;
-    # brk[i]: a run starts at row i, and the run before it ends at row i - 1
-    brk = np.ones(len(pos) + 1, dtype=bool)
-    np.not_equal(pos[1:], pos[:-1] + w, out=brk[1:-1])
-    return pos[brk[:-1]], pos[brk[1:]]
+    last = runs[:, -1].astype(np.int32)
+    last -= 1
+    last *= w
+    last += pos
+    return pos, last
 
 
 def convex_combination_bruteforce(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:
@@ -199,10 +204,10 @@ def deficit(A: LatticeSet, B: LatticeSet, t) -> DeficitRecord:
     if A.is_empty() or B.is_empty():
         raise ValueError("deficit needs nonempty operands")
     p, q = t.numerator, t.denominator
-    n, D, _, _, s, e = _combination_runs(A, B, t)
+    n, D, _, _, s, e = _combination_runs(A, B, p, q)
     vol = D ** n
-    cA = len(A.array) * (D // A.denom) ** n
-    cB = len(B.array) * (D // B.denom) ** n
+    cA = A.count * (D // A.denom) ** n
+    cB = B.count * (D // B.denom) ** n
     cS = int((e - s).sum())
     aA, bB, sS = (root_bracket(c, D, n) for c in (cA, cB, cS))
     scale = (q * D) << 64

@@ -243,6 +243,12 @@ def _box_bounds(VA: int, boxA, VB: int, boxB, span) -> list:
 # containing convex set pipeline
 
 
+def _check_weights(t: Fraction, tau: Fraction):
+    """ValueError unless 0 < tau <= 1/2 and tau <= t <= 1 - tau."""
+    if not (0 < tau <= Fraction(1, 2)) or not (tau <= t <= 1 - tau):
+        raise ValueError("need 0 < tau <= 1/2 and t in [tau, 1-tau]")
+
+
 def _shifted_overlap(A: LatticeSet, B: LatticeSet, shift) -> Fraction:
     """Exact |A intersect (B + shift)| for two cell unions, any rational shift.
 
@@ -304,9 +310,8 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
     """
     t = Fraction(t)
     tau = Fraction(tau)
+    _check_weights(t, tau)
     n = A.dim
-    if not (0 < tau <= Fraction(1, 2)) or not (tau <= t <= 1 - tau):
-        raise ValueError("need 0 < tau <= 1/2 and t in [tau, 1-tau]")
     inA = lattice_polytope_overlap(A, K_A)[0]
     inB = lattice_polytope_overlap(B, K_B)[0]
     volA, volB = A.measure(), B.measure()
@@ -405,9 +410,12 @@ def check_stability(A: LatticeSet, B: LatticeSet, t, tau,
     against it as a Fraction; at n >= 2 the threshold is e^(-M) as an mpf at
     _PREC_BITS, below binary64's range.
     The measured pair feeds empirical-exponent fits regardless of the verdict.
+    Like `cos_pipeline`, it refuses t outside [tau, 1 - tau] and tau outside
+    (0, 1/2] with ValueError, before any work.
     """
     t = Fraction(t)
     tau = Fraction(tau)
+    _check_weights(t, tau)
     n = A.dim
     rec = deficit(A, B, t)
     hd = hull_distance(A, B)

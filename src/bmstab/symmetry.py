@@ -17,7 +17,8 @@ import numpy as np
 
 from ._roots import PI_HI, PI_LO, nth_root_brackets
 from .vset import (
-    LatticeSet, _ball_cells, _columns, intersection_measure, sup_slice_measure,
+    LatticeSet, _ball_cells, _columns, _slice_counts, intersection_measure,
+    sup_slice_measure,
 )
 
 __all__ = ["SymmetrizedBody", "steiner", "schwarz", "natural", "sup_slice_ratio_check"]
@@ -60,9 +61,9 @@ def steiner(E: LatticeSet) -> SymmetrizedBody:
     # each base cell split in 2^(n-1), heights kept: the columns of the
     # result, in order, each with its source column's count c
     F = E._boxes((2,) * (E.dim - 1) + (1,), 2 * E.denom)
-    starts, counts = _columns(F)
+    base, counts = _columns(F)
     return SymmetrizedBody("steiner", exact=LatticeSet._from_runs(
-        E.dim, F.denom, F.array[starts, :-1], -counts, 2 * counts))
+        E.dim, F.denom, base, -counts, 2 * counts))
 
 
 def schwarz(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
@@ -95,8 +96,7 @@ def _schwarz(kind: str, E: LatticeSet, refinement: int) -> SymmetrizedBody:
         raise ValueError("refinement must be >= 1")
     M = E.denom * refinement
     # slice s as the fine rows refinement*s + t, each with the slice's count
-    rows, counts = np.unique(E._boxes((1, 1, refinement), M).array[:, -1],
-                             return_counts=True)
+    rows, counts = _slice_counts(E._boxes((1, 1, refinement), M))
     sides = ([np.empty((0, 3), dtype=np.int64)], [np.empty((0, 3), dtype=np.int64)])
     for c in np.unique(counts).tolist():
         ss = rows[counts == c]

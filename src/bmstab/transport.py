@@ -79,7 +79,7 @@ def slice_density(E: LatticeSet) -> DensityProfile:
     starts = np.flatnonzero(np.concatenate(
         [[True], (rows[1:] - 1 != rows[:-1]) | (counts[1:] != counts[:-1])]))
     ends = np.append(starts[1:], len(rows)) - 1
-    m, k = E.denom, len(E.array)
+    m, k = E.denom, E.count
     breaks, values = [rows[0].item()], []
     for lo, hi, c in zip(rows[starts].tolist(), rows[ends].tolist(),
                          counts[starts].tolist()):
@@ -252,8 +252,8 @@ def slice_deficit(A: LatticeSet, B: LatticeSet, t) -> SliceDeficitReport:
     # (t|A|^{1/n} + (1-t)|B|^{1/n}) bracketed from the cell counts
     mix_lo, mix_hi = (
         t * Fraction(a, A.denom << 64) + (1 - t) * Fraction(b, B.denom << 64)
-        for a, b in zip(root_bracket(len(A.array), A.denom, n),
-                        root_bracket(len(B.array), B.denom, n)))
+        for a, b in zip(root_bracket(A.count, A.denom, n),
+                        root_bracket(B.count, B.denom, n)))
     lhs_lo = volS - mix_hi ** n
     lhs_hi = volS - mix_lo ** n
 

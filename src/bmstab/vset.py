@@ -6,14 +6,23 @@ adjacent cells overlap in measure zero, so all measure arithmetic is exact
 cell counting over the rationals.  Values are immutable and all operations
 are pure functions.
 
-A `LatticeSet` stores its cells as one read-only int64 array of shape
-(k, n), sorted lexicographically with no repeated row.  Every operation here
-works on that array; the rows of one last-axis column are contiguous in it.
-`LatticeSet.cells`, a frozenset of Python-int tuples, is derived from the
-array on first use, and no library computation reads it.  Coordinates
-outside the int64 range are rejected with ValueError, as are operations
-whose results would leave it.  Values leave the array through `.tolist()`,
-so Fractions, hulls and text only ever see Python ints.
+A `LatticeSet` holds its cells in the exact form it was built from and
+derives the other form on first use, caching it.  The two forms are the cell
+array, one read-only int64 array of shape (k, n) sorted lexicographically
+with no repeated row, and the runs, the maximal last-axis runs as one
+read-only int64 array of (base, first, length) rows.  The cell count is
+stored at construction.  The constructor, `from_mask` and
+`superlevel_set` build the array; sums, refinements, scalings, translations
+and Steiner symmetrization build runs, so a sum is measured without laying
+out its cells.  Bounding boxes, fibers, slices, hull candidates and the
+sumset engine read the runs; cell intersections and the `.vset` text read
+the array.  Equality and hashing compare the runs, so every way of building
+a set compares equal.  `LatticeSet.cells`, a frozenset of Python-int
+tuples, is derived from the array on first use, and no library computation
+reads it.  Coordinates outside the int64 range are rejected with
+ValueError, as are operations whose results would leave it.  Values leave
+the arrays through `.tolist()`, so Fractions, hulls and text only ever see
+Python ints.
 """
 
 from __future__ import annotations
@@ -135,9 +144,51 @@ def _row_breaks(a: np.ndarray) -> np.ndarray:
     return brk
 
 
-def _column_starts(c: np.ndarray) -> np.ndarray:
-    """Indices of the first row of each last-axis column of a canonical array."""
-    return np.flatnonzero(_column_breaks(c))
+def _column_heads(runs: np.ndarray) -> np.ndarray:
+    """Indices of the first run of each last-axis column of a runs array."""
+    return np.flatnonzero(_row_breaks(runs[:, :-2]))
+
+
+def _frozen(a):
+    """a as a read-only C-contiguous array (None stays None)."""
+    if a is not None:
+        a = np.ascontiguousarray(a)
+        a.flags.writeable = False
+    return a
+
+
+def _runs_of(c: np.ndarray) -> np.ndarray:
+    """The maximal last-axis runs (base, first, length) of a canonical array."""
+    k, n = c.shape
+    # brk[i]: a run starts at row i (brk[k]: the last run ends at row k - 1)
+    brk = np.empty(k + 1, dtype=bool)
+    brk[0] = brk[k] = True
+    inner = brk[1:k]
+    np.not_equal(c[1:, -1] - c[:-1, -1], 1, out=inner)
+    for j in range(n - 1):
+        inner |= c[1:, j] != c[:-1, j]
+    at = brk.nonzero()[0]
+    runs = np.empty((len(at) - 1, n + 1), dtype=np.int64)
+    runs[:, :-1] = c[at[:-1]]
+    np.subtract(at[1:], at[:-1], out=runs[:, -1])
+    return runs
+
+
+def _lay_out(first, length, count: int, out=None) -> np.ndarray:
+    """first[r], ..., first[r] + length[r] - 1 for each run r in turn; count
+    is the sum of length."""
+    # cell i, in run r, sits i - offset[r] past first[r]; a wraparound of
+    # int64 on the way cancels, as every cell fits int64
+    return np.subtract(np.arange(count), np.repeat(np.cumsum(length) - length - first, length),
+                       out=out)
+
+
+def _cells_of(runs: np.ndarray, count: int) -> np.ndarray:
+    """The canonical (count, n) cell array of a runs array."""
+    cells = np.empty((count, runs.shape[1] - 1), dtype=np.int64)
+    cells[:, :-1] = np.repeat(runs[:, :-2], runs[:, -1], axis=0)
+    _lay_out(runs[:, -2], runs[:, -1], count, out=cells[:, -1])
+    return cells
 
 
 def _common_rows(a: np.ndarray, b: np.ndarray) -> int:
@@ -187,19 +238,22 @@ def _ball_cells(dim: int, M: int, bound: Fraction, power: int, outer: bool) -> n
 
 
 class LatticeSet:
-    """A finite union of lattice cells: dim, denom and a canonical cell array.
+    """A finite union of lattice cells: dim, denom and the cells in two forms.
 
     `LatticeSet(dim, denom, cells)` takes the cells as an integer array of
     shape (k, dim) or any iterable of integer dim-tuples, in any order and
-    with repeats.  Equal cell sets on equal lattices are equal and hash
-    equal, however they were given.
+    with repeats.  A set keeps the exact form it was built from and derives
+    the other on first use: `array`, the canonical cell array, and `runs`,
+    its maximal last-axis runs.  `count` is the number of cells.  Equal cell
+    sets on equal lattices are equal and hash equal, however they were given.
     """
 
-    __slots__ = ("dim", "denom", "array", "_cells", "_hash")
+    __slots__ = ("dim", "denom", "count", "_array", "_runs", "_cells", "_hash")
 
     def __init__(self, dim: int, denom: int, cells=()):
         dim, denom = _lattice(dim, denom)
-        self._init(dim, denom, _canonical(_int64_cells(cells, dim)))
+        array = _canonical(_int64_cells(cells, dim))
+        self._init(dim, denom, len(array), array, None)
 
     @classmethod
     def from_mask(cls, mask, denom: int, origin=0) -> "LatticeSet":
@@ -229,28 +283,26 @@ class LatticeSet:
 
     @classmethod
     def _from_runs(cls, dim: int, denom: int, base, first, length) -> "LatticeSet":
-        """The cells (base[r], first[r] + i), 0 <= i < length[r], of disjoint
-        nonempty last-axis runs in lexicographic order; base is (k, dim-1)."""
-        count = int(length.sum())
-        cells = np.empty((count, dim), dtype=np.int64)
-        cells[:, :-1] = np.repeat(base, length, axis=0)
-        # cell i, in run r, sits i - offset[r] past first[r]; a wraparound
-        # of int64 on the way cancels, as every cell fits int64
-        np.subtract(np.arange(count), np.repeat(np.cumsum(length) - length - first, length),
-                    out=cells[:, -1])
-        return cls._from_canonical(dim, denom, cells)
+        """The set of the maximal last-axis runs (base[r], first[r] + i),
+        0 <= i < length[r], given in lexicographic order; base is (r, dim-1)."""
+        runs = np.empty((len(first), dim + 1), dtype=np.int64)
+        runs[:, :-2], runs[:, -2], runs[:, -1] = base, first, length
+        return cls._new(dim, denom, int(length.sum()), None, runs)
 
     @classmethod
     def _from_canonical(cls, dim: int, denom: int, array: np.ndarray) -> "LatticeSet":
         """Wrap an int64 (k, dim) array that is already sorted and unique."""
+        return cls._new(dim, denom, len(array), array, None)
+
+    @classmethod
+    def _new(cls, dim, denom, count, array, runs) -> "LatticeSet":
         E = object.__new__(cls)
-        E._init(dim, denom, array)
+        E._init(dim, denom, count, array, runs)
         return E
 
-    def _init(self, dim, denom, array):
-        array = np.ascontiguousarray(array)
-        array.flags.writeable = False
-        for name, value in (("dim", dim), ("denom", denom), ("array", array),
+    def _init(self, dim, denom, count, array, runs):
+        for name, value in (("dim", dim), ("denom", denom), ("count", count),
+                            ("_array", _frozen(array)), ("_runs", _frozen(runs)),
                             ("_cells", None), ("_hash", None)):
             object.__setattr__(self, name, value)
 
@@ -259,6 +311,25 @@ class LatticeSet:
 
     def __reduce__(self):  # pickle and copy through the public constructor
         return LatticeSet, (self.dim, self.denom, self.array)
+
+    @property
+    def array(self) -> np.ndarray:
+        """The cells as a read-only (k, dim) int64 array, sorted
+        lexicographically with no repeated row; laid out from the runs on
+        first use."""
+        if self._array is None:
+            object.__setattr__(self, "_array", _frozen(_cells_of(self._runs, self.count)))
+        return self._array
+
+    @property
+    def runs(self) -> np.ndarray:
+        """The maximal last-axis runs as a read-only (r, dim+1) int64 array:
+        row (y, f, l) holds the cells (y, f), ..., (y, f + l - 1), the rows
+        are sorted, and no two runs over one base row y touch.  The last
+        cell of a run is f + (l - 1), as f + l may leave int64."""
+        if self._runs is None:
+            object.__setattr__(self, "_runs", _frozen(_runs_of(self._array)))
+        return self._runs
 
     @property
     def cells(self) -> frozenset:
@@ -271,61 +342,65 @@ class LatticeSet:
         if not isinstance(other, LatticeSet):
             return NotImplemented
         return (self.dim == other.dim and self.denom == other.denom
-                and np.array_equal(self.array, other.array))
+                and self.count == other.count and np.array_equal(self.runs, other.runs))
 
     def __hash__(self):
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(
-                (self.dim, self.denom, self.array.tobytes())))
+                (self.dim, self.denom, self.runs.tobytes())))
         return self._hash
 
     def __repr__(self):
         return (f"LatticeSet(dim={self.dim}, denom={self.denom}, "
-                f"cells=<{len(self.array)} cells>)")
+                f"cells=<{self.count} cells>)")
 
     # -- basic queries ------------------------------------------------------
 
     def measure(self) -> Fraction:
-        return Fraction(len(self.array), self.denom ** self.dim)
+        return Fraction(self.count, self.denom ** self.dim)
 
     def is_empty(self) -> bool:
-        return not len(self.array)
+        return not self.count
 
     def bounding_box(self):
         """Per-axis (lo, hi) cell-index ranges, hi exclusive."""
         if self.is_empty():
             raise ValueError("empty set has no bounding box")
-        # the rows are sorted, so axis 0 runs from the first row to the last
-        a = self.array
-        return [(int(a[0, 0]), int(a[-1, 0]) + 1)] + [
-            (int(col.min()), int(col.max()) + 1) for col in a.T[1:]]
+        r = self.runs
+        if self.dim == 1:  # the runs are sorted along the only axis
+            (lo, _), (first, length) = r[0].tolist(), r[-1].tolist()
+            return [(lo, first + length)]
+        # the runs are sorted, so axis 0 runs from the first run to the last
+        first = r[:, -2]
+        return [(int(r[0, 0]), int(r[-1, 0]) + 1)] + [
+            (int(r[:, a].min()), int(r[:, a].max()) + 1) for a in range(1, self.dim - 1)] + [
+            (int(first.min()), int((first + (r[:, -1] - 1)).max()) + 1)]
 
     def _boxes(self, steps, denom: int) -> "LatticeSet":
         """Cell c becomes the box prod_i [c_i*steps_i, (c_i+1)*steps_i) at denom.
 
         It works on runs: a maximal last-axis run [f, f + l) over base y
         becomes the run [f*s, (f + l)*s), s = steps[-1], over each base row
-        y*steps' + o, o in the box of the base steps steps'.  One lexsort
-        of that short list of runs by base row and first cell puts them in
-        lexicographic order, and `_from_runs` writes the cells; no cell
-        array is expanded or sorted.
+        y*steps' + o, o in the box of the base steps steps'.  Those runs are
+        maximal too, and one lexsort of their short list by base row and
+        first cell puts them in lexicographic order; no cell is laid out.
         """
-        c = self.array
-        if len(c):
+        r = self.runs
+        if self.count:
             for (lo, hi), s in zip(self.bounding_box(), steps):
                 _check_int64(lo * s, hi * s - 1)
-        # brk[i]: a maximal run starts at row i
-        brk = _column_breaks(c)
-        brk[1:] |= c[1:, -1] - c[:-1, -1] != 1
-        at = np.flatnonzero(brk)
-        length = np.diff(np.append(at, len(c)))
-        base = (c[at, :-1] * np.array(steps[:-1], dtype=np.int64))[:, None]
+            count = self.count * math.prod(steps)
+            if count > _INT64.max:  # so that no run length or count wraps
+                raise ValueError(f"{count} cells leave the int64 range")
         per_run = math.prod(steps[:-1])
-        base = (base + _box_offsets(steps[:-1])).reshape(len(at) * per_run, self.dim - 1)
-        first = np.repeat(c[at, -1] * steps[-1], per_run)
-        order = np.lexsort([first] + [base[:, a] for a in range(self.dim - 2, -1, -1)])
-        return LatticeSet._from_runs(self.dim, denom, base[order], first[order],
-                                     np.repeat(length * steps[-1], per_run)[order])
+        base = (r[:, :-2] * np.array(steps[:-1], dtype=np.int64))[:, None]
+        base = (base + _box_offsets(steps[:-1])).reshape(len(r) * per_run, self.dim - 1)
+        first = np.repeat(r[:, -2] * steps[-1], per_run)
+        length = np.repeat(r[:, -1] * steps[-1], per_run)
+        if per_run > 1:
+            order = np.lexsort([first] + [base[:, a] for a in range(self.dim - 2, -1, -1)])
+            base, first, length = base[order], first[order], length[order]
+        return LatticeSet._from_runs(self.dim, denom, base, first, length)
 
     def refine(self, k: int) -> "LatticeSet":
         """Multiply denom by k; the represented point set (and measure) is unchanged."""
@@ -344,8 +419,11 @@ class LatticeSet:
         if not self.is_empty():
             for (lo, hi), o in zip(self.bounding_box(), off):
                 _check_int64(lo + o, hi - 1 + o)
-        return LatticeSet._from_canonical(
-            self.dim, self.denom, self.array + np.array(off, dtype=np.int64))
+        # an offset outside int64 is taken modulo 2^64: the sum wraps back,
+        # as every translated cell fits int64
+        off = [(o + (1 << 63)) % (1 << 64) - (1 << 63) for o in off]
+        return LatticeSet._new(self.dim, self.denom, self.count, None,
+                               self.runs + np.array(off + [0], dtype=np.int64))
 
     def corner_points(self):
         """All cell corners as integer lattice points (coordinates x denom)."""
@@ -371,14 +449,15 @@ class LatticeSet:
         extent is below 2^31, so that each cross product is exact, and on
         Python ints otherwise.
         """
-        c = self.array
-        if not len(c):
+        if self.is_empty():
             return []
         if self.dim == 1:
-            return [(int(c[0, 0]),), (int(c[-1, 0]) + 1,)]
-        head = _column_starts(c)  # the first and the last row of each column
-        tail = np.append(head[1:] - 1, len(c) - 1)
-        base, lo, hi = c[head, :-1], c[head, -1], c[tail, -1]
+            (lo, hi), = self.bounding_box()
+            return [(lo,), (hi,)]
+        r = self.runs
+        head = _column_heads(r)  # the first and the last run of each column
+        tail = np.append(head[1:] - 1, len(r) - 1)
+        base, lo, hi = r[head, :-2], r[head, -2], r[tail, -2] + (r[tail, -1] - 1)
         mins = base.min(axis=0).tolist() + [int(lo.min())]
         maxs = base.max(axis=0).tolist() + [int(hi.max())]
         if max(maxs) == _INT64.max or max(map(operator.sub, maxs, mins)) >= (1 << 31) - 1:
@@ -456,7 +535,7 @@ def reconcile(E: LatticeSet, F: LatticeSet):
 
 def symmetric_difference_measure(E: LatticeSet, F: LatticeSet) -> Fraction:
     E2, F2 = reconcile(E, F)
-    k = len(E2.array) + len(F2.array) - 2 * _common_rows(E2.array, F2.array)
+    k = E2.count + F2.count - 2 * _common_rows(E2.array, F2.array)
     return Fraction(k, E2.denom ** E2.dim)
 
 
@@ -466,35 +545,49 @@ def intersection_measure(E: LatticeSet, F: LatticeSet) -> Fraction:
 
 
 def _columns(E: LatticeSet):
-    """(start rows, cell counts) of E's last-axis columns, in base order."""
+    """(base rows, cell counts) of E's last-axis columns, in base order."""
     if E.dim < 2:
         raise ValueError("fiber and slice profiles need dim >= 2")
-    starts = _column_starts(E.array)
-    return starts, np.diff(np.append(starts, len(E.array)))
+    r = E.runs
+    head = _column_heads(r)
+    return r[head, :-2], np.add.reduceat(r[:, -1], head)
 
 
 def fiber_profile(E: LatticeSet) -> FiberProfile:
     """Fiber lengths H^1(E_y) over base cells y in the first n-1 coordinates."""
-    starts, counts = _columns(E)
+    base, counts = _columns(E)
     lengths = tuple((tuple(y), Fraction(k, E.denom))
-                    for y, k in zip(E.array[starts, :-1].tolist(), counts.tolist()))
+                    for y, k in zip(base.tolist(), counts.tolist()))
     return FiberProfile(E.dim - 1, E.denom, lengths)
 
 
 def _slice_counts(E: LatticeSet):
     """(rows, counts): the last-axis rows that hold a cell, ascending, and
-    each one's cell count; the slice through row s has area count/m^(n-1)."""
+    each one's cell count; the slice through row s has area count/m^(n-1).
+
+    A row's count is the number of runs that start at or below it less the
+    number that end below it, and the rows that hold a cell are the union of
+    the runs' row ranges, found by the sort-and-sweep of `minkowski._merge`.
+    """
     if E.dim < 2:
         raise ValueError("slice measures need dim >= 2")
-    return np.unique(E.array[:, -1], return_counts=True)
+    r = E.runs
+    first, last = np.sort(r[:, -2]), np.sort(r[:, -2] + (r[:, -1] - 1))
+    new = np.ones(len(r) + 1, dtype=bool)  # new[i]: a range of rows starts at i
+    np.greater(first[1:], last[:-1], out=new[1:-1])
+    lo, hi = first[new[:-1]], last[new[1:]]
+    rows = _lay_out(lo, hi - lo + 1, int((hi - lo + 1).sum()))
+    return rows, np.searchsorted(first, rows, "right") - np.searchsorted(last, rows, "left")
 
 
 def slice_measure(E: LatticeSet, s_row: int) -> Fraction:
     """H^{n-1} of the slice through the lattice row s_row (last coordinate)."""
     if E.dim < 2:
         raise ValueError("slice_measure needs dim >= 2")
-    inside = _INT64.min <= s_row <= _INT64.max
-    k = int(np.count_nonzero(E.array[:, -1] == s_row)) if inside else 0
+    k = 0
+    if _INT64.min <= s_row <= _INT64.max:
+        first, length = E.runs[:, -2], E.runs[:, -1]
+        k = int(np.count_nonzero((first <= s_row) & (first + (length - 1) >= s_row)))
     return Fraction(k, E.denom ** (E.dim - 1))
 
 
@@ -505,11 +598,10 @@ def superlevel_set(E: LatticeSet, lam) -> LatticeSet:
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    starts, counts = _columns(E)
+    base, counts = _columns(E)
     # an integer count k has k/denom > lam iff k > floor(lam*denom)
-    floor = min(math.floor(lam * E.denom), len(E.array))
-    base = E.array[starts[counts > floor], :-1]
-    return LatticeSet._from_canonical(E.dim - 1, E.denom, base)
+    floor = min(math.floor(lam * E.denom), E.count)
+    return LatticeSet._from_canonical(E.dim - 1, E.denom, base[counts > floor])
 
 
 def base_projection(E: LatticeSet) -> LatticeSet:
@@ -630,7 +722,7 @@ def _materialize_scaling(E: LatticeSet, lam: Fraction) -> LatticeSet:
 
 def write_vset(E: LatticeSet) -> str:
     """Serialize; cells in lexicographic order for a bit-exact round trip."""
-    lines = [f"vset {E.dim} {E.denom}", f"cells {len(E.array)}"]
+    lines = [f"vset {E.dim} {E.denom}", f"cells {E.count}"]
     lines += [" ".join(map(str, c)) for c in E.array.tolist()]
     return "\n".join(lines) + "\n"
 
@@ -657,6 +749,6 @@ def parse_vset(text: str) -> LatticeSet:
             raise ValueError(f"cell {ln!r} has wrong arity")
         cells.append([int(p) for p in parts])
     E = LatticeSet(dim, denom, cells)
-    if len(E.array) != count:
+    if E.count != count:
         raise ValueError("duplicate cells in vset payload")
     return E

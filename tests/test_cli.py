@@ -205,3 +205,16 @@ def test_plot_matches_regression_oracle(tmp_path):
 
 def test_usage_error_exit_code():
     assert run(["no-such-command"]) == 2
+
+
+def test_stability_check_refuses_t_or_tau_out_of_range(tmp_path, capsys):
+    a, b = tmp_path / "a.vset", tmp_path / "b.vset"
+    a.write_text("vset 1 2\ncells 2\n0\n1\n")
+    b.write_text("vset 1 2\ncells 2\n0\n2\n")
+    io = ["--in-a", str(a), "--in-b", str(b)]
+    assert run(["stability-check", *io, "--t", "1/2", "--tau", "1/5"]) in (0, 1)
+    for t, tau in (("3123/3125", "1/5"), ("1/10", "1/5"), ("1/2", "3/5"),
+                   ("1/2", "0"), ("1/2", "-1/4")):
+        capsys.readouterr()
+        assert run(["stability-check", *io, f"--t={t}", f"--tau={tau}"]) == 2
+        assert "t in [tau, 1-tau]" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -483,3 +484,22 @@ def test_fiber_runs_int32_positions_match_int64_formula():
             assert first.dtype == last.dtype == np.int32
             assert np.array_equal(first, pos[brk[:-1]])
             assert np.array_equal(last, pos[brk[1:]])
+
+
+def test_sum_is_measured_without_laying_out_its_cells():
+    # criterion 01's 2D denom-128 pair: S has about 1.3M cells, 21 MB as an
+    # int64 (k, 2) array; the sum keeps its runs, so measuring it allocates
+    # a small fraction of that
+    A, B = generate_scenario(ScenarioSpec(family="counterexample", n=2, denom=128))
+    t = Fraction(1, 2)
+    convex_combination(A, B, t)  # A's runs are derived here, once
+    tracemalloc.start()
+    try:
+        S = convex_combination(A, B, t)
+        vol = S.measure()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layout = vol * S.denom ** 2 * 2 * 8  # S's cells, two int64 each
+    assert vol == deficit(A, B, t).volS and layout > 20_000_000
+    assert peak < layout / 4

@@ -4,8 +4,10 @@ from fractions import Fraction
 from itertools import product
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+import bmstab.stability as stability
 from bmstab._hull import hull
 from bmstab.convexity import Polytope, convex_hull, lattice_polytope_overlap
 from bmstab.scenarios import ScenarioSpec, generate_scenario
@@ -368,16 +370,21 @@ def test_check_stability_1d_threshold_is_exact():
     assert rep.verdict == "pass"
 
 
-def test_check_stability_1d_tie_with_the_bound_passes():
+def test_check_stability_1d_tie_with_the_bound_passes(monkeypatch):
     # at n = 1, eps_1 = 1, so the bound tau^(-5) * delta is exact and D* is
     # graded against it as a Fraction: here D* = 1 = 5^5 * (1/3125), a tie,
     # which passes, although the float product in the bound column rounds
-    # below 1.  On this family D*/delta = 2/(1 - t), so the tie needs t
-    # outside [tau, 1 - tau], which check_stability does not refuse.
-    A = LatticeSet(1, 2, [(0,), (1,)])
-    B = LatticeSet(1, 2, [(0,), (2,)])
+    # below 1.  |A| = 1 + 1/6250, |B| = 1 - 1/6250 and |S| = 1 give
+    # delta = 1/3125 at t = 1/2.  No 1D instance with t in [tau, 1 - tau] is
+    # known to reach the tie itself, so hull_distance reports
+    # D* = delta / tau^5.
+    A = LatticeSet.from_mask(np.ones(6251, dtype=bool), 6250)
+    B = LatticeSet.from_mask(np.ones(6249, dtype=bool), 6250)
     tau = Fraction(1, 5)
-    rep = check_stability(A, B, Fraction(3123, 3125), tau)
+    real = stability.hull_distance
+    monkeypatch.setattr(stability, "hull_distance",
+                        lambda A, B: {**real(A, B), "D_star": Fraction(1)})
+    rep = check_stability(A, B, Fraction(1, 2), tau)
     assert rep.record.delta_norm == Fraction(1, 3125) <= rep.threshold
     assert rep.D_star == rep.record.delta_norm / tau ** 5 == 1
     assert rep.bound < 1

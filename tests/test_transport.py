@@ -148,6 +148,22 @@ def test_slice_deficit_far_point_family_strictly_positive():
     assert rep.inequality_holds
 
 
+def test_slice_deficit_reads_the_sum_as_runs(monkeypatch):
+    # S's slices and measure come from its runs: laying out a run-built
+    # set's cells goes through vset._cells_of, which fails here
+    import bmstab.vset as vset
+
+    def no_layout(runs, count):
+        raise AssertionError("a run-built set's cells were laid out")
+
+    for n, m in ((2, 16), (3, 4)):
+        A, B = generate_scenario(ScenarioSpec(family="counterexample", n=n, denom=m))
+        want = slice_deficit(A, B, Fraction(1, 3))
+        with monkeypatch.context() as mp:
+            mp.setattr(vset, "_cells_of", no_layout)
+            assert slice_deficit(A, B, Fraction(1, 3)) == want
+
+
 def test_mu_profile_identity_exact():
     rng = random.Random(61)
     A, B = random_set(rng), random_set(rng)

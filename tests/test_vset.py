@@ -427,6 +427,10 @@ def test_results_outside_int64_are_refused():
         G, G, Fraction(1, 3))
     with pytest.raises(ValueError):
         F.refine(2)
+    long_run = LatticeSet(1, 1, [(0,)]).refine(2 ** 62)  # one run, never laid out
+    assert long_run.runs.tolist() == [[0, 2 ** 62]]
+    with pytest.raises(ValueError):  # its cells fit int64, its 2^63 cells do not
+        long_run.refine(2)
     with pytest.raises(ValueError):
         F.translate((2 ** 62, 0))
     with pytest.raises(ValueError):
@@ -602,6 +606,111 @@ def test_from_runs_lays_out_each_run():
         E = LatticeSet._from_runs(n, 1, np.empty((0, n - 1), dtype=np.int64),
                                   np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         assert E.is_empty() and E.array.shape == (0, n)
+
+
+# ---------------------------------------------------------------------------
+# the two forms of a set, cell array and runs, against a tuple oracle
+
+
+def _oracle_run_rows(cells):
+    """The maximal last-axis runs of a cell set as (base..., first, length)
+    rows, in lexicographic order."""
+    rows = []
+    for c in sorted(cells):
+        if rows and tuple(rows[-1][:-2]) == c[:-1] and rows[-1][-2] + rows[-1][-1] == c[-1]:
+            rows[-1][-1] += 1
+        else:
+            rows.append(list(c) + [1])
+    return rows
+
+
+def _from_run_rows(n, denom, runs):
+    """The set of (base..., first, length) rows, built from its runs."""
+    return LatticeSet._from_runs(
+        n, denom, np.array([r[:-2] for r in runs], dtype=np.int64).reshape(len(runs), n - 1),
+        np.array([r[-2] for r in runs], dtype=np.int64),
+        np.array([r[-1] for r in runs], dtype=np.int64))
+
+
+def _assert_forms(E, cells, n, denom):
+    """E holds exactly `cells`: its runs, its array, its count, measure, box
+    and hull candidates, and its equality and hash agree with the oracle."""
+    runs = _oracle_run_rows(cells)
+    assert E.dim == n and E.denom == denom and E.count == len(cells)
+    assert E.runs.dtype == np.int64 and E.runs.shape == (len(runs), n + 1)
+    assert E.runs.tolist() == runs and not E.runs.flags.writeable
+    _assert_canonical(E)
+    assert E.array.tolist() == [list(c) for c in sorted(cells)]
+    assert E.measure() == Fraction(len(cells), denom ** n)
+    assert E.is_empty() == (not cells)
+    from_cells = LatticeSet(n, denom, sorted(cells))
+    from_runs = _from_run_rows(n, denom, runs)
+    assert E == from_cells == from_runs
+    assert hash(E) == hash(from_cells) == hash(from_runs)
+    if not cells:
+        assert E.hull_points() == []
+        return
+    assert E != LatticeSet(n, denom, sorted(cells)[1:])
+    assert E.bounding_box() == [(min(c[a] for c in cells), max(c[a] for c in cells) + 1)
+                                for a in range(n)]
+    hp, want = E.hull_points(), _oracle_hull_points(cells, n)
+    assert len(set(hp)) == len(hp) and set(hp) <= want
+    if len(want) <= 64:  # larger 3D hulls are checked in the tests above
+        assert hull(hp) == hull(want)
+
+
+def test_both_forms_match_tuple_oracle_however_built():
+    rng = random.Random(2026)
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+    for trial in range(45):
+        n, m = 1 + trial % 3, rng.choice([1, 2, 3])
+        cells = {tuple(rng.randrange(-7, 7) for _ in range(n))
+                 for _ in range(rng.randrange(0, 30))}
+        if trial % 5 == 0:  # both ends of int64, and runs that end on them
+            cells |= {(lo,) * n, (hi,) * n, (0,) * (n - 1) + (hi - 1,),
+                      (0,) * (n - 1) + (hi,), (0,) * (n - 1) + (lo,)}
+        shuffled = list(cells)
+        rng.shuffle(shuffled)
+        _assert_forms(LatticeSet(n, m, shuffled), cells, n, m)
+        _assert_forms(_from_run_rows(n, m, _oracle_run_rows(cells)), cells, n, m)
+
+        # masks, empty axes included, with origins at both ends of int64
+        shape = tuple(rng.choice([0, 1, 3, 4]) if trial % 7 == 0 else rng.randrange(1, 5)
+                      for _ in range(n))
+        mask = np.array([rng.random() < 0.5 for _ in range(math.prod(shape))],
+                        dtype=bool).reshape(shape)
+        for origin in ([rng.randrange(-9, 9) for _ in range(n)], [lo] * n,
+                       [hi - max(k, 1) + 1 for k in shape]):
+            want = {tuple(i + o for i, o in zip(idx, origin))
+                    for idx in np.ndindex(*shape) if mask[idx]}
+            _assert_forms(LatticeSet.from_mask(mask, m, origin), want, n, m)
+
+        # refine, translate and convex_combination, read from both forms:
+        # each operation once on a set built from cells and once on its runs
+        small = {c for c in cells if all(-7 <= x < 7 for x in c)}
+        for F in (LatticeSet(n, m, small), LatticeSet(n, m, small).refine(1)):
+            k = rng.choice([2, 3])
+            _assert_forms(F.refine(k), _oracle_refine(small, n, k), n, m * k)
+            if small:
+                for target in (lo, hi):  # move the set onto an end of int64
+                    off = [target - (min if target == lo else max)(c[a] for c in small)
+                           for a in range(n)]
+                    shifted = {tuple(x + o for x, o in zip(c, off)) for c in small}
+                    _assert_forms(F.translate(off), shifted, n, m)
+        G = LatticeSet(n, m, {tuple(rng.randrange(-3, 3) for _ in range(n))
+                              for _ in range(rng.randrange(1, 7))})
+        for A, B in ((G, G.refine(2)), (G.refine(2), G.translate([1] * n))):
+            t = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
+            want = convex_combination_bruteforce(A, B, t)
+            _assert_forms(convex_combination(A, B, t), set(want.cells), n, want.denom)
+    # a sum that reaches each end of int64: 2^62 + 2^62 - 1 = 2^63 - 1
+    for n in (1, 2, 3):
+        for sign in (1, -1):
+            E = LatticeSet(n, 1, [(sign * 2 ** 62 - (sign > 0),) * n,
+                                  (sign * 2 ** 62 - (sign > 0) - sign,) * n])
+            want = convex_combination_bruteforce(E, E, Fraction(1, 2))
+            assert (hi if sign > 0 else lo,) * n in want.cells
+            _assert_forms(convex_combination(E, E, Fraction(1, 2)), set(want.cells), n, 2)
 
 
 def test_from_mask_per_axis_origins_and_empty_axes():
