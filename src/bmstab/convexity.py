@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import add, mul
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -248,50 +248,69 @@ def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
     """Exact |E intersect K| in 1, 2 or 3 dimensions, as (lo, hi) with lo == hi.
 
     A cell corner c/m meets K's plane n.x <= d (lattice 1/L) iff
-    L*(n.c) <= m*d; the corners with the least and the largest n.c decide the
-    cell.  One matrix product gives every cell's L*(n.c) for every plane, on
-    coordinates relative to the cells' least corner: cells inside every
-    plane count whole, cells outside one count 0.  It runs in int64 when a
-    bound on every compared value fits, and on Python ints otherwise.  Only
-    a cut cell is visited alone: its overlap is the hull volume of its edges
-    clipped to the planes that cut it and K's edges clipped to it, since for
-    dim <= 3 every vertex of the intersection of two convex polytopes lies
-    on an edge of one of them.
+    L*(n.c) <= m*d; the corners with the largest and the least n.c decide
+    whether the cell is inside the plane, outside it, or cut by it.  K is
+    convex, so along a last-axis run the cells inside every plane form one
+    interval and the cells outside none another around it, each bounded by
+    one floor division per plane, in int64 when a bound on every value
+    formed fits and on Python ints otherwise.  Cells inside every plane
+    count whole.  Only the cut cells, at most two intervals per run, are
+    visited alone: a cut cell's overlap is the hull volume of its edges
+    clipped to the planes that cut it and K's edges clipped to it, since
+    for dim <= 3 every vertex of the intersection of two convex polytopes
+    lies on an edge of one of them.
     """
     if E.dim != K.dim:
         raise ValueError("dimension mismatch")
     if not K.volume or E.is_empty():
         return Fraction(0), Fraction(0)
     m, L = E.denom, K.scale
-    cells = E.array
     box = E.bounding_box()
     base = [lo for lo, _ in box]
-    normals = [[L * x for x in n] for n, _ in K.planes]
+    # K's planes whose normal rises along the last axis, then those whose
+    # normal falls, then the rest; the order of the clip is free
+    planes = sorted(K.planes, key=lambda p: (p[0][-1] <= 0, p[0][-1] == 0))
+    up, side = sum(n[-1] > 0 for n, _ in planes), sum(n[-1] != 0 for n, _ in planes)
+    normals = [[L * x for x in n] for n, _ in planes]
     # corner c/m is inside (n, d) iff (L*n).(c - base) <= m*d - (L*n).base
-    md = [m * d - sum(map(mul, n, base)) for n, (_, d) in zip(normals, K.planes)]
+    md = [m * d - sum(map(mul, n, base)) for n, (_, d) in zip(normals, planes)]
     bound = max(sum(abs(x) * (hi - lo) for x, (lo, hi) in zip(n, box))
                 for n in normals)
-    dtype = np.int64 if max(bound, *map(abs, md)) <= _INT64.max else object
+    dtype = np.int64 if bound + max(map(abs, md)) <= _INT64.max else object
     N = np.array(normals, dtype=dtype)
-    S = (cells.astype(dtype, copy=False) - np.array(base, dtype=dtype)) @ N.T
-    md = np.array(md, dtype=dtype)
-    miss = (S + np.minimum(N, 0).sum(axis=1) > md).any(axis=1)
-    cut = (S + np.maximum(N, 0).sum(axis=1) > md) & ~miss[:, None]
-    cut_rows = np.flatnonzero(cut.any(axis=1))
-    inside = len(cells) - int(np.count_nonzero(miss)) - len(cut_rows)
+    # (L*n).(c' - c) for a cell's corners c' with the largest and the least n.c
+    top = [sum(x for x in n if x > 0) for n in normals]
+    bottom = [sum(x for x in n if x < 0) for n in normals]
+    runs = E.runs.astype(dtype, copy=False) - np.array(base + [0], dtype=dtype)
+    first, last = runs[:, -2], runs[:, -2] + (runs[:, -1] - 1)
+    # that corner of cell z of a run is inside plane j iff a_j*z <= r_j
+    r = np.array([list(map(sub, md, top)), list(map(sub, md, bottom))], dtype=dtype)
+    r = r[:, None] - runs[:, :-2] @ N[:, :-1].T
+    q = r[..., :side] // abs(N[:side, -1])  # z <= q if a_j > 0, z >= -q if a_j < 0
+    lo = np.maximum(first, -q[..., up:].min(axis=2))
+    hi = np.minimum(last, q[..., :up].min(axis=2))
+    (ilo, mlo), (ihi, mhi) = lo, np.where((r[..., side:] < 0).any(axis=2), lo - 1, hi)
+    empty = ilo > ihi  # then every cell outside no plane is cut
+    ilo, ihi = np.where(empty, mhi + 1, ilo), np.where(empty, mhi, ihi)
+    # the cut cells: [mlo, ilo - 1] and [ihi + 1, mhi] of each run
+    length = np.concatenate([ilo - mlo, mhi - ihi])
+    cut = np.flatnonzero(length > 0)
     k_edges = _edges(K)
     corners = _CORNERS[E.dim].tolist()
     part = Fraction(0)
-    for r in cut_rows:
-        cutting = [K.planes[j] for j in np.flatnonzero(cut[r])]
-        c = cells[r].tolist()
-        C = Polytope.from_lattice_points([tuple(map(add, c, o)) for o in corners], m)
-        pts = _clip(_edges(C), m, cutting, L) | _clip(k_edges, L, C.planes, m)
-        if pts:
-            M = math.lcm(*(D for D, _ in pts))
-            part += Polytope.from_lattice_points(
-                [tuple(x * (M // D) for x in x_D) for D, x_D in pts], M).volume
-    total = Fraction(inside, m ** E.dim) + part
+    for i, f, k in zip((cut % len(runs)).tolist(),
+                       np.concatenate([mlo, ihi + 1])[cut].tolist(), length[cut].tolist()):
+        y = runs[i, :-2].tolist()
+        for c in ([x + b for x, b in zip(y + [z], base)] for z in range(f, f + k)):
+            C = Polytope.from_lattice_points([tuple(map(add, c, o)) for o in corners], m)
+            cutting = [p for p, n, t in zip(planes, normals, top)
+                       if sum(map(mul, n, c)) + t > m * p[1]]
+            pts = _clip(_edges(C), m, cutting, L) | _clip(k_edges, L, C.planes, m)
+            if pts:
+                M = math.lcm(*(D for D, _ in pts))
+                part += Polytope.from_lattice_points(
+                    [tuple(x * (M // D) for x in x_D) for D, x_D in pts], M).volume
+    total = Fraction(int((ihi - ilo + 1).sum()), m ** E.dim) + part
     return total, total
 
 

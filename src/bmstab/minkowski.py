@@ -10,13 +10,11 @@ p*y + (q-p)*z; it is contiguous because consecutive corner sums differ by p
 or q-p, both below the block length q.  The intervals lie on one flat int32
 line of S's base rows, each a cell longer than S's last axis so that rows
 never touch, and their union is the 1D engine's sort-and-sweep (`_merge`).
-The operands' runs are read from `LatticeSet.runs`, derived once per set and
-cached.  Run pairs are merged in chunks of at most _PAIR_CHUNK into a running
-union, so memory stays bounded by the chunk plus the union's runs.  `deficit`
-sums the runs' lengths, and `convex_combination` returns S as those runs:
-S's cells are laid out only if a caller reads `S.array`, so
-`convex_combination(A, B, t).measure()` never lays them out.  No cell passes
-through a Python tuple.
+The operands' runs are read from `LatticeSet.runs`, the one form a set is
+stored in.  Run pairs are merged in chunks of at most _PAIR_CHUNK into a
+running union, so memory stays bounded by the chunk plus the union's runs.
+`deficit` sums the runs' lengths, and `convex_combination` returns S as those
+runs, so no cell of S is laid out.  No cell passes through a Python tuple.
 Everything is exact integer arithmetic: S's extent is sized in Python ints
 first, and a combination whose cells would leave int64 is refused.
 Randomized tests compare the engine, at every chunking, against a
@@ -142,7 +140,8 @@ def _fiber_runs(E: LatticeSet, w: int, box, line):
 
 
 def convex_combination_bruteforce(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:
-    """Pure-Python pairwise cube-sum rasterization (test oracle)."""
+    """Pure-Python pairwise cube-sum rasterization (test oracle); it reads
+    each operand's cells off its runs one by one."""
     t = _as_lowest_terms(t)
     p, q = t.numerator, t.denominator
     A, B = reconcile(A, B)
@@ -150,9 +149,11 @@ def convex_combination_bruteforce(A: LatticeSet, B: LatticeSet, t) -> LatticeSet
     if A.is_empty() or B.is_empty():
         return LatticeSet(n, A.denom * q)
     offs = list(np.ndindex(*(q,) * n))
+    cells_a, cells_b = ([(*y, f + k) for *y, f, l in E.runs.tolist() for k in range(l)]
+                        for E in (A, B))
     cells = set()
-    for i in A.cells:
-        for j in B.cells:
+    for i in cells_a:
+        for j in cells_b:
             base = tuple(p * i[a] + (q - p) * j[a] for a in range(n))
             for off in offs:
                 cells.add(tuple(base[a] + off[a] for a in range(n)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._roots import PI_HI, PI_LO
 from .minkowski import IntervalSet
-from .vset import LatticeSet, _ball_cells, _ball_window
+from .vset import LatticeSet, _ball_cells, _check_budget
 
 __all__ = ["ScenarioSpec", "SplitMix64", "generate_scenario", "FAMILIES"]
 
@@ -78,6 +78,12 @@ class ScenarioSpec:
 def generate_scenario(spec: ScenarioSpec):
     """Deterministic (A, B) pair for a scenario spec; lattice sets except for
     the interval-unions family, which yields IntervalSets."""
+    # refuse a family whose mask, face-cell lists or ball lattice would
+    # exceed the cell budget before allocating any of them
+    m = spec.denom
+    side = {"perturbed-square": m + 2, "random-boxes": 2 * m + max(m, 2),
+            "counterexample": 4 * m, "interval-unions": 0}.get(spec.family, m)
+    _check_budget(side ** spec.n)
     rng = SplitMix64(spec.seed)
     if spec.family == "homothetic-convex":
         cube = _unit_cube(spec.n, spec.denom)
@@ -190,11 +196,6 @@ def _counterexample_set(n: int, m: int, L: int, bracket: str) -> LatticeSet:
         bound, power = 1 / pi, 1
     else:  # radius^6 = (3/(4 pi))^2: compare squared distances cubed
         bound, power = (Fraction(3, 4) / pi) ** 2, 3
-        if M > 128:
-            r = _ball_window(M, bound, power)[1]
-            raise ValueError(
-                "3D ball brackets are capped at base denom 32 "
-                f"(classification lattice {M} would scan {(2 * r + 2) ** 3} cells)")
     ball = _ball_cells(n, M, bound, power, bracket == "outer")
     return LatticeSet(n, M, np.concatenate([ball, far]))
 

@@ -24,7 +24,7 @@ from ._hull import hull
 from ._roots import iroot
 from .convexity import Polytope, _lattice_vector, lattice_polytope_overlap
 from .minkowski import DeficitRecord, deficit
-from .vset import _CORNERS, LatticeSet, _check_int64, _common_rows, reconcile
+from .vset import _CORNERS, LatticeSet, _check_int64, _common_count, reconcile
 
 __all__ = [
     "ConstantsTable", "StabilityReport", "constants", "hull_distance",
@@ -266,15 +266,15 @@ def _shifted_overlap(A: LatticeSet, B: LatticeSet, shift) -> Fraction:
     m = A.denom
     X, D = _lattice_vector(shift)
     split = [divmod(x * m, D) for x in X]  # (k_i, u_i)
-    # every step k + e keeps B's cells in int64
-    for (lo, hi), (k, _) in zip(B.bounding_box(), split):
-        _check_int64(lo + k, hi + k)
-    base = B.array + np.array([k for k, _ in split], dtype=np.int64)
+    # every step k + e with a nonzero weight keeps B's cells in int64
+    for (lo, hi), (k, u) in zip(B.bounding_box(), split):
+        _check_int64(lo + k, hi - 1 + k + (u > 0))
+    base = B.translate([k for k, _ in split]).runs
     total = 0
-    for e, row in zip(_CORNERS[A.dim].tolist(), _CORNERS[A.dim]):
+    for e in _CORNERS[A.dim].tolist():
         w = math.prod(u if ei else D - u for (_, u), ei in zip(split, e))
         if w:
-            total += w * _common_rows(A.array, base + row)
+            total += w * _common_count(A.runs, base + np.array(e + [0], dtype=np.int64))
     return Fraction(total, (D * m) ** A.dim)
 
 

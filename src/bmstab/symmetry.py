@@ -17,7 +17,7 @@ import numpy as np
 
 from ._roots import PI_HI, PI_LO, nth_root_brackets
 from .vset import (
-    LatticeSet, _ball_cells, _columns, _slice_counts, intersection_measure,
+    LatticeSet, _ball_cells, _columns, _lay_out, _slice_counts, intersection_measure,
     sup_slice_measure,
 )
 
@@ -69,8 +69,8 @@ def steiner(E: LatticeSet) -> SymmetrizedBody:
 def schwarz(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
     """Replace each horizontal slice by the centered disk of equal measure.
 
-    n = 2: slices are 1D, recentring is exact on the doubled lattice; it is
-    `steiner` of the transposed set, transposed back.
+    n = 2: slices are 1D, recentring is exact on the doubled lattice; a
+    slice of c cells becomes the 2c fine cells [-c, c).
     n = 3: each slice becomes a disk bracket (cells fully inside / cells
     meeting the disk) on the lattice refined by `refinement`; the radius
     comparison r^2 = area/pi is done against rational brackets of pi, so
@@ -89,8 +89,11 @@ def _schwarz(kind: str, E: LatticeSet, refinement: int) -> SymmetrizedBody:
     if E.dim < 2:
         raise ValueError("schwarz needs dim >= 2")
     if E.dim == 2:
-        st = steiner(LatticeSet(2, E.denom, E.array[:, ::-1])).exact
-        return SymmetrizedBody(kind, exact=LatticeSet(2, st.denom, st.array[:, ::-1]))
+        # each slice doubled to two fine rows, each keeping its count c
+        rows, counts = _slice_counts(E._boxes((1, 2), 2 * E.denom))
+        x = _lay_out(-counts, 2 * counts, 2 * int(counts.sum()))
+        cells = np.column_stack([x, np.repeat(rows, 2 * counts)])
+        return SymmetrizedBody(kind, exact=LatticeSet(2, 2 * E.denom, cells))
 
     if refinement < 1:
         raise ValueError("refinement must be >= 1")

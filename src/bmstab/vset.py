@@ -6,29 +6,25 @@ adjacent cells overlap in measure zero, so all measure arithmetic is exact
 cell counting over the rationals.  Values are immutable and all operations
 are pure functions.
 
-A `LatticeSet` holds its cells in the exact form it was built from and
-derives the other form on first use, caching it.  The two forms are the cell
-array, one read-only int64 array of shape (k, n) sorted lexicographically
-with no repeated row, and the runs, the maximal last-axis runs as one
-read-only int64 array of (base, first, length) rows.  The cell count is
-stored at construction.  The constructor, `from_mask` and
-`superlevel_set` build the array; sums, refinements, scalings, translations
-and Steiner symmetrization build runs, so a sum is measured without laying
-out its cells.  Bounding boxes, fibers, slices, hull candidates and the
-sumset engine read the runs; cell intersections and the `.vset` text read
-the array.  Equality and hashing compare the runs, so every way of building
-a set compares equal.  `LatticeSet.cells`, a frozenset of Python-int
-tuples, is derived from the array on first use, and no library computation
-reads it.  Coordinates outside the int64 range are rejected with
-ValueError, as are operations whose results would leave it.  Values leave
-the arrays through `.tolist()`, so Fractions, hulls and text only ever see
-Python ints.
+A `LatticeSet` stores its cells in one form: the maximal last-axis runs,
+one read-only int64 array of (base, first, length) rows in lexicographic
+order.  The cell count is stored beside them.  Every way of building a set
+makes runs: the constructor sorts its cells once and reads off their runs,
+a boolean mask is read row by row, and sums, refinements, scalings,
+translations and Steiner symmetrization build runs directly.  Measures,
+bounding boxes, fibers, slices, hull candidates, the sumset engine,
+intersections and the polytope overlap all read the runs, so no library
+computation lays out a set's cells.  `LatticeSet.array`, the sorted (k, n)
+cell array, and `LatticeSet.cells`, a frozenset of Python-int tuples, are
+views laid out from the runs on each read, for tests and the `.vset` text.
+Coordinates outside the int64 range are rejected with ValueError, as are
+operations whose results would leave it.  Values leave the arrays through
+`.tolist()`, so Fractions, hulls and text only ever see Python ints.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +40,12 @@ __all__ = [
 ]
 
 _INT64 = np.iinfo(np.int64)
+_CELL_BUDGET = 1 << 24  # entries of a scenario mask or a ball's scan window
+
+
+def _check_budget(cells: int):
+    if cells > _CELL_BUDGET:
+        raise ValueError(f"{cells} cells exceed the budget of {_CELL_BUDGET}; reduce denom")
 
 
 def _box_offsets(steps) -> np.ndarray:
@@ -109,27 +111,6 @@ def _int64_cells(cells, dim: int) -> np.ndarray:
     return np.array(arr, dtype=np.int64)
 
 
-def _canonical(c: np.ndarray) -> np.ndarray:
-    """The rows of c sorted lexicographically, each once."""
-    if len(c) > 1:
-        # later[i]: row i+1 comes after row i (an O(k) test, no sort)
-        a, b = c[:-1], c[1:]
-        later = b[:, -1] > a[:, -1]
-        for j in range(c.shape[1] - 2, -1, -1):
-            later = (b[:, j] > a[:, j]) | ((b[:, j] == a[:, j]) & later)
-        if not later.all():
-            c = c[np.lexsort(c.T[::-1])]
-            keep = _column_breaks(c)
-            keep[1:] |= c[1:, -1] != c[:-1, -1]
-            c = c[np.flatnonzero(keep)]
-    return c
-
-
-def _column_breaks(c: np.ndarray) -> np.ndarray:
-    """brk[i]: row i of a sorted array starts a new last-axis column."""
-    return _row_breaks(c[:, :-1])
-
-
 def _row_breaks(a: np.ndarray) -> np.ndarray:
     """brk[i]: row i of a differs from row i-1; row 0 always starts a run.
 
@@ -149,16 +130,18 @@ def _column_heads(runs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_row_breaks(runs[:, :-2]))
 
 
-def _frozen(a):
-    """a as a read-only C-contiguous array (None stays None)."""
-    if a is not None:
-        a = np.ascontiguousarray(a)
-        a.flags.writeable = False
-    return a
-
-
 def _runs_of(c: np.ndarray) -> np.ndarray:
-    """The maximal last-axis runs (base, first, length) of a canonical array."""
+    """The maximal last-axis runs (base, first, length) of a (k, n) int64
+    cell array, given in any order and with repeats."""
+    if len(c) > 1:
+        # later[i]: row i+1 comes after row i (an O(k) test, no sort)
+        a, b = c[:-1], c[1:]
+        later = b[:, -1] > a[:, -1]
+        for j in range(c.shape[1] - 2, -1, -1):
+            later = (b[:, j] > a[:, j]) | ((b[:, j] == a[:, j]) & later)
+        if not later.all():
+            c = c[np.lexsort(c.T[::-1])]
+            c = c[np.flatnonzero(_row_breaks(c))]  # each row once
     k, n = c.shape
     # brk[i]: a run starts at row i (brk[k]: the last run ends at row k - 1)
     brk = np.empty(k + 1, dtype=bool)
@@ -184,38 +167,33 @@ def _lay_out(first, length, count: int, out=None) -> np.ndarray:
 
 
 def _cells_of(runs: np.ndarray, count: int) -> np.ndarray:
-    """The canonical (count, n) cell array of a runs array."""
+    """The canonical (count, n) cell array of a runs array, read-only."""
     cells = np.empty((count, runs.shape[1] - 1), dtype=np.int64)
     cells[:, :-1] = np.repeat(runs[:, :-2], runs[:, -1], axis=0)
     _lay_out(runs[:, -2], runs[:, -1], count, out=cells[:, -1])
+    cells.flags.writeable = False
     return cells
 
 
-def _common_rows(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of rows in both of two canonical arrays."""
-    if not len(a) or not len(b):
-        return 0
-    c = np.concatenate([a, b])
-    c = c[np.lexsort(c.T[::-1])]
-    same = c[1:, 0] == c[:-1, 0]
-    for j in range(1, c.shape[1]):
-        same &= c[1:, j] == c[:-1, j]
-    return int(np.count_nonzero(same))
+def _common_count(a: np.ndarray, b: np.ndarray) -> int:
+    """The number of cells in both of two runs arrays.
 
-
-def _ball_window(M: int, bound: Fraction, power: int) -> tuple[int, int]:
-    """(limit, r) for the ball |x|^(2 power) <= bound on the lattice 1/M.
-
-    An integer d has (d/M^2)^power <= bound iff d^power <= limit.  r is the
-    largest integer with r^(2 power) <= limit, so every cell that meets the
-    ball lies in [-r-1, r] along each axis.
+    Both lists are merged in (base, first) order.  A run that overlaps a
+    run of the other list starting no later is counted against the last run
+    of the other list before it, as one list's runs are disjoint.
     """
-    limit = bound.numerator * M ** (2 * power) // bound.denominator
-    lo, hi = 0, 1 << (limit.bit_length() // (2 * power) + 1)
-    while lo < hi:  # bisect for the integer root
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if mid ** (2 * power) <= limit else (lo, mid - 1)
-    return limit, lo
+    r = np.concatenate([a, b])
+    order = np.lexsort(r[:, -2::-1].T)  # stable, so a's run first on a tie
+    r, in_a = r[order], order < len(a)
+    # the other list's last run before run i sits just before the last
+    # change of list at or before i
+    change = np.ones(len(r), dtype=bool)
+    np.not_equal(in_a[1:], in_a[:-1], out=change[1:])
+    prev = np.maximum.accumulate(np.where(change, np.arange(len(r)), 0)) - 1
+    x, y = r[prev >= 0], r[prev[prev >= 0]]
+    end = np.minimum(x[:, -2] + (x[:, -1] - 1), y[:, -2] + (y[:, -1] - 1))
+    hit = (end >= x[:, -2]) & (x[:, :-2] == y[:, :-2]).all(axis=1)
+    return int((end[hit] - x[hit, -2] + 1).sum())
 
 
 def _ball_cells(dim: int, M: int, bound: Fraction, power: int, outer: bool) -> np.ndarray:
@@ -225,9 +203,14 @@ def _ball_cells(dim: int, M: int, bound: Fraction, power: int, outer: bool) -> n
     point (outer True) x has |x|^(2 power) <= bound, so the inner cells lie
     in the ball and the outer cells cover it.  The test is exact: squared
     distances are integers in units of 1/M^2, and their powers fit int64
-    for any window small enough to allocate.
+    for any window within the cell budget.  An integer d has
+    (d/M^2)^power <= bound iff d^power <= limit, and with r the integer
+    (2 power)-th root of limit every cell that meets the ball lies in
+    [-r-1, r] along each axis.
     """
-    limit, r = _ball_window(M, bound, power)
+    limit = bound.numerator * M ** (2 * power) // bound.denominator
+    r = iroot(limit, 2 * power)
+    _check_budget((2 * r + 2) ** dim)
     k = np.arange(-r - 1, r + 1)
     # per axis, the cell's nearest or farthest |x_i|, in units of 1/M
     d = (np.minimum if outer else np.maximum)(abs(k), abs(k + 1))
@@ -238,22 +221,25 @@ def _ball_cells(dim: int, M: int, bound: Fraction, power: int, outer: bool) -> n
 
 
 class LatticeSet:
-    """A finite union of lattice cells: dim, denom and the cells in two forms.
+    """A finite union of lattice cells: dim, denom and the cells as runs.
 
     `LatticeSet(dim, denom, cells)` takes the cells as an integer array of
     shape (k, dim) or any iterable of integer dim-tuples, in any order and
-    with repeats.  A set keeps the exact form it was built from and derives
-    the other on first use: `array`, the canonical cell array, and `runs`,
-    its maximal last-axis runs.  `count` is the number of cells.  Equal cell
-    sets on equal lattices are equal and hash equal, however they were given.
+    with repeats.  `runs` is the set's one stored form: its maximal
+    last-axis runs as a read-only (r, dim+1) int64 array, where row
+    (y, f, l) holds the cells (y, f), ..., (y, f + l - 1), the rows are
+    sorted, and no two runs over one base row y touch.  The last cell of a
+    run is f + (l - 1), as f + l may leave int64.  `count` is the number of
+    cells.  Equal cell sets on equal lattices are equal and hash equal,
+    however they were given.
     """
 
-    __slots__ = ("dim", "denom", "count", "_array", "_runs", "_cells", "_hash")
+    __slots__ = ("dim", "denom", "count", "runs")
 
-    def __init__(self, dim: int, denom: int, cells=()):
+    def __new__(cls, dim: int, denom: int, cells=()):
         dim, denom = _lattice(dim, denom)
-        array = _canonical(_int64_cells(cells, dim))
-        self._init(dim, denom, len(array), array, None)
+        runs = _runs_of(_int64_cells(cells, dim))
+        return cls._new(dim, denom, int(runs[:, -1].sum()), runs)
 
     @classmethod
     def from_mask(cls, mask, denom: int, origin=0) -> "LatticeSet":
@@ -264,22 +250,33 @@ class LatticeSet:
         """
         mask = np.asarray(mask, dtype=bool)
         dim, denom = _lattice(mask.ndim, denom)
-        if isinstance(origin, numbers.Integral):
-            origin = [origin] * dim
-        origin = [_integer(o, "origin") for o in origin]
+        try:
+            origin = [operator.index(origin)] * dim
+        except TypeError:  # one origin per axis
+            origin = [_integer(o, "origin") for o in origin]
         if len(origin) != dim:
             raise ValueError("origin arity mismatch")
-        # the far corner of the grid; an axis of extent 0 still needs its origin
-        _check_int64(min(origin),
-                     max(o + max(k, 1) - 1 for o, k in zip(origin, mask.shape)))
-        # np.nonzero lists the true entries in C order, so their index
-        # tuples are sorted and unique; each axis's indices, plus its
-        # origin, are written straight into one C-contiguous (k, dim) array.
-        index = np.nonzero(mask)
-        cells = np.empty((len(index[0]), dim), dtype=np.int64)
-        for a, (i, o) in enumerate(zip(index, origin)):
-            np.add(i, o, out=cells[:, a])
-        return cls._from_canonical(dim, denom, cells)
+        # the mask's rows, each followed by a false entry, on one flat line
+        # after one more: the line changes at each run's start and one past
+        # its end, never across rows, so the changes list starts and ends
+        rows, k = math.prod(mask.shape[:-1]), mask.shape[-1] + 1
+        line = np.zeros(rows * k + 1, dtype=bool)
+        tail = line[1:]
+        tail.reshape(rows, k)[:, :-1] = mask.reshape(rows, k - 1)
+        edge = (tail != line[:-1]).nonzero()[0]
+        start = edge[::2]
+        runs = np.empty((len(start), dim + 1), dtype=np.int64)
+        # a start's row and its index along the last axis; in 1D the row,
+        # always 0, goes to the length column, which is written last
+        np.divmod(start, k, out=(runs[:, dim - 2], runs[:, dim - 1]))
+        if dim == 3:
+            np.divmod(runs[:, 1], mask.shape[1], out=(runs[:, 0], runs[:, 1]))
+        if any(origin):  # the far corner; an axis of extent 0 still needs its origin
+            far = [o + e - 1 for o, e in zip(origin, mask.shape)]
+            _check_int64(min(origin), max(origin + far))
+            runs[:, :-1] += origin
+        np.subtract(edge[1::2], start, out=runs[:, -1])
+        return cls._new(dim, denom, int(np.count_nonzero(mask)), runs)
 
     @classmethod
     def _from_runs(cls, dim: int, denom: int, base, first, length) -> "LatticeSet":
@@ -287,56 +284,36 @@ class LatticeSet:
         0 <= i < length[r], given in lexicographic order; base is (r, dim-1)."""
         runs = np.empty((len(first), dim + 1), dtype=np.int64)
         runs[:, :-2], runs[:, -2], runs[:, -1] = base, first, length
-        return cls._new(dim, denom, int(length.sum()), None, runs)
+        return cls._new(dim, denom, int(length.sum()), runs)
 
     @classmethod
-    def _from_canonical(cls, dim: int, denom: int, array: np.ndarray) -> "LatticeSet":
-        """Wrap an int64 (k, dim) array that is already sorted and unique."""
-        return cls._new(dim, denom, len(array), array, None)
-
-    @classmethod
-    def _new(cls, dim, denom, count, array, runs) -> "LatticeSet":
+    def _new(cls, dim, denom, count, runs) -> "LatticeSet":
         E = object.__new__(cls)
-        E._init(dim, denom, count, array, runs)
+        runs = np.ascontiguousarray(runs)
+        runs.setflags(write=False)
+        set_slot = object.__setattr__
+        set_slot(E, "dim", dim)
+        set_slot(E, "denom", denom)
+        set_slot(E, "count", count)
+        set_slot(E, "runs", runs)
         return E
-
-    def _init(self, dim, denom, count, array, runs):
-        for name, value in (("dim", dim), ("denom", denom), ("count", count),
-                            ("_array", _frozen(array)), ("_runs", _frozen(runs)),
-                            ("_cells", None), ("_hash", None)):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeSet is immutable")
 
-    def __reduce__(self):  # pickle and copy through the public constructor
-        return LatticeSet, (self.dim, self.denom, self.array)
+    def __reduce__(self):  # pickle and copy carry the runs
+        return LatticeSet._new, (self.dim, self.denom, self.count, self.runs)
 
     @property
     def array(self) -> np.ndarray:
         """The cells as a read-only (k, dim) int64 array, sorted
-        lexicographically with no repeated row; laid out from the runs on
-        first use."""
-        if self._array is None:
-            object.__setattr__(self, "_array", _frozen(_cells_of(self._runs, self.count)))
-        return self._array
-
-    @property
-    def runs(self) -> np.ndarray:
-        """The maximal last-axis runs as a read-only (r, dim+1) int64 array:
-        row (y, f, l) holds the cells (y, f), ..., (y, f + l - 1), the rows
-        are sorted, and no two runs over one base row y touch.  The last
-        cell of a run is f + (l - 1), as f + l may leave int64."""
-        if self._runs is None:
-            object.__setattr__(self, "_runs", _frozen(_runs_of(self._array)))
-        return self._runs
+        lexicographically with no repeated row, laid out from the runs."""
+        return _cells_of(self.runs, self.count)
 
     @property
     def cells(self) -> frozenset:
-        """The cells as a frozenset of Python-int tuples, built on first use."""
-        if self._cells is None:
-            object.__setattr__(self, "_cells", frozenset(map(tuple, self.array.tolist())))
-        return self._cells
+        """The cells as a frozenset of Python-int tuples."""
+        return frozenset(map(tuple, self.array.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, LatticeSet):
@@ -345,10 +322,7 @@ class LatticeSet:
                 and self.count == other.count and np.array_equal(self.runs, other.runs))
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(
-                (self.dim, self.denom, self.runs.tobytes())))
-        return self._hash
+        return hash((self.dim, self.denom, self.runs.tobytes()))
 
     def __repr__(self):
         return (f"LatticeSet(dim={self.dim}, denom={self.denom}, "
@@ -422,7 +396,7 @@ class LatticeSet:
         # an offset outside int64 is taken modulo 2^64: the sum wraps back,
         # as every translated cell fits int64
         off = [(o + (1 << 63)) % (1 << 64) - (1 << 63) for o in off]
-        return LatticeSet._new(self.dim, self.denom, self.count, None,
+        return LatticeSet._new(self.dim, self.denom, self.count,
                                self.runs + np.array(off + [0], dtype=np.int64))
 
     def corner_points(self):
@@ -497,7 +471,7 @@ def _chord_keep(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     between two neighbours on its line is dropped when it lies on or above
     their chord (a non-positive cross product); the ends of a line stay.
     """
-    brk = _column_breaks(p)
+    brk = _row_breaks(p[:, :-1])
     x = p[:, -1]
     dx, dz = x[1:-1] - x[:-2], z[1:-1] - z[:-2]
     cross = dx * (z[2:] - z[:-2]) - dz * (x[2:] - x[:-2])
@@ -535,13 +509,13 @@ def reconcile(E: LatticeSet, F: LatticeSet):
 
 def symmetric_difference_measure(E: LatticeSet, F: LatticeSet) -> Fraction:
     E2, F2 = reconcile(E, F)
-    k = E2.count + F2.count - 2 * _common_rows(E2.array, F2.array)
+    k = E2.count + F2.count - 2 * _common_count(E2.runs, F2.runs)
     return Fraction(k, E2.denom ** E2.dim)
 
 
 def intersection_measure(E: LatticeSet, F: LatticeSet) -> Fraction:
     E2, F2 = reconcile(E, F)
-    return Fraction(_common_rows(E2.array, F2.array), E2.denom ** E2.dim)
+    return Fraction(_common_count(E2.runs, F2.runs), E2.denom ** E2.dim)
 
 
 def _columns(E: LatticeSet):
@@ -601,7 +575,7 @@ def superlevel_set(E: LatticeSet, lam) -> LatticeSet:
     base, counts = _columns(E)
     # an integer count k has k/denom > lam iff k > floor(lam*denom)
     floor = min(math.floor(lam * E.denom), E.count)
-    return LatticeSet._from_canonical(E.dim - 1, E.denom, base[counts > floor])
+    return LatticeSet(E.dim - 1, E.denom, base[counts > floor])
 
 
 def base_projection(E: LatticeSet) -> LatticeSet:

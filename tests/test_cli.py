@@ -1,3 +1,5 @@
+import tracemalloc
+
 from bmstab.cli import fit_loglog_slope, main, render_loglog_svg
 
 
@@ -39,6 +41,21 @@ def test_deficit_coordinate_outside_int64_is_a_usage_error(tmp_path, capsys):
     far.write_text(f"vset 2 1\ncells 1\n{2 ** 62} 0\n")
     assert run(["deficit", "--in-a", str(far), "--in-b", str(far), "--t", "1/3"]) == 2
     assert "int64" in capsys.readouterr().err
+
+
+def test_generate_past_the_cell_budget_is_a_usage_error(tmp_path, capsys):
+    # each would allocate gigabytes: a 64 GiB mask, a 2.55 GiB ball window
+    # and a 931 GiB mask; the budget refuses them before any allocation
+    for args in (("--family", "homothetic-convex", "--n", "3", "--denom", "4096"),
+                 ("--family", "counterexample", "--n", "2", "--denom", "4096", "--L", "64"),
+                 ("--family", "boundary-bites", "--n", "2", "--denom", "1000000")):
+        tracemalloc.start()
+        try:
+            assert run(["generate", *args, "--out", str(tmp_path / "x")]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and "budget" in capsys.readouterr().err
 
 
 def test_symmetrize_and_transport(tmp_path):

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from bmstab._hull import hull
 from bmstab.cli import sweep
-from bmstab.convexity import convex_hull
+from bmstab.convexity import Polytope, convex_hull, lattice_polytope_overlap
 from bmstab.minkowski import convex_combination, convex_combination_bruteforce, deficit
 from bmstab.scenarios import ScenarioSpec, generate_scenario
-from bmstab.stability import cos_pipeline, hull_distance
+from bmstab.stability import _shifted_overlap, cos_pipeline, hull_distance
 from bmstab.vset import (
     _MAX_CELL_BLOWUP, LatticeSet, _box_offsets, _feasible_snap, _materialize_scaling,
     _scaling_blowup, _slice_counts, fiber_profile, intersection_measure, measure,
@@ -609,7 +609,7 @@ def test_from_runs_lays_out_each_run():
 
 
 # ---------------------------------------------------------------------------
-# the two forms of a set, cell array and runs, against a tuple oracle
+# a set's runs, and every reader of them, against a tuple oracle
 
 
 def _oracle_run_rows(cells):
@@ -659,20 +659,80 @@ def _assert_forms(E, cells, n, denom):
         assert hull(hp) == hull(want)
 
 
-def test_both_forms_match_tuple_oracle_however_built():
+def _box_overlap(cells, denom, box):
+    """|cells intersect box|, cell by cell, for a box of rational (lo, hi)
+    per axis."""
+    total = Fraction(0)
+    for c in cells:
+        v = Fraction(1)
+        for x, (lo, hi) in zip(c, box):
+            v *= max(min(hi, Fraction(x + 1, denom)) - max(lo, Fraction(x, denom)), 0)
+        total += v
+    return total
+
+
+def _assert_readers(E, cells, F, fcells, rng):
+    """The run readers of two sets on one lattice against the cell oracle:
+    intersection and symmetric difference (also with F refined where that
+    fits int64, so that the operands are reconciled first), the overlap with
+    F shifted by a rational vector, and the overlap with a box polytope that
+    cuts cells, with E's hull and with a polytope clear of E."""
+    n, m = E.dim, E.denom
+    k = Fraction(1, m ** n)
+    shift = tuple(Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3])) for _ in range(n))
+    want = sum((_box_overlap(cells, m, [(Fraction(x, m) + s, Fraction(x + 1, m) + s)
+                                        for x, s in zip(c, shift)])
+                for c in fcells), Fraction(0))
+    fits = all(abs(x) < 2 ** 61 for c in cells | fcells for x in c)
+    for G in (F, F.refine(2)) if fits else (F,):
+        assert intersection_measure(E, G) == len(cells & fcells) * k
+        assert symmetric_difference_measure(E, G) == len(cells ^ fcells) * k
+        assert _shifted_overlap(E, G, shift) == want
+    if not cells:
+        return
+    box = [(Fraction(min(c[a] for c in cells), m) + Fraction(1, 3),
+            Fraction(max(c[a] for c in cells) + 1, m) - Fraction(1, 4)) for a in range(n)]
+    box = [(a, b) if a < b else (a, a + Fraction(1, 5)) for a, b in box]
+    K = Polytope.from_rational_points(list(product(*box)))
+    exact = _box_overlap(cells, m, box)
+    assert lattice_polytope_overlap(E, K) == (exact, exact)
+    whole = E.measure()
+    assert lattice_polytope_overlap(E, convex_hull(E)) == (whole, whole)
+    assert lattice_polytope_overlap(E, K.translate((2 * box[0][1] - box[0][0] + 1,)
+                                                   + (0,) * (n - 1))) == (0, 0)
+
+
+def test_runs_match_tuple_oracle_however_built():
     rng = random.Random(2026)
     lo, hi = -2 ** 63, 2 ** 63 - 1
     for trial in range(45):
         n, m = 1 + trial % 3, rng.choice([1, 2, 3])
         cells = {tuple(rng.randrange(-7, 7) for _ in range(n))
                  for _ in range(rng.randrange(0, 30))}
+        other = {tuple(rng.randrange(-7, 7) for _ in range(n))
+                 for _ in range(rng.randrange(0, 30))}
         if trial % 5 == 0:  # both ends of int64, and runs that end on them
             cells |= {(lo,) * n, (hi,) * n, (0,) * (n - 1) + (hi - 1,),
                       (0,) * (n - 1) + (hi,), (0,) * (n - 1) + (lo,)}
-        shuffled = list(cells)
+        shuffled = list(cells) * 2  # in any order, with repeats
         rng.shuffle(shuffled)
-        _assert_forms(LatticeSet(n, m, shuffled), cells, n, m)
-        _assert_forms(_from_run_rows(n, m, _oracle_run_rows(cells)), cells, n, m)
+        for E in (LatticeSet(n, m, shuffled), _from_run_rows(n, m, _oracle_run_rows(cells))):
+            _assert_forms(E, cells, n, m)
+            for P in (pickle.loads(pickle.dumps(E)), copy.deepcopy(E)):
+                assert P == E and P.runs.tolist() == E.runs.tolist() and P.count == E.count
+                assert not P.runs.flags.writeable
+            assert _shifted_overlap(E, E, (0,) * n) == E.measure()
+            F = LatticeSet(n, m, other)
+            assert intersection_measure(E, F) == Fraction(len(cells & other), m ** n)
+            assert symmetric_difference_measure(E, F) == Fraction(len(cells ^ other), m ** n)
+            if trial % 5 == 0:  # the same near both ends of int64, away from the far corner
+                for end in (lo + 64, hi - 64):
+                    near = {tuple(x + end for x in c) for c in other}
+                    moved = {tuple(x + end for x in c) for c in cells if max(map(abs, c)) < 9}
+                    _assert_readers(LatticeSet(n, m, moved), moved,
+                                    LatticeSet(n, m, near), near, rng)
+            else:
+                _assert_readers(E, cells, F, other, rng)
 
         # masks, empty axes included, with origins at both ends of int64
         shape = tuple(rng.choice([0, 1, 3, 4]) if trial % 7 == 0 else rng.randrange(1, 5)
@@ -683,7 +743,10 @@ def test_both_forms_match_tuple_oracle_however_built():
                        [hi - max(k, 1) + 1 for k in shape]):
             want = {tuple(i + o for i, o in zip(idx, origin))
                     for idx in np.ndindex(*shape) if mask[idx]}
-            _assert_forms(LatticeSet.from_mask(mask, m, origin), want, n, m)
+            E = LatticeSet.from_mask(mask, m, origin)
+            _assert_forms(E, want, n, m)
+            assert intersection_measure(E, E) == Fraction(len(want), m ** n)
+            assert symmetric_difference_measure(E, LatticeSet(n, m, want)) == 0
 
         # refine, translate and convex_combination, read from both forms:
         # each operation once on a set built from cells and once on its runs
@@ -711,6 +774,36 @@ def test_both_forms_match_tuple_oracle_however_built():
             want = convex_combination_bruteforce(E, E, Fraction(1, 2))
             assert (hi if sign > 0 else lo,) * n in want.cells
             _assert_forms(convex_combination(E, E, Fraction(1, 2)), set(want.cells), n, 2)
+
+
+def test_no_library_computation_lays_out_cells(monkeypatch):
+    # every computation reads runs: laying out a set's cells goes through
+    # vset._cells_of, which fails here.  The operands have different
+    # denoms, so each pair is refined onto one lattice first.
+    import bmstab.vset as vset
+    from bmstab.symmetry import steiner
+
+    def no_layout(runs, count):
+        raise AssertionError("a set's cells were laid out")
+
+    half = Fraction(1, 2)
+    for n, m in ((2, 4), (3, 2)):
+        A, _ = generate_scenario(ScenarioSpec(family="boundary-bites", n=n, denom=m,
+                                              eps=Fraction(1, 4), seed=3))
+        B, _ = generate_scenario(ScenarioSpec(family="perturbed-square", n=n,
+                                              denom=m + 1, eps=Fraction(1, 4), seed=5))
+        K_A, K_B = convex_hull(A), convex_hull(B)
+
+        def results():
+            return (deficit(A, B, half), hull_distance(A, B),
+                    cos_pipeline(A, B, K_A, K_B, half, half), steiner(B).exact,
+                    intersection_measure(A, B), symmetric_difference_measure(A, B))
+
+        want = results()
+        with monkeypatch.context() as mp:
+            mp.setattr(vset, "_cells_of", no_layout)
+            assert results() == want
+        assert 0 < want[4] < A.measure()
 
 
 def test_from_mask_per_axis_origins_and_empty_axes():
