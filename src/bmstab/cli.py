@@ -123,6 +123,8 @@ def _cmd_concavity_fit(args) -> int:
         raise UsageError("base dimension must be 1 or 2")
     pts = tuple(tuple(int(x) for x in r[:k]) for r in rows)
     vals = tuple(float(r[k]) for r in rows)
+    if args.denom < 1:
+        raise UsageError("--denom must be a positive integer")
     f = GridFunction(k, Fraction(1, args.denom), pts, vals)
     fit = concavity_fit(f, args.sigma, args.varsigma, _fraction(args.tau))
     d = fit.diagnostics

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import add, mul, sub
+from operator import mul
 
 import numpy as np
 
@@ -244,74 +244,64 @@ def _clip(edges, Lp, planes, Lq):
     return out
 
 
-def lattice_polytope_overlap(E: LatticeSet, K: Polytope):
-    """Exact |E intersect K| in 1, 2 or 3 dimensions, as (lo, hi) with lo == hi.
+def lattice_polytope_overlap(E: LatticeSet, K: Polytope) -> Fraction:
+    """Exact |E intersect K| in 1, 2 or 3 dimensions.
 
-    A cell corner c/m meets K's plane n.x <= d (lattice 1/L) iff
-    L*(n.c) <= m*d; the corners with the largest and the least n.c decide
-    whether the cell is inside the plane, outside it, or cut by it.  K is
-    convex, so along a last-axis run the cells inside every plane form one
-    interval and the cells outside none another around it, each bounded by
-    one floor division per plane, in int64 when a bound on every value
-    formed fits and on Python ints otherwise.  Cells inside every plane
-    count whole.  Only the cut cells, at most two intervals per run, are
-    visited alone: a cut cell's overlap is the hull volume of its edges
-    clipped to the planes that cut it and K's edges clipped to it, since
-    for dim <= 3 every vertex of the intersection of two convex polytopes
-    lies on an edge of one of them.
+    Each last-axis run of E is one box [y, y+1]^(n-1) x [f, f+l] on lattice
+    1/m.  A corner c/m meets K's plane n.x <= d (lattice 1/L) iff
+    L*(n.c) <= m*d; one pass over all runs takes each box's corners with the
+    largest and the least n.c per plane, in int64 when a bound on every value
+    formed fits and on Python ints otherwise.  A box inside every plane
+    counts its l cells whole; a box outside one plane (touching counts as
+    outside) adds nothing.  A box cut by some planes is clipped once: its
+    overlap is the hull volume of its edges clipped to the planes that cut it
+    and K's edges clipped to its walls, since for dim <= 3 every vertex of
+    the intersection of two convex polytopes lies on an edge of one of them.
     """
     if E.dim != K.dim:
         raise ValueError("dimension mismatch")
     if not K.volume or E.is_empty():
-        return Fraction(0), Fraction(0)
-    m, L = E.denom, K.scale
+        return Fraction(0)
+    n, m, L = E.dim, E.denom, K.scale
     box = E.bounding_box()
     base = [lo for lo, _ in box]
-    # K's planes whose normal rises along the last axis, then those whose
-    # normal falls, then the rest; the order of the clip is free
-    planes = sorted(K.planes, key=lambda p: (p[0][-1] <= 0, p[0][-1] == 0))
-    up, side = sum(n[-1] > 0 for n, _ in planes), sum(n[-1] != 0 for n, _ in planes)
-    normals = [[L * x for x in n] for n, _ in planes]
-    # corner c/m is inside (n, d) iff (L*n).(c - base) <= m*d - (L*n).base
-    md = [m * d - sum(map(mul, n, base)) for n, (_, d) in zip(normals, planes)]
-    bound = max(sum(abs(x) * (hi - lo) for x, (lo, hi) in zip(n, box))
-                for n in normals)
+    normals = [[L * x for x in a] for a, _ in K.planes]
+    # corner c/m is inside (a, d) iff (L*a).(c - base) <= m*d - (L*a).base
+    md = [m * d - sum(map(mul, a, base)) for a, (_, d) in zip(normals, K.planes)]
+    bound = max(sum(abs(x) * (hi - lo) for x, (lo, hi) in zip(a, box))
+                for a in normals)
     dtype = np.int64 if bound + max(map(abs, md)) <= _INT64.max else object
     N = np.array(normals, dtype=dtype)
-    # (L*n).(c' - c) for a cell's corners c' with the largest and the least n.c
-    top = [sum(x for x in n if x > 0) for n in normals]
-    bottom = [sum(x for x in n if x < 0) for n in normals]
+    pos = np.array([[max(x, 0) for x in a] for a in normals], dtype=dtype)
     runs = E.runs.astype(dtype, copy=False) - np.array(base + [0], dtype=dtype)
-    first, last = runs[:, -2], runs[:, -2] + (runs[:, -1] - 1)
-    # that corner of cell z of a run is inside plane j iff a_j*z <= r_j
-    r = np.array([list(map(sub, md, top)), list(map(sub, md, bottom))], dtype=dtype)
-    r = r[:, None] - runs[:, :-2] @ N[:, :-1].T
-    q = r[..., :side] // abs(N[:side, -1])  # z <= q if a_j > 0, z >= -q if a_j < 0
-    lo = np.maximum(first, -q[..., up:].min(axis=2))
-    hi = np.minimum(last, q[..., :up].min(axis=2))
-    (ilo, mlo), (ihi, mhi) = lo, np.where((r[..., side:] < 0).any(axis=2), lo - 1, hi)
-    empty = ilo > ihi  # then every cell outside no plane is cut
-    ilo, ihi = np.where(empty, mhi + 1, ilo), np.where(empty, mhi, ihi)
-    # the cut cells: [mlo, ilo - 1] and [ihi + 1, mhi] of each run
-    length = np.concatenate([ilo - mlo, mhi - ihi])
-    cut = np.flatnonzero(length > 0)
+    # (L*a).c at the corners of run (y, f, l)'s box with the largest and the
+    # least (L*a).c: (L*a).(y, f) plus the positive, or the negative, parts
+    # of L*a, the last one times l
+    at, l = runs[:, :-1] @ N.T, runs[:, -1:]
+    top, low = (at + (P[:, :-1].sum(axis=1) + l * P[:, -1]) for P in (pos, N - pos))
+    md = np.array(md, dtype=dtype)
+    cut = top > md  # the planes each box reaches past
+    inside = ~cut.any(axis=1)
+    clipped = ~inside & (low < md).all(axis=1)  # cut, and outside no plane
+    total = Fraction(int(l[inside].sum()), m ** n)
     k_edges = _edges(K)
-    corners = _CORNERS[E.dim].tolist()
-    part = Fraction(0)
-    for i, f, k in zip((cut % len(runs)).tolist(),
-                       np.concatenate([mlo, ihi + 1])[cut].tolist(), length[cut].tolist()):
-        y = runs[i, :-2].tolist()
-        for c in ([x + b for x, b in zip(y + [z], base)] for z in range(f, f + k)):
-            C = Polytope.from_lattice_points([tuple(map(add, c, o)) for o in corners], m)
-            cutting = [p for p, n, t in zip(planes, normals, top)
-                       if sum(map(mul, n, c)) + t > m * p[1]]
-            pts = _clip(_edges(C), m, cutting, L) | _clip(k_edges, L, C.planes, m)
-            if pts:
-                M = math.lcm(*(D for D, _ in pts))
-                part += Polytope.from_lattice_points(
-                    [tuple(x * (M // D) for x in x_D) for D, x_D in pts], M).volume
-    total = Fraction(int((ihi - ilo + 1).sum()), m ** E.dim) + part
-    return total, total
+    # a box's edges join a corner to the corner one axis further on
+    steps = [(o, o[:a] + [1] + o[a + 1:]) for o in _CORNERS[n].tolist()
+             for a in range(n) if not o[a]]
+    for r, cutting in zip(runs[clipped].tolist(), cut[clipped].tolist()):
+        lo = [x + b for x, b in zip(r[:-1], base)]
+        hi = [x + 1 for x in lo[:-1]] + [lo[-1] + r[-1]]
+        edges = [tuple(tuple(h if b else x for x, h, b in zip(lo, hi, o)) for o in e)
+                 for e in steps]
+        walls = [(tuple(s * (i == a) for i in range(n)), s * x)
+                 for a in range(n) for s, x in ((-1, lo[a]), (1, hi[a]))]
+        pts = (_clip(edges, m, [p for p, c in zip(K.planes, cutting) if c], L)
+               | _clip(k_edges, L, walls, m))
+        if pts:
+            M = math.lcm(*(D for D, _ in pts))
+            total += Polytope.from_lattice_points(
+                [tuple(x * (M // D) for x in x_D) for D, x_D in pts], M).volume
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +329,12 @@ class GridFunction:
         for p in pts:
             if len(p) != self.base_dim:
                 raise ValueError("index arity mismatch")
+        spacing = Fraction(self.spacing)
+        if spacing <= 0:
+            raise ValueError("grid spacing must be positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "spacing", Fraction(self.spacing))
+        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "bound", max((abs(v) for v in vals), default=0.0))
 
     def as_dict(self):

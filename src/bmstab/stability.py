@@ -312,8 +312,8 @@ def cos_pipeline(A: LatticeSet, B: LatticeSet, K_A: Polytope, K_B: Polytope,
     tau = Fraction(tau)
     _check_weights(t, tau)
     n = A.dim
-    inA = lattice_polytope_overlap(A, K_A)[0]
-    inB = lattice_polytope_overlap(B, K_B)[0]
+    inA = lattice_polytope_overlap(A, K_A)
+    inB = lattice_polytope_overlap(B, K_B)
     volA, volB = A.measure(), B.measure()
     zeta = volA + K_A.volume - 2 * inA + volB + K_B.volume - 2 * inB
 

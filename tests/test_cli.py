@@ -188,6 +188,16 @@ def test_concavity_fit_subcommand(tmp_path):
     assert l1 <= 1e-9
 
 
+def test_concavity_fit_refuses_denom_below_one(tmp_path, capsys):
+    grid = tmp_path / "g.txt"
+    grid.write_text("-1 -1.0\n0 0.0\n1 -1.0\n")
+    for denom in ("0", "-2"):
+        assert run(["concavity-fit", "--in", str(grid), "--denom", denom]) == 2
+        captured = capsys.readouterr()
+        assert "--denom" in captured.err and captured.out == ""
+    assert run(["concavity-fit", "--in", str(grid), "--denom", "1"]) == 0
+
+
 def test_plot_slope_annotation(tmp_path):
     csv = tmp_path / "p.csv"
     csv.write_text("x,y\n1,1\n10,100\n")

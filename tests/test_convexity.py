@@ -408,8 +408,7 @@ def test_overlap_bracket_2d_exact():
     sq = LatticeSet(2, 2, frozenset((i, j) for i in range(2) for j in range(2)))
     P = Polytope.from_rational_points([(0, 0), (Fraction(1, 2), 0),
                                        (Fraction(1, 2), 1), (0, 1)])
-    lo, hi = lattice_polytope_overlap(sq, P)
-    assert lo == hi == Fraction(1, 2)
+    assert lattice_polytope_overlap(sq, P) == Fraction(1, 2)
 
 
 def test_overlap_bracket_3d_certified():
@@ -417,10 +416,7 @@ def test_overlap_bracket_3d_certified():
                                       for j in range(4) for k in range(4)))
     P = Polytope.from_rational_points(
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])  # corner simplex, vol 1/6
-    lo, hi = lattice_polytope_overlap(cube, P)
-    assert lo <= Fraction(1, 6) <= hi
-    assert hi - lo < Fraction(1, 2)
-    assert lo == hi == Fraction(1, 6)
+    assert lattice_polytope_overlap(cube, P) == Fraction(1, 6)
     # K = [-1, -1/2] x [0, 1]^2 and its mirror image carry scale 2, the
     # coarsest that holds their vertices, and each meets the slab of cells
     # at denom 3 next to it in volume 1/6
@@ -428,9 +424,7 @@ def test_overlap_bracket_3d_certified():
         K = convex_hull(LatticeSet(3, 4, frozenset(product(k_xs, range(4), range(4)))))
         E = LatticeSet(3, 3, frozenset(product([e_x], range(3), range(3))))
         assert K.scale == 2
-        lo, hi = lattice_polytope_overlap(E, K)
-        assert lo <= Fraction(1, 6) <= hi
-        assert lo == hi == Fraction(1, 6)
+        assert lattice_polytope_overlap(E, K) == Fraction(1, 6)
     # random rational axis boxes: a cell's overlap with a box is the product
     # of its per-axis interval overlaps
     rng = random.Random(89)
@@ -446,13 +440,9 @@ def test_overlap_bracket_3d_certified():
                                   - max(a, Fraction(c, m)))
                               for c, (a, b) in zip(cell, box))
                     for cell in cells)
-        lo, hi = lattice_polytope_overlap(LatticeSet(3, m, cells), K)
-        assert lo <= exact <= hi
-        assert lo == hi == exact
+        assert lattice_polytope_overlap(LatticeSet(3, m, cells), K) == exact
     flat = Polytope.from_rational_points(list(product((0, 1), (0, 1), (0,))))
-    lo, hi = lattice_polytope_overlap(LatticeSet(3, 2, frozenset([(0, 0, 0)])), flat)
-    assert lo == 0 <= hi
-    assert (lo, hi) == (0, 0)
+    assert lattice_polytope_overlap(LatticeSet(3, 2, frozenset([(0, 0, 0)])), flat) == 0
 
 
 def _outward_planes(K):
@@ -498,13 +488,12 @@ def test_overlap_exact_by_volume_additivity_and_refinement():
                        math.ceil(max(v[i] for v in K.vertices) * m) + 1)
                  for i in range(n)]
         box = LatticeSet(n, m, frozenset(product(*sides)))
-        assert lattice_polytope_overlap(box, K) == (K.volume, K.volume)
+        assert lattice_polytope_overlap(box, K) == K.volume
         part = frozenset(c for c in box.cells if rng.random() < 0.5)
         E1, E2 = LatticeSet(n, m, part), LatticeSet(n, m, box.cells - part)
-        lo1, hi1 = lattice_polytope_overlap(E1, K)
-        lo2, hi2 = lattice_polytope_overlap(E2, K)
-        assert lo1 == hi1 and lo2 == hi2 and lo1 + lo2 == K.volume
-        assert lattice_polytope_overlap(E1.refine(2), K) == (lo1, hi1)
+        ov1 = lattice_polytope_overlap(E1, K)
+        assert ov1 + lattice_polytope_overlap(E2, K) == K.volume
+        assert lattice_polytope_overlap(E1.refine(2), K) == ov1
         # coverage: cells with corners on both sides of K's boundary, and
         # cells outside K that no single facet plane separates from it
         planes = _outward_planes(K)
@@ -517,16 +506,15 @@ def test_overlap_exact_by_volume_additivity_and_refinement():
                 cut[n] += any(masks)
             elif not frozenset.intersection(*masks):
                 ov = lattice_polytope_overlap(LatticeSet(n, m, frozenset([cell])), K)
-                cut_disjoint += ov == (0, 0)
+                cut_disjoint += ov == 0
     assert min(cut.values()) >= 5 and cut_disjoint >= 5, (cut, cut_disjoint)
 
 
-def _clip_segment(p, q, halfspaces):
-    """The part of segment pq with a.x <= b for every (a, b), as end points."""
+def _clip_segment(p, q, excess):
+    """The part of segment pq with a.x <= b for every (a, b), as end points;
+    excess[x] lists a.x - b over the half-spaces."""
     t0, t1 = Fraction(0), Fraction(1)
-    for a, b in halfspaces:
-        fp = sum(map(operator.mul, a, p)) - b
-        fq = sum(map(operator.mul, a, q)) - b
+    for fp, fq in zip(excess[p], excess[q]):
         if fp > 0 and fq > 0:
             return []
         if fp > 0:
@@ -554,15 +542,16 @@ def _overlap_oracle(E, K):
         c_half = [h for i, (lo, hi) in enumerate(box)
                   for h in ((tuple(-(j == i) for j in range(E.dim)), -lo),
                             (tuple(int(j == i) for j in range(E.dim)), hi))]
-        pts = [x for p, q in combinations(list(product(*box)), 2)
-               for x in _clip_segment(p, q, k_half)]
-        pts += [x for p, q in combinations(K.vertices, 2)
-                for x in _clip_segment(p, q, c_half)]
+        pts = []
+        for xs, half in ((list(product(*box)), k_half), (K.vertices, c_half)):
+            excess = {x: [sum(map(operator.mul, a, x)) - b for a, b in half] for x in xs}
+            pts += [x for p, q in combinations(xs, 2) for x in _clip_segment(p, q, excess)]
         out.append(Polytope.from_rational_points(pts).volume if pts else Fraction(0))
     return out
 
 
-_OVERLAP_CASES = ("hull", "shrunk", "disjoint", "flat", "empty", "far", "far-fine")
+_OVERLAP_CASES = ("hull", "shrunk", "disjoint", "flat", "empty", "far", "far-fine",
+                  "solid", "touching")
 
 
 def _overlap_case(case, E):
@@ -571,14 +560,24 @@ def _overlap_case(case, E):
     The far cases move E by 2^40 cells: "far" keeps int64 (coordinates
     relative to the cells' least corner), and "far-fine" shrinks the hull
     by 1 - 2^-40, a lattice so fine that only Python ints hold the products.
+    "solid" fills E's bounding box and shrinks E's hull, so runs several
+    cells long are cut at both ends; "touching" moves the hull along the
+    last axis onto the far facet of E's bounding box, so K meets E only in
+    faces.
     """
     if case in ("far", "far-fine"):
         E = E.translate((2 ** 40,) * E.dim)
     K = convex_hull(E)
+    if case == "solid":
+        E = LatticeSet(E.dim, E.denom, frozenset(
+            product(*(range(lo, hi) for lo, hi in E.bounding_box()))))
     if case == "disjoint":
         (lo, hi), *_ = E.bounding_box()
         return E, K.translate((Fraction(hi - lo, E.denom) + Fraction(1, 3),)
                               + (0,) * (E.dim - 1))
+    if case == "touching":
+        *_, (lo, hi) = E.bounding_box()
+        return E, K.translate((0,) * (E.dim - 1) + (Fraction(hi - lo, E.denom),))
     if case == "flat":
         return E, Polytope.from_rational_points(
             [p + (Fraction(1, 2),) for p in product((-1, Fraction(3, 2)), repeat=E.dim - 1)])
@@ -595,23 +594,27 @@ def _overlap_case(case, E):
 def test_overlap_matches_cell_by_cell_oracle(n, case):
     rng = random.Random(f"{n} {case}")
     partial = 0
+    # a filled 3D box is clipped cell by cell by the oracle: a smaller window
+    # keeps it to at most 216 cells
+    w = 1 if (n, case) == (3, "solid") else 2
     for _ in range(3):
         m = rng.randrange(1, 4)
         E = LatticeSet(n, m, frozenset(
-            tuple(rng.randrange(-2 * m, 2 * m) for _ in range(n))
+            tuple(rng.randrange(-w * m, w * m) for _ in range(n))
             for _ in range(rng.randrange(2, 30 if n == 2 else 12))))
         E, K = _overlap_case(case, E)
         if case == "far-fine":  # so the int64 bound fails
             assert K.scale * max(abs(x) for nrm, _ in K.planes for x in nrm) > 2 ** 63
         parts = _overlap_oracle(E, K)
         exact = sum(parts, Fraction(0))
-        assert lattice_polytope_overlap(E, K) == (exact, exact)
+        got = lattice_polytope_overlap(E, K)
+        assert type(got) is Fraction and got == exact
         partial += sum(0 < x < Fraction(1, m ** n) for x in parts)
         if case == "hull":
             assert exact == E.measure()
-        if case in ("disjoint", "flat", "empty"):
+        if case in ("disjoint", "flat", "empty", "touching"):
             assert exact == 0
-    if case in ("shrunk", "far", "far-fine"):
+    if case in ("shrunk", "far", "far-fine", "solid"):
         assert partial > 0
 
 
@@ -811,6 +814,14 @@ def test_grid_function_rejects_non_finite_values():
             GridFunction(2, Fraction(1, 4), ((0, 0), (1, 0), (0, 1)), (bad, 0.0, 1.0))
 
 
+def test_grid_function_rejects_non_positive_spacing():
+    pts, vals = ((-1,), (0,), (1,)), (-1.0, 0.0, -1.0)
+    for h in (0, Fraction(-1, 2), -2):
+        with pytest.raises(ValueError, match="spacing"):
+            GridFunction(1, h, pts, vals)
+    assert GridFunction(1, 2, pts, vals).spacing == 2
+
+
 def test_step_a_quadratic_identity():
     # |y12'|^2 + |y12''|^2 - |y1|^2 - |y2|^2 = -2 t'(1-t') |y1-y2|^2, exactly
     rng = random.Random(73)
@@ -936,14 +947,14 @@ _GEOMETRY_SPECS = (
 # SHA-256 of the repr of each output, keyed by (function, family, n, seed).
 # Recorded from an earlier implementation of the hull and polytope code, so a
 # rewrite that changes a vertex, a face order, a lattice scale, a volume, a
-# centroid or a float in the last digit fails here.  The 3D overlap is only
-# taken against a polytope that contains the set.  The concave_envelope
-# entries hold the exact envelope rounded once to floats, the values that
-# test_envelope_matches_exact_oracle checks against Caratheodory.  The
-# homothetic-convex n = 2 convex_hull and translate entries were re-recorded
-# when convex_hull began to take its lattice from the hull's vertices: the
-# unit square now has scale 1, not 4, with the same vertices as Fractions,
-# faces, volume and centroid.
+# centroid or a float in the last digit fails here.  The 3D overlap entries
+# were recorded from the per-cell overlap, before it clipped whole runs.  The
+# concave_envelope entries hold the exact envelope rounded once to floats,
+# the values that test_envelope_matches_exact_oracle checks against
+# Caratheodory.  The homothetic-convex n = 2 convex_hull and translate
+# entries were re-recorded when convex_hull began to take its lattice from
+# the hull's vertices: the unit square now has scale 1, not 4, with the same
+# vertices as Fractions, faces, volume and centroid.
 _GEOMETRY_DIGESTS = {
     ("convex_hull", "perturbed-square", 1, 1):
         "b6dc4556a500a541cb0af3bb948ce4d22d9d5455a768d936c10b7e5b1c29c622",
@@ -1023,6 +1034,8 @@ _GEOMETRY_DIGESTS = {
         "742803c46e5d87621348c276cef14f2d61855556e87643dc15b58533a932cb0c",
     ("scale_about", "boundary-bites", 3, 1):
         "e6cf15e9c2695165f009dbf1c9efe006d026e449a900d85956855b7f60c0fa35",
+    ("overlap", "boundary-bites", 3, 1):
+        "bfe436ab6349369e4bd1a3928afdb86b934c369e9cd609b7aa2edf96edecd401",
     ("hull_distance", "boundary-bites", 3, 1):
         "0f70326f87a489f215c19153060b0c1009c9340c097c00bf248ae1fad1bc9d94",
     ("cos_pipeline", "boundary-bites", 3, 1):
@@ -1033,6 +1046,8 @@ _GEOMETRY_DIGESTS = {
         "4a45ce92a2d66811975bc0817ae39bc5232f585e608d2417b62ecc0adc397b15",
     ("scale_about", "boundary-bites", 3, 2):
         "36e3316204f20fea3e01f7d4bc6f0c343c90f35a893e4d54ed8ab4c0eb1d3411",
+    ("overlap", "boundary-bites", 3, 2):
+        "bfe436ab6349369e4bd1a3928afdb86b934c369e9cd609b7aa2edf96edecd401",
     ("hull_distance", "boundary-bites", 3, 2):
         "0f70326f87a489f215c19153060b0c1009c9340c097c00bf248ae1fad1bc9d94",
     ("cos_pipeline", "boundary-bites", 3, 2):
@@ -1070,8 +1085,10 @@ def _geometry_outputs():
             out[("translate",) + key] = _polytope_key(KA.translate(v))
             out[("scale_about",) + key] = _polytope_key(
                 KA.scale_about(KB.centroid(), Fraction(3, 2)))
-            if n <= 2:
-                out[("overlap",) + key] = lattice_polytope_overlap(B, KA)
+            # recorded as the (lo, hi) pair the overlap once returned, lo == hi,
+            # so the digests recorded then still hold
+            ov = lattice_polytope_overlap(B, KA)
+            out[("overlap",) + key] = (ov, ov)
             hd = hull_distance(A, B)
             out[("hull_distance",) + key] = (
                 hd["v_star"], hd["D_star"], hd["D_at_zero"], _polytope_key(hd["K"]))
