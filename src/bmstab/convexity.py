@@ -555,6 +555,9 @@ def concavity_fit(psi: GridFunction, sigma, varsigma, tau) -> EnvelopeFit:
         raise ValueError("empty domain")
     sigma = float(sigma)
     varsigma = float(varsigma)
+    for name, v in (("sigma", sigma), ("varsigma", varsigma)):
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, got {v}")
     t_prime = Fraction(1, 2 - tau)
     n_minus_1 = psi.base_dim
     n = n_minus_1 + 1

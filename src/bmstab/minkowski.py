@@ -13,6 +13,19 @@ never touch, and their union is the 1D engine's sort-and-sweep (`_merge`).
 The operands' runs are read from `LatticeSet.runs`, the one form a set is
 stored in.  Run pairs are merged in chunks of at most _PAIR_CHUNK into a
 running union, so memory stays bounded by the chunk plus the union's runs.
+From _COVER_PAIRS run pairs on (the measured break-even), a pair whose
+interval lies inside a neighbour pair's is dropped before the merge, a
+dominance prefilter in the manner of maxima of vectors (Kung, Luccio &
+Preparata, JACM 22, 1975).  Moving A's run by (q-p)*e_k and B's by -p*e_k,
+or both the other way, keeps the pair's base corner, so the pair is covered
+when p*dfirst_A + (q-p)*dfirst_B <= 0 and p*dlast_A + (q-p)*dlast_B >= 0.
+The tie rule: in the -e_k directions the containment must be strict, so
+no chain of covers closes on itself, every dropped pair is covered by a kept
+one, and S is unchanged.  Runs are grouped by their clipped neighbour
+deltas, and each chunk decides its pairs in one table over its rows' and
+columns' groups, no larger than the chunk; a chunk where more than half the
+pairs survive is merged whole.  On criterion 01's 3D inputs under 4% of the
+pairs reach the merge.
 `deficit` sums the runs' lengths, and `convex_combination` returns S as those
 runs, so no cell of S is laid out.  No cell passes through a Python tuple.
 Everything is exact integer arithmetic: S's extent is sized in Python ints
@@ -44,6 +57,10 @@ _DENOM_GUARD = 1 << 20
 # every key, end and block shift of the engine is an exact int32
 _GRID_GUARD = 1 << 25
 _PAIR_CHUNK = 1 << 18  # run pairs merged per vectorized step
+# run pairs from which covered pairs are dropped before the merge: the
+# break-even that tools/bench_layers.py measures lies near 2^16 in 2D and 3D
+_COVER_PAIRS = 1 << 16
+_COVER_CLIP = 2  # neighbour deltas are told apart up to this many cells
 _SUM_CHUNK = 1 << 20  # interval sums swept per vectorized step
 
 
@@ -102,11 +119,24 @@ def _combination_runs(A: LatticeSet, B: LatticeSet, p: int, q: int):
     ea += q
     nb = min(len(sb), _PAIR_CHUNK)
     na = max(1, _PAIR_CHUNK // nb)
+    cover = n > 1 and len(sa) * len(sb) >= _COVER_PAIRS
+    if cover:
+        ca, ga = _cover_classes(A, box_a, q - p)
+        cb, gb = _cover_classes(B, box_b, -p)
+        tables = _cover_tables(p, q)
     s = e = np.empty(0, dtype=np.int32)
     for i in range(0, len(sa), na):
         for j in range(0, len(sb), nb):
-            s, e = _merge(np.concatenate([s, (sa[i:i + na, None] + sb[j:j + nb]).ravel()]),
-                          np.concatenate([e, (ea[i:i + na, None] + eb[j:j + nb]).ravel()]))
+            kept = _uncovered(ca[i:i + na], cb[j:j + nb], ga, gb, tables) if cover else None
+            if kept is None:
+                ps = (sa[i:i + na, None] + sb[j:j + nb]).ravel()
+                pe = (ea[i:i + na, None] + eb[j:j + nb]).ravel()
+            else:  # only the pairs no neighbour pair covers
+                r, c = np.divmod(kept, nb)  # a block narrower than nb has one row
+                r += i
+                c += j
+                ps, pe = sa[r] + sb[c], ea[r] + eb[c]
+            s, e = _merge(np.concatenate([s, ps]), np.concatenate([e, pe]))
     # each base corner spans q fine base rows per base axis; as runs are >= q
     # long and never touch, q shifted copies hold fewer entries than the line
     for a in range(n - 1):
@@ -137,6 +167,104 @@ def _fiber_runs(E: LatticeSet, w: int, box, line):
     last *= w
     last += pos
     return pos, last
+
+
+def _cover_classes(E, box, step):
+    """(classes, digits) of E's runs for the cover test.
+
+    For each base axis k and each direction +e_k, -e_k, a run over base row
+    y takes as its neighbour the run of row y + step*(+-e_k) whose first
+    cell is the last at or before the run's own last cell.  It records the
+    neighbour's first cell less its own, f, as the digit f + c, and its last
+    cell less its own, l, as the digit c - l (c = _COVER_CLIP), each clipped
+    to [0, 2c + 1].  Digit 0 stands for a neighbour end c or more cells
+    further out, which clipping only moves inwards, so a cover found from
+    the digits holds for the true ends.  Digit 2c + 1, which never covers,
+    stands for an end more than c cells further in, and for a row outside
+    E's box or with no such run.  A direction's digits make one number
+    b * digit_f + digit_l (b = 2c + 2).  Runs with equal numbers in every
+    direction share a class: classes[r] is run r's class, and digits[g, j]
+    class g's number in direction j = 2k (+e_k) or 2k + 1 (-e_k).
+    """
+    r = E.runs
+    ext = [hi - lo for lo, hi in box]
+    first = r[:, -2] - box[-1][0]
+    last = first + (r[:, -1] - 1)
+    off = (r[:, :-2] - [lo for lo, _ in box[:-1]]).T
+    # a run's key is its row's C-order index in E's box times the row's
+    # length, plus its first cell: sorted, and below E's box volume
+    size = [math.prod(ext[k + 1:]) for k in range(len(off))]
+    row = sum(o * s for o, s in zip(off, size))
+    key = row + first
+    axis = np.repeat(np.arange(len(off)), 2)
+    move = np.tile([step, -step], len(off))[:, None]
+    there = row + move * np.array(size)[axis, None]
+    moved = off[axis] + move
+    c = np.searchsorted(key, there + last, side="right") - 1
+    ok = (moved >= 0) & (moved < np.array(ext)[axis, None]) & (c >= 0) & (key[c] >= there)
+    clip = _COVER_CLIP
+    b = 2 * clip + 2
+    digit_f = np.where(ok, first[c] - first + clip, b - 1)
+    digit_l = np.where(ok, last - last[c] + clip, b - 1)
+    digit = np.clip(digit_f, 0, b - 1) * b + np.clip(digit_l, 0, b - 1)
+    # one axis' two directions make a code below b^4; the codes seen so far
+    # are renumbered after each axis, so that they stay below len(r)
+    code = 0
+    for plus, minus in zip(digit[::2], digit[1::2]):
+        _, rep, code = np.unique((code * b * b + plus) * b * b + minus,
+                                 return_index=True, return_inverse=True)
+    return code, digit[:, rep].T
+
+
+def _cover_tables(p, q):
+    """(plus, minus): whether a run pair whose runs have the numbers a and
+    b in one direction (see `_cover_classes`) is covered by its neighbour
+    pair in that direction, at plus[a, b] for +e_k and minus[a, b] for -e_k.
+
+    The neighbour pair in direction +e_k moves A's run by (q-p)*e_k and B's
+    by -p*e_k, so it lands on the pair's own output base row; its interval
+    starts p*f_A + (q-p)*f_B later and ends p*l_A + (q-p)*l_B later.  In
+    the directions -e_k the containment must be strict, so that of two
+    equal intervals only one is dropped: then no chain of covers returns to
+    its start, each dropped pair is covered by a kept one, and dropping
+    them leaves the union unchanged.
+    """
+    clip = _COVER_CLIP
+    d = np.arange(2 * clip + 2)
+    never = (d[:, None] == d[-1]) | (d == d[-1])
+    start = np.where(never, 1, p * (d[:, None] - clip) + (q - p) * (d - clip))
+    end = np.where(never, -1, p * (clip - d[:, None]) + (q - p) * (clip - d))
+    # axes (digit_f of A, digit_l of A, digit_f of B, digit_l of B)
+    start, end = start[:, None, :, None], end[None, :, None, :]
+    plus = (start <= 0) & (end >= 0)
+    minus = plus & (start < end)
+    return tuple(x.reshape(len(d) ** 2, len(d) ** 2) for x in (plus, minus))
+
+
+def _covered(ga, gb, tables):
+    """covered[a, b]: whether a run pair of A's class a and B's class b has
+    a neighbour pair whose fine interval contains its own.  Each table is
+    read along the fewer classes first, so no step holds more entries than
+    the larger of covered and one table."""
+    covered = np.zeros((len(ga), len(gb)), dtype=bool)
+    for j in range(ga.shape[1]):
+        table = tables[j % 2]
+        if len(ga) <= len(gb):
+            covered |= np.take(table[ga[:, j]], gb[:, j], axis=1)
+        else:
+            covered |= table[:, gb[:, j]][ga[:, j]]
+    return covered
+
+
+def _uncovered(ca, cb, ga, gb, tables):
+    """The flat indices of the pairs that no neighbour pair covers in the
+    block of run pairs whose classes are ca (rows) and cb (columns); None
+    when they are more than half the block, as sorting every pair then
+    costs less than picking them out."""
+    ua, ia = np.unique(ca, return_inverse=True)
+    ub, ib = np.unique(cb, return_inverse=True)
+    keep = np.take(~_covered(ga[ua], gb[ub], tables)[ia], ib, axis=1)
+    return None if 2 * np.count_nonzero(keep) > keep.size else np.flatnonzero(keep)
 
 
 def convex_combination_bruteforce(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:

@@ -198,6 +198,19 @@ def test_concavity_fit_refuses_denom_below_one(tmp_path, capsys):
     assert run(["concavity-fit", "--in", str(grid), "--denom", "1"]) == 0
 
 
+def test_concavity_fit_refuses_a_bad_sigma_or_varsigma(tmp_path, capsys):
+    grid = tmp_path / "g.txt"
+    grid.write_text("-1 -1.0\n0 0.0\n1 -1.0\n")
+    for flags in (["--sigma", "nan"], ["--sigma", "0.5", "--varsigma", "-0.6"],
+                  ["--varsigma", "inf"]):
+        assert run(["concavity-fit", "--in", str(grid), *flags]) == 2
+        captured = capsys.readouterr()
+        assert "sigma must be a finite number >= 0" in captured.err
+        assert captured.out == ""
+    assert run(["concavity-fit", "--in", str(grid), "--sigma", "0.5",
+                "--varsigma", "0.25"]) == 0
+
+
 def test_plot_slope_annotation(tmp_path):
     csv = tmp_path / "p.csv"
     csv.write_text("x,y\n1,1\n10,100\n")

@@ -856,6 +856,15 @@ def test_concavity_fit_sigma_zero_recovers_concave():
     assert fit.level_h == max(v + 2 for v in vals)
 
 
+def test_concavity_fit_refuses_sigma_not_finite_or_negative():
+    psi = GridFunction(1, Fraction(1, 4), ((0,), (1,), (2,)), (0.0, 1.0, 0.0))
+    for sigma, varsigma in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                            (0.0, -math.inf), (-0.1, 0.0), (0.5, -0.6)):
+        with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+            concavity_fit(psi, sigma, varsigma, Fraction(1, 2))
+    assert concavity_fit(psi, 0.5, 0.25, Fraction(1, 2)).sigma == 0.5
+
+
 def test_concavity_fit_contacts_are_exact():
     # affine values touch their envelope everywhere; a dip of 2^-40 at one
     # point, far below any float slack, takes that point off the envelope

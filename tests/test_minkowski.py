@@ -100,6 +100,151 @@ def test_engine_columns_with_several_runs(n):
     assert split  # the family does split columns at these sizes
 
 
+def _jittered(rng, shape, first, length):
+    """One run in every row of the base box `shape`, its first cell and its
+    length drawn from the ranges `first` and `length`."""
+    return LatticeSet(len(shape) + 1, 1, [
+        (*y, f + i) for y in np.ndindex(*shape)
+        for f, l in [(rng.randrange(*first), rng.randrange(*length))] for i in range(l)])
+
+
+def _cover_cases():
+    """(A, B, t) for the cover prefilter: boxes and their translates, where
+    many pair intervals are equal; split columns; scattered runs, whose
+    neighbour rows often lie outside their box; a run in every row with
+    jittered ends; cells at both ends of int64."""
+    ts = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(2, 3)]
+    box2 = LatticeSet(2, 1, [(i, j) for i in range(4) for j in range(5)])
+    box3 = LatticeSet(3, 1, [(i, j, k) for i in range(3) for j in range(3)
+                             for k in range(4)])
+    for E, off in ((box2, (3, -2)), (box3, (1, 2, -1))):
+        yield E, E, Fraction(1, 2)
+        yield E, E.translate(off), Fraction(1, 2)
+        for t in ts:
+            yield E, E.translate(off), t
+    for n in (2, 3):
+        for seed in range(3):
+            A, B = generate_scenario(ScenarioSpec(family="random-boxes", n=n,
+                                                  denom=2, seed=seed))
+            for t in ts:
+                yield A, B, t
+    rng = random.Random(5)
+    for _ in range(40):  # runs of 1 to 6 cells in a few rows
+        n = rng.choice([2, 3])
+        A, B = (LatticeSet(n, 1, [(*y, f + i) for y, f, l in (
+            ([rng.randrange(3) for _ in range(n - 1)], rng.randrange(-6, 6),
+             rng.randrange(1, 7)) for _ in range(rng.randrange(1, 9)))
+            for i in range(l)]) for _ in "AB")
+        yield A, B, rng.choice(ts)
+    for shape in ((8,), (4, 4)):
+        A, B = (_jittered(rng, shape, (-3, 4), (4, 10)) for _ in "AB")
+        yield A, B, Fraction(1, 2)
+        yield A, B, Fraction(1, 3)
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+    A = LatticeSet(2, 1, [(lo + i, hi - j) for i in range(3) for j in range(4)
+                          if (i, j) != (1, 2)] + [(lo + 5, hi)])
+    B = LatticeSet(2, 1, [(hi - i, lo + j) for i in range(4) for j in range(3)
+                          if i != j])
+    yield A, B, Fraction(1, 2)
+    A = LatticeSet(2, 1, [(lo + i, hi - j) for i in range(3) for j in range(4)])
+    yield A, A.translate((2 ** 64 - 3, -2 ** 64 + 4)), Fraction(1, 2)
+
+
+def test_cover_prefilter_keeps_every_cell(monkeypatch):
+    # the prefilter runs on every input here; its output must equal the
+    # unfiltered engine's and the brute force at every chunking
+    for A, B, t in _cover_cases():
+        monkeypatch.setattr(mk, "_COVER_PAIRS", 1 << 62)
+        ref = convex_combination(A, B, t)
+        assert ref == convex_combination_bruteforce(A, B, t)
+        monkeypatch.setattr(mk, "_COVER_PAIRS", 0)
+        for chunk in (1, 3, mk._PAIR_CHUNK):
+            monkeypatch.setattr(mk, "_PAIR_CHUNK", chunk)
+            assert convex_combination(A, B, t) == ref, (A.runs, B.runs, t, chunk)
+            assert deficit(A, B, t).volS == ref.measure()
+        monkeypatch.undo()
+
+
+def test_cover_classes_match_python_oracle():
+    # each run's class holds exactly its own clipped neighbour digits
+    clip = mk._COVER_CLIP
+    top = 2 * clip + 1
+    rng = random.Random(9)
+    # many rows with jittered ends: most digit combinations occur
+    many = [_jittered(rng, shape, (-4, 5), (3, 12)) for shape in ((300,), (15, 15))]
+    for A, B, t in [*_cover_cases(), *((E, E, Fraction(2, 5)) for E in many)]:
+        p, q = t.numerator, t.denominator
+        for E, step in ((A, q - p), (B, -p)):
+            runs = [(tuple(y), f, f + l - 1) for *y, f, l in E.runs.tolist()]
+            classes, digits = mk._cover_classes(E, E.bounding_box(), step)
+            for r, (y, first, last) in enumerate(runs):
+                want = []
+                for k in range(E.dim - 1):
+                    for d in (step, -step):
+                        row = y[:k] + (y[k] + d,) + y[k + 1:]
+                        near = [(f, g) for z, f, g in runs if z == row and f <= last]
+                        f, g = max(near) if near else (first + top, last - top)
+                        f, g = f - first + clip, last - g + clip
+                        want.append(min(max(f, 0), top) * (top + 1) + min(max(g, 0), top))
+                assert digits[classes[r]].tolist() == want
+
+
+def test_cover_prefilter_memory_is_bounded_by_the_chunk(monkeypatch):
+    # a run in each of 40 x 40 rows, its ends jittered, so that most runs
+    # have neighbour digits of their own: a table over every pair of classes
+    # would hold over 2M entries, while each chunk's holds at most 2^14
+    rng = random.Random(11)
+    A, B = (_jittered(rng, (40, 40), (-4, 5), (3, 12)) for _ in "AB")
+    assert len(mk._cover_classes(A, A.bounding_box(), 1)[1]) ** 2 > 2_000_000
+    monkeypatch.setattr(mk, "_PAIR_CHUNK", 1 << 14)
+    t = Fraction(1, 2)
+    convex_combination(A, B, t)  # the operands' runs are derived here, once
+    tracemalloc.start()
+    try:
+        S = convex_combination(A, B, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
+    monkeypatch.setattr(mk, "_COVER_PAIRS", 1 << 62)
+    assert S == convex_combination(A, B, t)
+
+
+def _pairs_merged(monkeypatch, A, B, t):
+    """The run pairs that reach the engine's pair-stage merges.
+
+    Each such merge takes the running union, the last merge's output, and
+    one chunk's pairs; the last n - 1 merges take S's shifted copies.
+    """
+    calls, merge = [], mk._merge
+
+    def counting(s, e):
+        out = merge(s, e)
+        calls.append((len(s), len(out[0])))
+        return out
+
+    monkeypatch.setattr(mk, "_merge", counting)
+    convex_combination(A, B, t)
+    monkeypatch.undo()
+    stage = calls[:len(calls) - (A.dim - 1)]
+    return sum(k - prev for (k, _), (_, prev) in zip(stage, [(0, 0)] + stage))
+
+
+def test_cover_prefilter_engages_on_large_inputs_only(monkeypatch):
+    A, B = generate_scenario(ScenarioSpec(family="counterexample", n=3, denom=8,
+                                          bracket="outer"))
+    pairs = len(A.runs) * len(B.runs)
+    assert pairs >= mk._COVER_PAIRS
+    assert _pairs_merged(monkeypatch, A, B, Fraction(1, 2)) <= pairs // 10
+    for n, denom in ((1, 4), (2, 4), (3, 2)):  # criterion 02's sizes
+        for family in ("random-boxes", "perturbed-square", "boundary-bites"):
+            A, B = generate_scenario(ScenarioSpec(family=family, n=n, denom=denom,
+                                                  eps=Fraction(1, 8), seed=1))
+            assert A.count <= 64 and B.count <= 64
+            assert _pairs_merged(monkeypatch, A, B, Fraction(1, 3)) == \
+                len(A.runs) * len(B.runs)
+
+
 def test_grid_guard_edge():
     # S's box holds exactly _GRID_GUARD cells, so the engine's line, one
     # spare cell per base row, is at its longest: 2^24 rows of 3 in 2D

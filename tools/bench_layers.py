@@ -1,0 +1,237 @@
+"""Per-layer timings of bmstab, written to one BENCH_layers.json.
+
+Run from the root of a checkout:
+
+    python tools/bench_layers.py                      # this tree, in-process
+    python tools/bench_layers.py --parent HEAD~1      # parent and this tree
+    python tools/bench_layers.py --parent HEAD~1 --cover-pairs 0 --rounds 8
+
+Each run appends one entry to the output file (default BENCH_layers.json):
+the layer, the commit of the tree, the parent revision if any, the machine,
+and per input its sizes and the quartiles of the CPU time of one call.  The
+file keeps one schema for every layer: later layers add their own inputs and
+size fields to an entry, and no entry is ever rewritten.
+
+With --parent REV, REV's files are taken with `git archive` and unpacked into
+a temporary directory, and the parent and this tree are measured in fresh
+processes that alternate (parent first in even rounds, this tree first in odd
+rounds), each importing bmstab from its own `src`.  --cover-pairs sets the
+sumset engine's prefilter threshold (`minkowski._COVER_PAIRS`) in this tree's
+processes only, to find the pair count at which the prefilter breaks even.
+
+The only layer so far is the sumset engine (`minkowski.convex_combination`),
+on sumset-large's six inputs, on stability-sweep's 2D boundary bites at base
+denoms 128 and 256, and on four smaller members of sumset-large's family
+that bracket the prefilter's break-even.  For each input it records both
+operands' run counts, their run pairs, the pairs that reach the engine's
+merge (`kept`), S's runs and the CPU time per call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import importlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from fractions import Fraction
+
+import numpy
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCHEMA = "bmstab-layers/1"
+
+# name -> (scenario spec, t); sumset-large's inputs are criterion 01's ball
+# plus a far cell, stability-sweep's are its smallest-eps bites per denom
+SUMSET_INPUTS = {
+    f"counterexample-{n}d-m{m}-{side}": (
+        dict(family="counterexample", n=n, denom=m, L=4, bracket=side, seed=1), t)
+    for n, m, t in ((2, 128, Fraction(1, 2)), (2, 64, Fraction(1, 3)),
+                    (3, 8, Fraction(1, 2)))
+    for side in ("inner", "outer")
+}
+SUMSET_INPUTS.update({
+    f"boundary-bites-2d-m{m}": (
+        dict(family="boundary-bites", n=2, denom=m, eps=eps, seed=1), Fraction(1, 2))
+    for m, eps in ((128, Fraction(16, 100_000) * Fraction(125, 100) ** 2),
+                   (256, Fraction(16, 100_000)))
+})
+# probes of the prefilter's break-even, smaller members of criterion 01's family
+SUMSET_INPUTS.update({
+    f"counterexample-{n}d-m{m}-outer": (
+        dict(family="counterexample", n=n, denom=m, L=4, bracket="outer", seed=1),
+        Fraction(1, 2))
+    for n, m in ((2, 32), (2, 48), (3, 3), (3, 4))
+})
+
+
+def _import_bmstab(src):
+    """bmstab's minkowski and scenarios modules, imported from src."""
+    sys.path.insert(0, src)
+    return (importlib.import_module("bmstab.minkowski"),
+            importlib.import_module("bmstab.scenarios"))
+
+
+def _pairs_reaching_merge(mk, A, B, t):
+    """The run pairs that reach the engine's first merge stage.
+
+    The engine merges each chunk of pairs into the running union, and then
+    n - 1 shifted copies of the union; a pair-stage call receives the last
+    call's output and the chunk's pairs.
+    """
+    calls, merge = [], mk._merge
+
+    def counting(s, e):
+        out = merge(s, e)
+        calls.append((len(s), len(out[0])))
+        return out
+
+    mk._merge = counting
+    try:
+        S = mk.convex_combination(A, B, t)
+    finally:
+        mk._merge = merge
+    stage = calls[:len(calls) - (A.dim - 1)]
+    return sum(n_in - prev for (n_in, _), (_, prev) in zip(stage, [(0, 0)] + stage)), S
+
+
+def measure(src, names, reps, cover_pairs=None):
+    """Per input: sizes and `reps` CPU times of one call, in seconds."""
+    mk, sc = _import_bmstab(src)
+    if cover_pairs is not None:
+        mk._COVER_PAIRS = cover_pairs
+    out = {}
+    for name in names:
+        spec, t = SUMSET_INPUTS[name]
+        A, B = sc.generate_scenario(sc.ScenarioSpec(**spec))
+        kept, S = _pairs_reaching_merge(mk, A, B, t)  # also the warm-up call
+        times = []
+        for _ in range(reps):
+            t0 = time.process_time()
+            mk.convex_combination(A, B, t)
+            times.append(time.process_time() - t0)
+        out[name] = {"sizes": {"runs_a": len(A.runs), "runs_b": len(B.runs),
+                               "pairs": len(A.runs) * len(B.runs), "kept": kept,
+                               "out_runs": len(S.runs)},
+                     "cpu_s": times}
+    return out
+
+
+def _quartiles(xs):
+    q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return {"q1": q1, "median": q2, "q3": q3, "samples": len(xs)}
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", ROOT, *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _commit():
+    """HEAD's short hash, marked when src differs from it; None outside git."""
+    try:
+        head = _git("rev-parse", "--short", "HEAD")
+        return head + ("+dirty" if _git("status", "--porcelain", "--", "src") else "")
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _worker_cmd(src, names, reps, cover_pairs):
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", src,
+           "--reps", str(reps), "--inputs", *names]
+    return cmd + (["--cover-pairs", str(cover_pairs)] if cover_pairs is not None else [])
+
+
+def _run_worker(cmd):
+    env = dict(os.environ, PYTHONHASHSEED="0", OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return json.loads(subprocess.run(cmd, check=True, capture_output=True,
+                                     text=True, env=env).stdout)
+
+
+def compare(parent, names, reps, rounds, cover_pairs):
+    """Alternating fresh processes of REV's tree and this tree."""
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tree:
+        archive = os.path.join(tree, "tree.tar")
+        with open(archive, "wb") as fh:
+            subprocess.run(["git", "-C", ROOT, "archive", parent], check=True, stdout=fh)
+        with tarfile.open(archive) as tar:
+            tar.extractall(tree, filter="data")
+        sides = {"parent": _worker_cmd(os.path.join(tree, "src"), names, reps, None),
+                 "change": _worker_cmd(os.path.join(ROOT, "src"), names, reps, cover_pairs)}
+        runs = {"parent": [], "change": []}
+        for r in range(rounds):
+            for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+                runs[side].append(_run_worker(sides[side]))
+    return runs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--inputs", nargs="+", default=list(SUMSET_INPUTS),
+                    choices=list(SUMSET_INPUTS), metavar="NAME")
+    ap.add_argument("--reps", type=int, default=20, help="calls per input per process")
+    ap.add_argument("--rounds", type=int, default=6, help="process pairs with --parent")
+    ap.add_argument("--parent", metavar="REV", help="also measure REV's tree")
+    ap.add_argument("--cover-pairs", type=int, metavar="N")
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
+    ap.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.reps < 1 or args.rounds < 1:
+        ap.error("--reps and --rounds must be at least 1")
+    if args.worker:
+        print(json.dumps(measure(args.worker, args.inputs, args.reps, args.cover_pairs)))
+        return 0
+
+    if args.parent:
+        runs = compare(args.parent, args.inputs, args.reps, args.rounds,
+                       args.cover_pairs)
+    else:
+        runs = {"change": [measure(os.path.join(ROOT, "src"), args.inputs,
+                                   args.reps, args.cover_pairs)]}
+    inputs = []
+    for name in args.inputs:
+        spec, t = SUMSET_INPUTS[name]
+        rec = {"name": name, "spec": {k: str(v) for k, v in spec.items()}, "t": str(t)}
+        for side, rs in runs.items():
+            rec[side] = {"sizes": rs[-1][name]["sizes"],
+                         "cpu_s": _quartiles([x for r in rs for x in r[name]["cpu_s"]]),
+                         "process_medians_s": [statistics.median(r[name]["cpu_s"])
+                                               for r in rs]}
+        inputs.append(rec)
+    entry = {
+        "layer": "minkowski.convex_combination",
+        "commit": _commit(),
+        "parent": args.parent,
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "machine": {"cpus": os.cpu_count(), "machine": platform.machine(),
+                    "python": platform.python_version(), "numpy": numpy.__version__},
+        "method": {"reps": args.reps, "rounds": args.rounds if args.parent else 1,
+                   "cover_pairs": args.cover_pairs, "clock": "process_time, one call"},
+        "inputs": inputs,
+    }
+    book = {"schema": SCHEMA, "entries": []}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            book = json.load(fh)
+    book["entries"].append(entry)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(book, fh, indent=1)
+        fh.write("\n")
+    for rec in inputs:
+        cols = "  ".join(
+            f"{side} {1e6 * rec[side]['cpu_s']['median']:8.0f} us "
+            f"(kept {rec[side]['sizes']['kept']})" for side in runs)
+        print(f"{rec['name']:30s} pairs {rec['change']['sizes']['pairs']:8d}  {cols}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
