@@ -9,7 +9,7 @@ brackets instead of bare floats.
 
 from .vset import (
     LatticeSet, FiberProfile, measure, symmetric_difference_measure,
-    fiber_profile, slice_measure, superlevel_set, normalize_Mtau,
+    fiber_profile, slice_measure, superlevel_set,
     write_vset, parse_vset,
 )
 from .minkowski import (

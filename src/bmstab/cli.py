@@ -119,6 +119,8 @@ def _cmd_concavity_fit(args) -> int:
     if not rows or any(len(r) < 2 for r in rows):
         raise UsageError("grid csv needs columns: y_1 .. y_{n-1} value")
     k = len(rows[0]) - 1
+    if any(len(r) != k + 1 for r in rows):
+        raise UsageError(f"every grid row needs {k + 1} columns, as the first row has")
     if k not in (1, 2):
         raise UsageError("base dimension must be 1 or 2")
     pts = tuple(tuple(int(x) for x in r[:k]) for r in rows)

@@ -24,7 +24,7 @@ from ._hull import hull
 from ._roots import iroot
 from .convexity import Polytope, _lattice_vector, lattice_polytope_overlap
 from .minkowski import DeficitRecord, deficit
-from .vset import _CORNERS, LatticeSet, _check_int64, _common_count, reconcile
+from .vset import _CORNERS, LatticeSet, _check_int64, _common_count, _integer, reconcile
 
 __all__ = [
     "ConstantsTable", "StabilityReport", "constants", "hull_distance",
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _PREC_BITS = 220
+_MAX_N = 64  # _eps_M recurses n levels deep over O(n^2) keys (n, tau/2^k)
 _SNAP_DENOM = 1 << 16  # cos_pipeline's inflation bumps are multiples of 1/_SNAP_DENOM
 
 
@@ -100,9 +101,9 @@ def constants(n: int, tau) -> ConstantsTable:
     The tables of the last 128 distinct (n, tau) are kept: equal arguments
     then return the same immutable object, and a sweep's rows share one.
     """
-    tau = Fraction(tau)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, tau = _integer(n, "n"), Fraction(tau)
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"n must lie in [1, {_MAX_N}]")
     if not (0 < tau <= Fraction(1, 2)):
         raise ValueError("tau must lie in (0, 1/2]")
     return _constants(n, tau)

@@ -17,8 +17,8 @@ import numpy as np
 
 from ._roots import PI_HI, PI_LO, nth_root_brackets
 from .vset import (
-    LatticeSet, _ball_cells, _columns, _lay_out, _slice_counts, intersection_measure,
-    sup_slice_measure,
+    LatticeSet, _ball_cells, _columns, _integer, _lay_out, _slice_counts,
+    intersection_measure, sup_slice_measure,
 )
 
 __all__ = ["SymmetrizedBody", "steiner", "schwarz", "natural", "sup_slice_ratio_check"]
@@ -81,13 +81,18 @@ def schwarz(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
 
 def natural(E: LatticeSet, refinement: int = 4) -> SymmetrizedBody:
     """Steiner then Schwarz; fully exact for n = 2."""
-    return _schwarz("natural", steiner(E).exact, refinement)
+    return _schwarz("natural", E, refinement)
 
 
 def _schwarz(kind: str, E: LatticeSet, refinement: int) -> SymmetrizedBody:
-    """`schwarz` of E, delivered as a body of the given kind."""
+    """`schwarz` of E, or of `steiner(E)` for "natural", as a body of that kind."""
+    refinement = _integer(refinement, "refinement")
     if E.dim < 2:
-        raise ValueError("schwarz needs dim >= 2")
+        raise ValueError(f"{kind} needs dim >= 2")
+    if refinement < 1:
+        raise ValueError("refinement must be >= 1")
+    if kind == "natural":
+        E = steiner(E).exact
     if E.dim == 2:
         # each slice doubled to two fine rows, each keeping its count c
         rows, counts = _slice_counts(E._boxes((1, 2), 2 * E.denom))
@@ -95,8 +100,6 @@ def _schwarz(kind: str, E: LatticeSet, refinement: int) -> SymmetrizedBody:
         cells = np.column_stack([x, np.repeat(rows, 2 * counts)])
         return SymmetrizedBody(kind, exact=LatticeSet(2, 2 * E.denom, cells))
 
-    if refinement < 1:
-        raise ValueError("refinement must be >= 1")
     M = E.denom * refinement
     # slice s as the fine rows refinement*s + t, each with the slice's count
     rows, counts = _slice_counts(E._boxes((1, 1, refinement), M))

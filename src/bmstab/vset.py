@@ -10,11 +10,11 @@ A `LatticeSet` stores its cells in one form: the maximal last-axis runs,
 one read-only int64 array of (base, first, length) rows in lexicographic
 order.  The cell count is stored beside them.  Every way of building a set
 makes runs: the constructor sorts its cells once and reads off their runs,
-a boolean mask is read row by row, and sums, refinements, scalings,
-translations and Steiner symmetrization build runs directly.  Measures,
-bounding boxes, fibers, slices, hull candidates, the sumset engine,
-intersections and the polytope overlap all read the runs, so no library
-computation lays out a set's cells.  `LatticeSet.array`, the sorted (k, n)
+a boolean mask is read row by row, and sums, refinements, translations and
+Steiner symmetrization build runs directly.  Measures, bounding boxes,
+fibers, slices, hull candidates, the sumset engine, intersections and the
+polytope overlap all read the runs, so no library computation lays out a
+set's cells.  `LatticeSet.array`, the sorted (k, n)
 cell array, and `LatticeSet.cells`, a frozenset of Python-int tuples, are
 views laid out from the runs on each read, for tests and the `.vset` text.
 Coordinates outside the int64 range are rejected with ValueError, as are
@@ -31,11 +31,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._roots import iroot, nth_root_brackets
+from ._roots import iroot
 
 __all__ = [
     "LatticeSet", "FiberProfile", "measure", "symmetric_difference_measure",
-    "fiber_profile", "slice_measure", "superlevel_set", "normalize_Mtau",
+    "fiber_profile", "slice_measure", "superlevel_set",
     "reconcile", "write_vset", "parse_vset",
 ]
 
@@ -578,116 +578,12 @@ def superlevel_set(E: LatticeSet, lam) -> LatticeSet:
     return LatticeSet(E.dim - 1, E.denom, base[counts > floor])
 
 
-def base_projection(E: LatticeSet) -> LatticeSet:
-    """Projection onto the first n-1 coordinates, as an (n-1)-dim LatticeSet."""
-    return superlevel_set(E, 0)
-
-
 def sup_fiber_length(E: LatticeSet) -> Fraction:
     return Fraction(int(_columns(E)[1].max(initial=0)), E.denom)
 
 
 def sup_slice_measure(E: LatticeSet) -> Fraction:
     return Fraction(int(_slice_counts(E)[1].max(initial=0)), E.denom ** (E.dim - 1))
-
-
-def _scaling_blowup(lam: Fraction, n: int) -> int:
-    """Lattice refinement factor that makes (lam*y, lam^(1-n)*s) cell-exact.
-
-    Base-axis pitch lam/m and last-axis pitch lam^(1-n)/m both land on the
-    lattice of denom m*mult iff denominator(lam) | mult and
-    numerator(lam)^(n-1) | mult; gcd(num, den) = 1 makes the minimum their
-    product.
-    """
-    return lam.numerator ** (n - 1) * lam.denominator
-
-
-_MAX_CELL_BLOWUP = 4096  # fine cells per source cell under normalize_Mtau
-
-
-def _feasible_snap(lam_star: Fraction, n: int):
-    """Closest rational to lam_star whose per-cell blowup fits
-    _MAX_CELL_BLOWUP, the smaller one on a tie, and its distance to lam_star.
-
-    lam = a/b puts (a^(n-1)*b)^n fine cells in each source cell, so every
-    feasible lam has a^(n-1)*b <= iroot(_MAX_CELL_BLOWUP, n), and the scan
-    covers them all (a/b not in lowest terms repeats a feasible value).
-    """
-    cap = iroot(_MAX_CELL_BLOWUP, n)
-    lam = min((Fraction(a, b) for b in range(1, cap + 1)
-               for a in range(1, iroot(cap // b, n - 1) + 1)),
-              key=lambda x: (abs(x - lam_star), x))
-    return lam, abs(lam - lam_star)
-
-
-def normalize_Mtau(A: LatticeSet, B: LatticeSet, tau):
-    """Volume-preserving axis scaling (y, s) -> (lam*y, lam^(1-n)*s).
-
-    lam targets lam^(n-1) * H^(n-1)(proj A) = 1/tau^n and is snapped to the
-    nearest rational whose exact lattice refinement puts at most 4096 fine
-    cells in each source cell; the snap error is recorded.  The map has unit Jacobian
-    for any lam, so measures are preserved exactly.  Returns
-    (lam, A', B', report) with the scaled projection / sup-fiber quantities
-    and their product bounds, all exact rationals.
-    """
-    tau = Fraction(tau)
-    if A.dim != B.dim or A.dim < 2:
-        raise ValueError("normalize_Mtau needs equal dim >= 2")
-    if A.measure() < Fraction(1, 2) or B.measure() < Fraction(1, 2):
-        raise ValueError("normalize_Mtau expects |A|, |B| >= 1/2")
-    projA = base_projection(A)
-    if projA.is_empty():
-        raise ValueError("empty projection")
-    PA = projA.measure()
-    n = A.dim
-    target = 1 / tau ** n
-    if n == 2:
-        lam_star = target / PA
-    else:
-        lo, hi = nth_root_brackets(target / PA, 2, bits=48)
-        lam_star = (lo + hi) / 2
-    lam, snap_err = _feasible_snap(lam_star, n)
-
-    A2 = _materialize_scaling(A, lam)
-    B2 = _materialize_scaling(B, lam)
-
-    supA = sup_fiber_length(A)
-    supB = sup_fiber_length(B)
-    PB = base_projection(B).measure()
-    scale_proj = lam ** (n - 1)
-    scale_fiber = lam ** (1 - n)
-    report = {
-        "lambda": lam,
-        "lambda_target": lam_star,
-        "snap_error": snap_err,
-        "proj_A": PA * scale_proj,        # equals 1/tau^n up to the snap
-        "proj_B": PB * scale_proj,
-        "sup_fiber_A": supA * scale_fiber,
-        "sup_fiber_B": supB * scale_fiber,
-        "product_AA": supA * PA,          # invariant under the scaling
-        "product_BB": supB * PB,
-        "product_AB": supA * PB,
-        "product_BA": supB * PA,
-        "product_AA_ge_volA": supA * PA >= A.measure(),
-        "product_BB_ge_volB": supB * PB >= B.measure(),
-        "normalized_sum": (PA + PB) * scale_proj + (supA + supB) * scale_fiber,
-        "cell_blowup": _scaling_blowup(lam, n) ** n,
-    }
-    return lam, A2, B2, report
-
-
-def _materialize_scaling(E: LatticeSet, lam: Fraction) -> LatticeSet:
-    """Apply (y, s) -> (lam*y, lam^(1-n)*s) exactly on a refined lattice.
-
-    With lam = a/b and M = m*mult, the image of cell c has base axes
-    [lam*c_i/m, lam*(c_i+1)/m] = [a^n*c_i, a^n*(c_i+1)]/M and last axis
-    [b^n*c_s, b^n*(c_s+1)]/M, by the choice of mult.
-    """
-    n = E.dim
-    a, b = lam.numerator, lam.denominator
-    out = E._boxes((a ** n,) * (n - 1) + (b ** n,), E.denom * _scaling_blowup(lam, n))
-    assert out.measure() == E.measure()
-    return out
 
 
 # ---------------------------------------------------------------------------

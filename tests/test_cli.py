@@ -103,6 +103,13 @@ def test_constants_subcommand(tmp_path):
     assert "bounds_ok=True" in text
 
 
+def test_constants_refuses_a_large_n(capsys):
+    for n in ("65", "1200"):
+        assert run(["constants", "--n", n, "--tau", "1/4"]) == 2
+        captured = capsys.readouterr()
+        assert "n must lie in" in captured.err and captured.out == ""
+
+
 def test_stability_check_and_cos(tmp_path):
     out = tmp_path / "sc"
     run(["generate", "--family", "homothetic-convex", "--denom", "4",
@@ -209,6 +216,14 @@ def test_concavity_fit_refuses_a_bad_sigma_or_varsigma(tmp_path, capsys):
         assert captured.out == ""
     assert run(["concavity-fit", "--in", str(grid), "--sigma", "0.5",
                 "--varsigma", "0.25"]) == 0
+
+
+def test_concavity_fit_refuses_a_ragged_grid(tmp_path, capsys):
+    grid = tmp_path / "g.txt"
+    grid.write_text("0 1.0\n1 2 5.0\n2 1.5\n")
+    assert run(["concavity-fit", "--in", str(grid)]) == 2
+    captured = capsys.readouterr()
+    assert "columns" in captured.err and captured.out == ""
 
 
 def test_plot_slope_annotation(tmp_path):

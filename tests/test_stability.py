@@ -60,6 +60,18 @@ def test_constants_are_computed_once_per_argument():
                 constants(n, tau)
 
 
+def test_constants_refuses_n_above_the_cap(monkeypatch):
+    assert constants(stability._MAX_N, Fraction(1, 2)).n == stability._MAX_N
+
+    def no_work(*args):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(stability, "_eps_M", no_work)
+    for n in (stability._MAX_N + 1, 1200, 2.5):
+        with pytest.raises(ValueError, match="n must"):
+            constants(n, Fraction(1, 2))
+
+
 def test_hull_distance_identical_convex():
     sq = unit_square(4)
     hd = hull_distance(sq, sq)

@@ -68,6 +68,14 @@ def test_schwarz_3d_bracket_gap_shrinks():
     assert gaps[2] <= Fraction(6, 8)  # ~ C / refinement with C ~ perimeter * 4/pi
 
 
+def test_schwarz_and_natural_refuse_a_bad_refinement():
+    for E in (LatticeSet(2, 1, [(0, 0)]), LatticeSet(3, 1, [(0, 0, 0)])):
+        for refinement in (2.5, 0, -3, "4"):
+            for sym in (schwarz, natural):
+                with pytest.raises(ValueError, match="refinement"):
+                    sym(E, refinement=refinement)
+
+
 def test_natural_measure_and_monotone_profile():
     rng = random.Random(7)
     for _ in range(30):
