@@ -21,11 +21,14 @@ or both the other way, keeps the pair's base corner, so the pair is covered
 when p*dfirst_A + (q-p)*dfirst_B <= 0 and p*dlast_A + (q-p)*dlast_B >= 0.
 The tie rule: in the -e_k directions the containment must be strict, so
 no chain of covers closes on itself, every dropped pair is covered by a kept
-one, and S is unchanged.  Runs are grouped by their clipped neighbour
-deltas, and each chunk decides its pairs in one table over its rows' and
-columns' groups, no larger than the chunk; a chunk where more than half the
-pairs survive is merged whole.  On criterion 01's 3D inputs under 4% of the
-pairs reach the merge.
+one, and S is unchanged.  Runs are grouped into classes by their clipped
+neighbour deltas, and the table over A's and B's classes is read in blocks
+of at most _PAIR_CHUNK entries.  The surviving pairs are counted exactly,
+once per call: when more than half survive, every pair is merged with no
+further table work.  Otherwise each operand's runs are sorted by class, so
+a row of the table lists its surviving pairs as rectangles of A's runs
+against ranges of B's, expanded a chunk at a time.  On criterion 01's 3D
+inputs under 4% of the pairs reach the merge.
 `deficit` sums the runs' lengths, and `convex_combination` returns S as those
 runs, so no cell of S is laid out.  No cell passes through a Python tuple.
 Everything is exact integer arithmetic: S's extent is sized in Python ints
@@ -117,26 +120,21 @@ def _combination_runs(A: LatticeSet, B: LatticeSet, p: int, q: int):
     sa, ea = _fiber_runs(A, p, box_a, line)
     sb, eb = _fiber_runs(B, q - p, box_b, line)
     ea += q
-    nb = min(len(sb), _PAIR_CHUNK)
-    na = max(1, _PAIR_CHUNK // nb)
-    cover = n > 1 and len(sa) * len(sb) >= _COVER_PAIRS
-    if cover:
-        ca, ga = _cover_classes(A, box_a, q - p)
-        cb, gb = _cover_classes(B, box_b, -p)
-        tables = _cover_tables(p, q)
+    kept = None
+    if n > 1 and len(sa) * len(sb) >= _COVER_PAIRS:
+        kept = _kept_pairs(A, B, box_a, box_b, p, q)
+    if kept is None:  # every run pair: blocks of whole rows, or one row's columns
+        nb = min(len(sb), _PAIR_CHUNK)
+        na = max(1, _PAIR_CHUNK // nb)
+        pairs = ((sa[i:i + na, None] + sb[j:j + nb], ea[i:i + na, None] + eb[j:j + nb])
+                 for i in range(0, len(sa), na) for j in range(0, len(sb), nb))
+    else:  # only the pairs no neighbour pair covers, by positions in class order
+        oa, ob, chunks = kept
+        sa, ea, sb, eb = sa[oa], ea[oa], sb[ob], eb[ob]
+        pairs = ((sa[r] + sb[c], ea[r] + eb[c]) for r, c in chunks)
     s = e = np.empty(0, dtype=np.int32)
-    for i in range(0, len(sa), na):
-        for j in range(0, len(sb), nb):
-            kept = _uncovered(ca[i:i + na], cb[j:j + nb], ga, gb, tables) if cover else None
-            if kept is None:
-                ps = (sa[i:i + na, None] + sb[j:j + nb]).ravel()
-                pe = (ea[i:i + na, None] + eb[j:j + nb]).ravel()
-            else:  # only the pairs no neighbour pair covers
-                r, c = np.divmod(kept, nb)  # a block narrower than nb has one row
-                r += i
-                c += j
-                ps, pe = sa[r] + sb[c], ea[r] + eb[c]
-            s, e = _merge(np.concatenate([s, ps]), np.concatenate([e, pe]))
+    for ps, pe in pairs:
+        s, e = _merge(np.concatenate([s, ps.ravel()]), np.concatenate([e, pe.ravel()]))
     # each base corner spans q fine base rows per base axis; as runs are >= q
     # long and never touch, q shifted copies hold fewer entries than the line
     for a in range(n - 1):
@@ -256,15 +254,75 @@ def _covered(ga, gb, tables):
     return covered
 
 
-def _uncovered(ca, cb, ga, gb, tables):
-    """The flat indices of the pairs that no neighbour pair covers in the
-    block of run pairs whose classes are ca (rows) and cb (columns); None
-    when they are more than half the block, as sorting every pair then
-    costs less than picking them out."""
-    ua, ia = np.unique(ca, return_inverse=True)
-    ub, ib = np.unique(cb, return_inverse=True)
-    keep = np.take(~_covered(ga[ua], gb[ub], tables)[ia], ib, axis=1)
-    return None if 2 * np.count_nonzero(keep) > keep.size else np.flatnonzero(keep)
+def _kept_pairs(A, B, box_a, box_b, p, q):
+    """The run pairs that no neighbour pair covers, or None when they are
+    more than half of all pairs, as sorting every pair then costs less than
+    picking them out.
+
+    Otherwise (oa, ob, chunks): A's and B's run indices stably sorted by
+    class, so each class is one range of positions, and an iterator over
+    the kept pairs as (rows, cols) positions in oa and ob, each chunk at
+    most _PAIR_CHUNK pairs.  The class table is read in blocks of at most
+    _PAIR_CHUNK entries to count the kept pairs exactly, and once more to
+    list them when it spans more than one block.
+    """
+    ca, ga = _cover_classes(A, box_a, q - p)
+    cb, gb = _cover_classes(B, box_b, -p)
+    tables = _cover_tables(p, q)
+    size_a, size_b = np.bincount(ca), np.bincount(cb)
+    kb = min(len(gb), _PAIR_CHUNK)
+    ka = max(1, _PAIR_CHUNK // kb)
+    blocks = [(i, j) for i in range(0, len(ga), ka) for j in range(0, len(gb), kb)]
+
+    def uncovered(i, j):
+        return ~_covered(ga[i:i + ka], gb[j:j + kb], tables)
+
+    kept = 0
+    for i, j in blocks:
+        u = uncovered(i, j)
+        kept += size_a[i:i + ka] @ u @ size_b[j:j + kb]
+        if 2 * kept > len(ca) * len(cb):
+            return None
+    first_a = np.cumsum(size_a) - size_a
+    first_b = np.concatenate([[0], np.cumsum(size_b)])
+
+    def chunks():
+        for i, j in blocks:
+            v = u if len(blocks) == 1 else uncovered(i, j)
+            # each maximal range of uncovered B classes in a row of the table
+            # is one rectangle: the A class's runs against a range of B's
+            row, col = np.nonzero(np.diff(v, axis=1, prepend=False, append=False))
+            a, b0, b1 = row[::2] + i, col[::2] + j, col[1::2] + j
+            yield from _rectangle_pairs(first_a[a], size_a[a], first_b[b0],
+                                        first_b[b1] - first_b[b0])
+
+    return (np.argsort(ca, kind="stable"), np.argsort(cb, kind="stable"),
+            chunks())
+
+
+def _rectangle_pairs(row0, rows, col0, cols):
+    """The pairs (row0[k] + x, col0[k] + y), x < rows[k], y < cols[k], of
+    nonempty rectangles k, as (rows, cols) arrays of at most _PAIR_CHUNK
+    pairs; the pairs are laid end to end, rectangle by rectangle and row by
+    row, and each chunk expands only the rows it meets."""
+    size = rows * cols
+    end = np.cumsum(size)
+    begin = end - size
+    total = int(size.sum())
+    for lo in range(0, total, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, total)
+        k = slice(np.searchsorted(end, lo, side="right"),
+                  np.searchsorted(end, hi) + 1)
+        b, w = begin[k], cols[k]
+        # the rows of each rectangle that meet [lo, hi)
+        top = np.maximum(lo - b, 0) // w
+        count = (np.minimum(hi, end[k]) - b + w - 1) // w - top
+        at = np.repeat(np.arange(len(count)), count)
+        x = np.arange(len(at)) - np.repeat(np.cumsum(count) - count - top, count)
+        start = b[at] + x * w[at]
+        span = np.minimum(start + w[at], hi) - np.maximum(start, lo)
+        yield (np.repeat(row0[k][at] + x, span),
+               np.arange(lo, hi) + np.repeat(col0[k][at] - start, span))
 
 
 def convex_combination_bruteforce(A: LatticeSet, B: LatticeSet, t) -> LatticeSet:

@@ -24,7 +24,9 @@ from ._hull import hull
 from ._roots import iroot
 from .convexity import Polytope, _lattice_vector, lattice_polytope_overlap
 from .minkowski import DeficitRecord, deficit
-from .vset import _CORNERS, LatticeSet, _check_int64, _common_count, _integer, reconcile
+from .vset import (
+    _CORNERS, LatticeSet, _check_int64, _common_count, _integer, _run_step, reconcile,
+)
 
 __all__ = [
     "ConstantsTable", "StabilityReport", "constants", "hull_distance",
@@ -267,10 +269,11 @@ def _shifted_overlap(A: LatticeSet, B: LatticeSet, shift) -> Fraction:
     m = A.denom
     X, D = _lattice_vector(shift)
     split = [divmod(x * m, D) for x in X]  # (k_i, u_i)
-    # every step k + e with a nonzero weight keeps B's cells in int64
+    # every step k + e with a nonzero weight keeps B's cells in int64, the
+    # step k too, so B's runs are moved by k with no second check
     for (lo, hi), (k, u) in zip(B.bounding_box(), split):
         _check_int64(lo + k, hi - 1 + k + (u > 0))
-    base = B.translate([k for k, _ in split]).runs
+    base = B.runs + _run_step([k for k, _ in split])
     total = 0
     for e in _CORNERS[A.dim].tolist():
         w = math.prod(u if ei else D - u for (_, u), ei in zip(split, e))

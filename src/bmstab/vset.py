@@ -80,6 +80,16 @@ def _check_int64(lo: int, hi: int):
         raise ValueError(f"cell coordinates [{lo}, {hi}] leave the int64 range")
 
 
+def _run_step(off) -> np.ndarray:
+    """The int64 row that translates runs by the integer offsets `off`.
+
+    An offset outside int64 is taken modulo 2^64: the sum wraps back, so
+    the caller checks first that every translated cell fits int64.
+    """
+    return np.array([(o + (1 << 63)) % (1 << 64) - (1 << 63) for o in off] + [0],
+                    dtype=np.int64)
+
+
 def _int64_cells(cells, dim: int) -> np.ndarray:
     """A new (k, dim) int64 array of the given cells, in the given order.
 
@@ -393,11 +403,8 @@ class LatticeSet:
         if not self.is_empty():
             for (lo, hi), o in zip(self.bounding_box(), off):
                 _check_int64(lo + o, hi - 1 + o)
-        # an offset outside int64 is taken modulo 2^64: the sum wraps back,
-        # as every translated cell fits int64
-        off = [(o + (1 << 63)) % (1 << 64) - (1 << 63) for o in off]
         return LatticeSet._new(self.dim, self.denom, self.count,
-                               self.runs + np.array(off + [0], dtype=np.int64))
+                               self.runs + _run_step(off))
 
     def corner_points(self):
         """All cell corners as integer lattice points (coordinates x denom)."""

@@ -16,7 +16,7 @@ from bmstab.minkowski import (
     interval_sumset, kemperman_stability, parse_iset, write_iset,
 )
 from bmstab.scenarios import ScenarioSpec, generate_scenario
-from bmstab.vset import LatticeSet
+from bmstab.vset import LatticeSet, reconcile
 
 
 def random_set(rng, n=2, m=2, max_cells=8, span=4):
@@ -208,6 +208,108 @@ def test_cover_prefilter_memory_is_bounded_by_the_chunk(monkeypatch):
     assert peak < 1_500_000
     monkeypatch.setattr(mk, "_COVER_PAIRS", 1 << 62)
     assert S == convex_combination(A, B, t)
+
+
+def _uncovered_oracle(A, B, t):
+    """The run pairs (i, j) that no neighbour pair covers, by a loop over
+    the classes' digits and the cover tables."""
+    p, q = t.numerator, t.denominator
+    ca, ga = mk._cover_classes(A, A.bounding_box(), q - p)
+    cb, gb = mk._cover_classes(B, B.bounding_box(), -p)
+    tables = mk._cover_tables(p, q)
+    runs_a, runs_b = ([np.flatnonzero(c == k).tolist() for k in range(len(g))]
+                      for c, g in ((ca, ga), (cb, gb)))
+    kept = set()
+    for a, da in enumerate(ga.tolist()):
+        for b, db in enumerate(gb.tolist()):
+            if not any(tables[j % 2][x, y] for j, (x, y) in enumerate(zip(da, db))):
+                kept.update((i, j) for i in runs_a[a] for j in runs_b[b])
+    return kept
+
+
+def test_kept_pairs_match_python_oracle(monkeypatch):
+    # each uncovered pair is listed exactly once and no chunk holds more
+    # than _PAIR_CHUNK pairs; when more than half survive, none is listed
+    rng = random.Random(9)
+    many = [_jittered(rng, shape, (-4, 5), (3, 12)) for shape in ((300,), (15, 15))]
+    near = _jittered(rng, (10, 10), (0, 2), (2, 4))  # just under half survive
+    cases = [*_cover_cases(), *((E, E, Fraction(2, 5)) for E in many),
+             (near, near.translate((3, 3, 3)), Fraction(1, 2))]
+    for n, denom in ((2, 16), (3, 2)):  # criterion 01's family, many classes in 3D
+        A, B = generate_scenario(ScenarioSpec(family="counterexample", n=n,
+                                              denom=denom, bracket="outer"))
+        cases += [(A, B, Fraction(1, 2)), (A, B, Fraction(1, 3))]
+    listed = fell_back = 0
+    for A, B, t in cases:
+        A, B = reconcile(A, B)
+        p, q = t.numerator, t.denominator
+        want = _uncovered_oracle(A, B, t)
+        for chunk in (1, 3, mk._PAIR_CHUNK):
+            monkeypatch.setattr(mk, "_PAIR_CHUNK", chunk)
+            got = mk._kept_pairs(A, B, A.bounding_box(), B.bounding_box(), p, q)
+            if 2 * len(want) > len(A.runs) * len(B.runs):
+                assert got is None, (len(want), len(A.runs) * len(B.runs))
+                fell_back += 1
+                continue
+            oa, ob, chunks = got
+            pairs = []
+            for r, c in chunks:
+                assert 0 < len(r) == len(c) <= chunk
+                pairs += zip(oa[r].tolist(), ob[c].tolist())
+            assert len(pairs) == len(want) and set(pairs) == want
+            listed += 1
+        monkeypatch.undo()
+        monkeypatch.setattr(mk, "_COVER_PAIRS", 0)
+        merged = _pairs_merged(monkeypatch, A, B, t)
+        assert merged == (len(A.runs) * len(B.runs) if got is None else len(want))
+    assert listed >= 30 and fell_back >= 30
+
+
+def test_cover_fallback_is_decided_once_per_call(monkeypatch):
+    # most pairs survive here, so the engine merges every pair; the class
+    # table is read in blocks of classes, not once per chunk of pairs
+    rng = random.Random(2)
+    A, B = (_jittered(rng, (2000,), (-4, 5), (3, 12)) for _ in "AB")
+    t = Fraction(1, 2)
+    monkeypatch.setattr(mk, "_COVER_PAIRS", 1 << 62)
+    ref = convex_combination(A, B, t)
+    monkeypatch.undo()
+    chunk = 1 << 14
+    monkeypatch.setattr(mk, "_PAIR_CHUNK", chunk)
+    tables, covered = [], mk._covered
+
+    def counting(ga, gb, t):
+        tables.append(len(ga) * len(gb))
+        return covered(ga, gb, t)
+
+    monkeypatch.setattr(mk, "_covered", counting)
+    assert convex_combination(A, B, t) == ref
+    read = tables[:]  # the table blocks that one call read
+    assert _pairs_merged(monkeypatch, A, B, t) == len(A.runs) * len(B.runs)
+    classes = [len(mk._cover_classes(E, E.bounding_box(), s)[1])
+               for E, s in ((A, 1), (B, -1))]
+    chunks = len(A.runs) * len(B.runs) // chunk
+    assert max(read) <= chunk and sum(read) <= classes[0] * classes[1]
+    assert len(read) <= 2 * -(-classes[0] * classes[1] // chunk) < chunks // 5
+
+
+def test_kept_pairs_are_laid_out_a_chunk_at_a_time(monkeypatch):
+    # criterion 01's 3D outer pair keeps 64,465 pairs, sixteen chunks of
+    # 2^12: laying them all out at once would take over 2.5 MB
+    A, B = generate_scenario(ScenarioSpec(family="counterexample", n=3, denom=8,
+                                          bracket="outer"))
+    t = Fraction(1, 2)
+    ref = convex_combination(A, B, t)  # the operands' runs are derived here, once
+    monkeypatch.setattr(mk, "_PAIR_CHUNK", 1 << 12)
+    assert _pairs_merged(monkeypatch, A, B, t) == 64_465
+    monkeypatch.setattr(mk, "_PAIR_CHUNK", 1 << 12)
+    tracemalloc.start()
+    try:
+        S = convex_combination(A, B, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S == ref and peak < 1_000_000
 
 
 def _pairs_merged(monkeypatch, A, B, t):

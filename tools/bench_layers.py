@@ -21,10 +21,13 @@ processes only, to find the pair count at which the prefilter breaks even.
 
 The only layer so far is the sumset engine (`minkowski.convex_combination`),
 on sumset-large's six inputs, on stability-sweep's 2D boundary bites at base
-denoms 128 and 256, and on four smaller members of sumset-large's family
-that bracket the prefilter's break-even.  For each input it records both
-operands' run counts, their run pairs, the pairs that reach the engine's
-merge (`kept`), S's runs and the CPU time per call.
+denoms 128 and 256, on four smaller members of sumset-large's family that
+bracket the prefilter's break-even, and on `jittered-2d-r2000`: two 2D sets
+of one run in each of 2000 rows, each run's first cell drawn from -4 to 4
+and its length from 3 to 11, where 84% of the run pairs survive the
+prefilter.  For each input it records both operands' run counts, their run
+pairs, the pairs that reach the engine's merge (`kept`), S's runs and the
+CPU time per call.
 """
 
 from __future__ import annotations
@@ -70,13 +73,34 @@ SUMSET_INPUTS.update({
         Fraction(1, 2))
     for n, m in ((2, 32), (2, 48), (3, 3), (3, 4))
 })
+# most pairs survive the prefilter here, so the engine merges every pair
+SUMSET_INPUTS["jittered-2d-r2000"] = (
+    dict(family="jittered", rows=2000, first=(-4, 4), length=(3, 11), seed=1),
+    Fraction(1, 2))
 
 
 def _import_bmstab(src):
-    """bmstab's minkowski and scenarios modules, imported from src."""
+    """bmstab's minkowski, scenarios and vset modules, imported from src."""
     sys.path.insert(0, src)
-    return (importlib.import_module("bmstab.minkowski"),
-            importlib.import_module("bmstab.scenarios"))
+    return tuple(importlib.import_module(f"bmstab.{name}")
+                 for name in ("minkowski", "scenarios", "vset"))
+
+
+def _operands(sc, vset, spec):
+    """The input's two sets: a scenario, or for the jittered family one run
+    in each of `rows` 2D rows per set, its first cell and its length drawn
+    uniformly from the closed ranges `first` and `length`."""
+    if spec["family"] != "jittered":
+        return sc.generate_scenario(sc.ScenarioSpec(**spec))
+    rng = numpy.random.default_rng(spec["seed"])
+    sets = []
+    for _ in "AB":
+        first = rng.integers(spec["first"][0], spec["first"][1] + 1, spec["rows"])
+        length = rng.integers(spec["length"][0], spec["length"][1] + 1, spec["rows"])
+        sets.append(vset.LatticeSet(2, 1, [
+            (y, f + i) for y, (f, n) in enumerate(zip(first.tolist(), length.tolist()))
+            for i in range(n)]))
+    return sets
 
 
 def _pairs_reaching_merge(mk, A, B, t):
@@ -104,13 +128,13 @@ def _pairs_reaching_merge(mk, A, B, t):
 
 def measure(src, names, reps, cover_pairs=None):
     """Per input: sizes and `reps` CPU times of one call, in seconds."""
-    mk, sc = _import_bmstab(src)
+    mk, sc, vset = _import_bmstab(src)
     if cover_pairs is not None:
         mk._COVER_PAIRS = cover_pairs
     out = {}
     for name in names:
         spec, t = SUMSET_INPUTS[name]
-        A, B = sc.generate_scenario(sc.ScenarioSpec(**spec))
+        A, B = _operands(sc, vset, spec)
         kept, S = _pairs_reaching_merge(mk, A, B, t)  # also the warm-up call
         times = []
         for _ in range(reps):
