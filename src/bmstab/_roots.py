@@ -9,6 +9,7 @@ certifiably contains it, so inequalities can be checked soundly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = ["iroot", "root_bracket", "nth_root_brackets", "PI_LO", "PI_HI"]
@@ -21,15 +22,30 @@ PI_HI = Fraction(314159265358979323846264338328, 10**29)
 
 
 def iroot(x: int, n: int) -> int:
-    """Floor of the integer n-th root of x >= 0, by Newton iteration."""
+    """Floor of the integer n-th root of x >= 0.
+
+    n = 2 is `math.isqrt`.  Otherwise a monotone Newton descent runs from a
+    start at or above the root and stops at its floor.  For x below 2^1000,
+    where x converts to a float, the start is the float root scaled by
+    1 + 2^-40, plus 1: the float root's relative error (the conversion of
+    x, the rounding of 1/n, which moves the root by a factor below
+    e^(1000 * ln 2 * 2^-53) = 1 + 2^-43, and the power) stays far below
+    2^-40, so the start exceeds the root and the descent takes a step or
+    two.  Larger x start from a power of two above the root, found from the
+    bit length.
+    """
     if x < 0:
         raise ValueError("iroot needs x >= 0")
     if n < 1:
         raise ValueError("iroot needs n >= 1")
     if x in (0, 1) or n == 1:
         return x
-    # Initial guess from bit length, then monotone Newton descent.
-    r = 1 << ((x.bit_length() + n - 1) // n)
+    if n == 2:
+        return math.isqrt(x)
+    if x.bit_length() <= 1000:
+        r = int(x ** (1 / n) * (1 + 2.0 ** -40)) + 1
+    else:
+        r = 1 << ((x.bit_length() + n - 1) // n)
     while True:
         s = ((n - 1) * r + x // r ** (n - 1)) // n
         if s >= r:

@@ -221,25 +221,30 @@ def _clip(edges, Lp, planes, Lq):
     """End points (D, x), meaning x/D, of the segments' parts inside all planes.
 
     Points p, q are on lattice 1/Lp and planes (n, d) on 1/Lq: x/Lp is inside
-    iff Lq*(n.x) <= Lp*d.  Only the segment parameter t is a Fraction.
+    iff Lq*(n.x) <= Lp*d.  The segment parameters t0 <= t1 are kept as
+    integer pairs (numerator, positive denominator), compared by
+    cross-multiplication, and put in lowest terms once, at the end points.
     """
     out = set()
     for p, q in edges:
-        t0, t1 = 0, 1
+        (j0, k0), (j1, k1) = (0, 1), (1, 1)
         for n, d in planes:
             fp = Lq * sum(map(mul, n, p)) - Lp * d
             fq = Lq * sum(map(mul, n, q)) - Lp * d
             if fp > 0 < fq:
                 break
-            if fp > 0:
-                t0 = max(t0, Fraction(fp, fp - fq))
-            elif fq > 0:
-                t1 = min(t1, Fraction(fp, fp - fq))
-            if t0 > t1:
+            if fp > 0:  # t = fp / (fp - fq) enters, with fp - fq > 0
+                if fp * k0 > j0 * (fp - fq):
+                    j0, k0 = fp, fp - fq
+            elif fq > 0:  # t = -fp / (fq - fp) leaves, with fq - fp > 0
+                if -fp * k1 < j1 * (fq - fp):
+                    j1, k1 = -fp, fq - fp
+            if j0 * k1 > j1 * k0:
                 break
         else:
-            for t in (t0, t1):
-                k, j = t.denominator, t.numerator
+            for j, k in ((j0, k0), (j1, k1)):
+                g = math.gcd(j, k)
+                j, k = j // g, k // g
                 out.add((k * Lp, tuple(a * k + j * (b - a) for a, b in zip(p, q))))
     return out
 

@@ -10,9 +10,15 @@ p*y + (q-p)*z; it is contiguous because consecutive corner sums differ by p
 or q-p, both below the block length q.  The intervals lie on one flat int32
 line of S's base rows, each a cell longer than S's last axis so that rows
 never touch, and their union is the 1D engine's sort-and-sweep (`_merge`).
-The operands' runs are read from `LatticeSet.runs`, the one form a set is
-stored in.  Run pairs are merged in chunks of at most _PAIR_CHUNK into a
-running union, so memory stays bounded by the chunk plus the union's runs.
+Each cube also spans q fine base rows per base axis, so S is the union of
+the q^(n-1) copies of that union shifted by j @ line for j in [0, q)^(n-1);
+a base corner lies at most shape - q along each base axis, so every copy
+stays inside S's box, on the line.  The operands' runs are read from
+`LatticeSet.runs`, the one form a set is stored in, and each one's line
+positions come from one product of its runs with weights.  Run pairs, and
+then the copies, are merged in chunks of at most _PAIR_CHUNK entries into a
+running union (one merge on small sets), so memory stays bounded by the
+chunk plus the union's runs.
 From _COVER_PAIRS run pairs on (the measured break-even), a pair whose
 interval lies inside a neighbour pair's is dropped before the merge, a
 dominance prefilter in the manner of maxima of vectors (Kung, Luccio &
@@ -42,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -68,8 +75,9 @@ _SUM_CHUNK = 1 << 20  # interval sums swept per vectorized step
 
 
 def _as_lowest_terms(t) -> Fraction:
-    t = Fraction(t)
-    if not (0 < t < 1):
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
+    if not 0 < t.numerator < t.denominator:
         raise ValueError(f"t must lie in (0,1), got {t}")
     return t
 
@@ -132,39 +140,57 @@ def _combination_runs(A: LatticeSet, B: LatticeSet, p: int, q: int):
         oa, ob, chunks = kept
         sa, ea, sb, eb = sa[oa], ea[oa], sb[ob], eb[ob]
         pairs = ((sa[r] + sb[c], ea[r] + eb[c]) for r, c in chunks)
-    s = e = np.empty(0, dtype=np.int32)
-    for ps, pe in pairs:
-        s, e = _merge(np.concatenate([s, ps.ravel()]), np.concatenate([e, pe.ravel()]))
-    # each base corner spans q fine base rows per base axis; as runs are >= q
-    # long and never touch, q shifted copies hold fewer entries than the line
-    for a in range(n - 1):
-        shift = np.arange(0, q * line[a], line[a], dtype=np.int32)[:, None]
-        s, e = _merge((s + shift).ravel(), (e + shift).ravel())
+    s, e = _union(pairs)
+    if n > 1:
+        s, e = _union(_copies(s, e, q, line))
     return n, m * q, lo, shape, s, e
+
+
+def _copies(s, e, q, line):
+    """The runs [s, e) shifted by j @ line[:-1] for each j in [0, q)^(n-1),
+    in chunks of at most _PAIR_CHUNK entries, or of one copy.
+
+    Each base corner spans q fine base rows per base axis, so S is the union
+    of these copies of its pair stage.  A corner lies at most shape - q
+    along each base axis, so every copy stays inside S's box and on its own
+    base rows, and each int32 sum is a position on S's line.
+    """
+    shift = reduce(np.add.outer, [np.arange(0, q * k, k, dtype=np.int32)
+                                  for k in line[:-1]]).ravel()
+    per = max(1, _PAIR_CHUNK // len(s))
+    for i in range(0, len(shift), per):
+        k = shift[i:i + per, None]
+        yield s + k, e + k
+
+
+def _union(chunks):
+    """The union of a stream of (starts, ends) interval chunks, merged one
+    chunk at a time into the union of the chunks before it."""
+    s = None
+    for cs, ce in chunks:
+        cs, ce = cs.ravel(), ce.ravel()
+        if s is not None:
+            cs, ce = np.concatenate([s, cs]), np.concatenate([e, ce])
+        s, e = _merge(cs, ce)
+    return s, e
 
 
 def _fiber_runs(E: LatticeSet, w: int, box, line):
     """E's maximal last-axis runs as int32 (first, last) line positions: cell
-    lo + c of E's box sits at w * (c @ line), summed one column of E.runs at
-    a time, and a run of length l ends w * (l - 1) past its first cell.
+    lo + c of E's box sits at w * (c @ line), and a run of length l ends
+    w * (l - 1) past its first cell.
 
-    The sums are int32 and exact: every term and every partial sum is
-    nonnegative and at most a position on S's line, so below 2^31 by
-    `_GRID_GUARD`.  A column's offset x - lo is formed from the int32 casts
-    of x and lo, that is modulo 2^32, which is exact as it lies in [0, 2^31).
+    Both come from one product of E.runs with two weight rows, less the
+    offset of lo, taken modulo 2^64 (the runs are read as uint64), and one
+    int32 cast.  That is exact: every true position lies in [0, 2^31), by
+    `_GRID_GUARD`, so its residue modulo 2^64 is the position itself.
     """
-    runs = E.runs
-    pos = None
-    for col, (lo, _), k in zip(runs.T, box, line):  # base columns and first
-        c = col.astype(np.int32)
-        c -= (lo + (1 << 31)) % (1 << 32) - (1 << 31)
-        c *= w * k
-        pos = c if pos is None else np.add(pos, c, out=pos)
-    last = runs[:, -1].astype(np.int32)
-    last -= 1
-    last *= w
-    last += pos
-    return pos, last
+    weights = [w * k for k in line]
+    off = w * sum(k * lo for k, (lo, _) in zip(line, box))
+    pos = (np.array([weights + [0], weights + [w]], dtype=np.uint64)
+           @ E.runs.T.view(np.uint64))
+    pos -= np.array([[off % (1 << 64)], [(off + w) % (1 << 64)]], dtype=np.uint64)
+    return pos.astype(np.int32)
 
 
 def _cover_classes(E, box, step):
@@ -205,12 +231,11 @@ def _cover_classes(E, box, step):
     digit_f = np.where(ok, first[c] - first + clip, b - 1)
     digit_l = np.where(ok, last - last[c] + clip, b - 1)
     digit = np.clip(digit_f, 0, b - 1) * b + np.clip(digit_l, 0, b - 1)
-    # one axis' two directions make a code below b^4; the codes seen so far
-    # are renumbered after each axis, so that they stay below len(r)
-    code = 0
-    for plus, minus in zip(digit[::2], digit[1::2]):
-        _, rep, code = np.unique((code * b * b + plus) * b * b + minus,
-                                 return_index=True, return_inverse=True)
+    # a direction's number is below b^2 = 36, and a set has at most two base
+    # axes, so the numbers of all directions make one code below 36^4; the
+    # classes are numbered in the lexicographic order of their numbers
+    place = (b * b) ** np.arange(len(digit) - 1, -1, -1)
+    _, rep, code = np.unique(place @ digit, return_index=True, return_inverse=True)
     return code, digit[:, rep].T
 
 
@@ -475,7 +500,8 @@ def _merge(s, e):
     are sorted in place."""
     s.sort()
     e.sort()
-    new = np.ones(len(s) + 1, dtype=bool)  # new[i]: component starts at i
+    new = np.empty(len(s) + 1, dtype=bool)  # new[i]: component starts at i
+    new[0] = new[-1] = True
     np.greater(s[1:], e[:-1], out=new[1:-1])
     return s[new[:-1]], e[new[1:]]
 

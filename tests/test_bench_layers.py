@@ -32,3 +32,15 @@ def test_bench_layers_smoke(tmp_path, capsys):
     assert 0 < sizes["kept"] <= sizes["pairs"] and sizes["out_runs"] > 0
     assert cpu["samples"] == 3 and 0 <= cpu["q1"] <= cpu["median"] <= cpu["q3"]
     assert "boundary-bites-2d-m128" in capsys.readouterr().out
+    # criterion 02's small sets are timed through deficit, and an entry over
+    # two layers lists both
+    argv = ["--inputs", "criterion02-1d", "boundary-bites-2d-m128", "--reps", "2",
+            "--out", str(out)]
+    assert tool.main(argv) == 0
+    entry = json.loads(out.read_text())["entries"][-1]
+    assert entry["layer"] == ["minkowski.deficit", "minkowski.convex_combination"]
+    rec = entry["inputs"][0]
+    sizes = rec["change"]["sizes"]
+    assert rec["layer"] == "minkowski.deficit"
+    assert sizes["scenarios"] == tool.DEFICIT_COUNT
+    assert 0 < sizes["kept"] == sizes["pairs"] and sizes["runs_a"] >= sizes["scenarios"]

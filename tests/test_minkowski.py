@@ -312,24 +312,47 @@ def test_kept_pairs_are_laid_out_a_chunk_at_a_time(monkeypatch):
     assert S == ref and peak < 1_000_000
 
 
-def _pairs_merged(monkeypatch, A, B, t):
-    """The run pairs that reach the engine's pair-stage merges.
+def _union_inputs(monkeypatch, A, B, t):
+    """The entry counts of the chunks that each of the engine's `_union`
+    calls takes in: the first call takes the run pairs, a second S's
+    shifted copies."""
+    sizes, union = [], mk._union
 
-    Each such merge takes the running union, the last merge's output, and
-    one chunk's pairs; the last n - 1 merges take S's shifted copies.
-    """
-    calls, merge = [], mk._merge
+    def counting(chunks):
+        sizes.append([])
+        for s, e in chunks:
+            sizes[-1].append(s.size)
+            yield s, e
 
-    def counting(s, e):
-        out = merge(s, e)
-        calls.append((len(s), len(out[0])))
-        return out
-
-    monkeypatch.setattr(mk, "_merge", counting)
-    convex_combination(A, B, t)
+    monkeypatch.setattr(mk, "_union", lambda chunks: union(counting(chunks)))
+    S = convex_combination(A, B, t)
     monkeypatch.undo()
-    stage = calls[:len(calls) - (A.dim - 1)]
-    return sum(k - prev for (k, _), (_, prev) in zip(stage, [(0, 0)] + stage))
+    return sizes, S
+
+
+def _pairs_merged(monkeypatch, A, B, t):
+    """The run pairs that reach the engine's merge."""
+    return sum(_union_inputs(monkeypatch, A, B, t)[0][0])
+
+
+def test_copies_are_merged_a_chunk_at_a_time(monkeypatch):
+    # at t = 1/8 in 3D, S is the union of 64 shifted copies of the pair
+    # stage's runs; no merge takes in more than the union so far and one
+    # chunk of copies, and the result is the same at every chunking
+    rng = random.Random(4)
+    A = _jittered(rng, (6, 6), (0, 3), (1, 3))
+    B = LatticeSet(3, 1, [(y, z, 0) for y in range(5) for z in range(5)])
+    t = Fraction(1, 8)
+    ref = convex_combination(A, B, t)
+    assert ref == convex_combination_bruteforce(A, B, t)
+    for chunk in (1, 64, 1000):
+        monkeypatch.setattr(mk, "_PAIR_CHUNK", chunk)
+        (pairs, copies), S = _union_inputs(monkeypatch, A, B, t)
+        assert S == ref
+        runs = sum(copies) // 64  # the pair stage's runs, each copied 64 times
+        assert sum(pairs) == len(A.runs) * len(B.runs) and sum(copies) == 64 * runs
+        assert max(copies) <= max(chunk, runs)
+        assert len(copies) == -(-64 // max(1, chunk // runs)) > 1
 
 
 def test_cover_prefilter_engages_on_large_inputs_only(monkeypatch):
@@ -703,11 +726,13 @@ def test_iset_round_trip():
 
 
 def test_fiber_runs_int32_positions_match_int64_formula():
-    # S's box just under _GRID_GUARD, operands far from the origin: the
-    # int32 positions, taken modulo 2^32 per column, equal the int64 sum
+    # S's box just under _GRID_GUARD, operands far from the origin, and
+    # near +-2^62, where the engine's product wraps modulo 2^64: the int32
+    # positions equal the int64 sum of the offsets from the box
     rng = np.random.default_rng(17)
     for n, side, shift in ((1, 11_000_000, 2 ** 40), (2, (1900, 1930), -(2 ** 45)),
-                           (3, (107, 107, 107), 2 ** 33 + 5)):
+                           (3, (107, 107, 107), 2 ** 33 + 5),
+                           (2, (1900, 1930), 2 ** 62 - 7), (3, (107, 107, 107), -(2 ** 62))):
         side = (side,) if n == 1 else side
         t = Fraction(1, 3)
         p, q = t.numerator, t.denominator

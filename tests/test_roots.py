@@ -22,6 +22,23 @@ def test_iroot_is_floor_root(x, n):
     assert r ** n <= x < (r + 1) ** n
 
 
+def test_iroot_is_floor_root_across_the_float_start():
+    # the float start serves x below 2^1000 and the bit-length start the
+    # rest; both must end at the floor, on random x, perfect powers and
+    # their neighbours, for every n up to 60
+    rng = random.Random(34)
+    for n in range(2, 61):
+        xs = []
+        for bits in (8, 64, 200, 999, 1000, 1001, 1100, 3000):
+            xs += [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(3)]
+            r = rng.getrandbits(max(1, bits // n)) | 1 << (max(1, bits // n) - 1)
+            xs += [r ** n - 1, r ** n, r ** n + 1]
+        xs += [(1 << 1000) - 1, 1 << 1000, (1 << 1000) + 1]
+        for x in xs:
+            r = iroot(x, n)
+            assert r ** n <= x < (r + 1) ** n, (x, n)
+
+
 def test_exact_powers_are_exact():
     assert nth_root_brackets(Fraction(9, 4), 2) == (Fraction(3, 2), Fraction(3, 2))
     assert nth_root_brackets(Fraction(27, 8), 3) == (Fraction(3, 2), Fraction(3, 2))

@@ -19,15 +19,21 @@ rounds), each importing bmstab from its own `src`.  --cover-pairs sets the
 sumset engine's prefilter threshold (`minkowski._COVER_PAIRS`) in this tree's
 processes only, to find the pair count at which the prefilter breaks even.
 
-The only layer so far is the sumset engine (`minkowski.convex_combination`),
-on sumset-large's six inputs, on stability-sweep's 2D boundary bites at base
-denoms 128 and 256, on four smaller members of sumset-large's family that
-bracket the prefilter's break-even, and on `jittered-2d-r2000`: two 2D sets
-of one run in each of 2000 rows, each run's first cell drawn from -4 to 4
-and its length from 3 to 11, where 84% of the run pairs survive the
+Two layers are timed.  The sumset engine (`minkowski.convex_combination`)
+runs on sumset-large's six inputs, on stability-sweep's 2D boundary bites at
+base denoms 128 and 256, on four smaller members of sumset-large's family
+that bracket the prefilter's break-even, and on `jittered-2d-r2000`: two 2D
+sets of one run in each of 2000 rows, each run's first cell drawn from -4 to
+4 and its length from 3 to 11, where 84% of the run pairs survive the
 prefilter.  For each input it records both operands' run counts, their run
 pairs, the pairs that reach the engine's merge (`kept`), S's runs and the
-CPU time per call.
+CPU time per call.  `minkowski.deficit` runs on criterion 02's small sets,
+`criterion02-1d`, `-2d` and `-3d`: the first 100 scenarios of each dimension
+in the order criterion 02's acceptance test draws them.  Their sizes are
+those sums over the scenarios, and their CPU time per call is one pass over
+the scenarios divided by their count.  Each input record names its layer;
+an entry's `layer` is that name when all its inputs share it, and otherwise
+the list of their layers.
 """
 
 from __future__ import annotations
@@ -77,6 +83,10 @@ SUMSET_INPUTS.update({
 SUMSET_INPUTS["jittered-2d-r2000"] = (
     dict(family="jittered", rows=2000, first=(-4, 4), length=(3, 11), seed=1),
     Fraction(1, 2))
+# name -> dimension: criterion 02's scenarios, timed through deficit
+DEFICIT_INPUTS = {f"criterion02-{n}d": n for n in (1, 2, 3)}
+DEFICIT_COUNT = 100
+INPUTS = [*SUMSET_INPUTS, *DEFICIT_INPUTS]
 
 
 def _import_bmstab(src):
@@ -103,21 +113,49 @@ def _operands(sc, vset, spec):
     return sets
 
 
-def _pairs_reaching_merge(mk, A, B, t):
-    """The run pairs that reach the engine's first merge stage.
+def _criterion02(sc, n):
+    """(A, B, t) of the first DEFICIT_COUNT scenarios of dimension n in
+    criterion 02's sequence: scenario k has n = 1 + k % 3 and seed k."""
+    families = ("random-boxes", "perturbed-square", "boundary-bites")
+    ts = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+    return [(*sc.generate_scenario(sc.ScenarioSpec(
+                family=families[(k // 3) % 3], n=n, denom=4 if n < 3 else 2,
+                eps=(Fraction(1, 8), Fraction(1, 4))[k % 2], seed=k)), ts[k % 4])
+            for k in range(n - 1, 3 * DEFICIT_COUNT, 3)]
 
-    The engine merges each chunk of pairs into the running union, and then
-    n - 1 shifted copies of the union; a pair-stage call receives the last
-    call's output and the chunk's pairs.
+
+def _pairs_reaching_merge(mk, A, B, t):
+    """(kept, S): the run pairs that reach the engine's merge, and S.
+
+    The engine hands its chunks of pairs to its first `_union` call, and
+    S's shifted copies to a second.  Trees older than `_union` merged each
+    chunk into the running union with `_merge` and then n - 1 shifted
+    copies of the union, one base axis at a time; there a pair-stage call
+    receives the last call's output and the chunk's pairs.
     """
+    if hasattr(mk, "_union"):
+        sizes, union = [], mk._union
+
+        def counting(chunks):
+            sizes.append(0)
+            for s, e in chunks:
+                sizes[-1] += s.size
+                yield s, e
+
+        mk._union = lambda chunks: union(counting(chunks))
+        try:
+            S = mk.convex_combination(A, B, t)
+        finally:
+            mk._union = union
+        return sizes[0], S
     calls, merge = [], mk._merge
 
-    def counting(s, e):
+    def counting_merge(s, e):
         out = merge(s, e)
         calls.append((len(s), len(out[0])))
         return out
 
-    mk._merge = counting
+    mk._merge = counting_merge
     try:
         S = mk.convex_combination(A, B, t)
     finally:
@@ -127,24 +165,36 @@ def _pairs_reaching_merge(mk, A, B, t):
 
 
 def measure(src, names, reps, cover_pairs=None):
-    """Per input: sizes and `reps` CPU times of one call, in seconds."""
+    """Per input: sizes and `reps` CPU times of one call, in seconds; for a
+    deficit input, of one pass over its scenarios divided by their count."""
     mk, sc, vset = _import_bmstab(src)
     if cover_pairs is not None:
         mk._COVER_PAIRS = cover_pairs
     out = {}
     for name in names:
-        spec, t = SUMSET_INPUTS[name]
-        A, B = _operands(sc, vset, spec)
-        kept, S = _pairs_reaching_merge(mk, A, B, t)  # also the warm-up call
+        if name in SUMSET_INPUTS:
+            spec, t = SUMSET_INPUTS[name]
+            cases = [(*_operands(sc, vset, spec), t)]
+            call = mk.convex_combination
+        else:
+            cases = _criterion02(sc, DEFICIT_INPUTS[name])
+            call = mk.deficit
+        sizes = dict.fromkeys(("runs_a", "runs_b", "pairs", "kept", "out_runs"), 0)
+        for A, B, t in cases:  # also the warm-up calls
+            kept, S = _pairs_reaching_merge(mk, A, B, t)
+            for key, x in (("runs_a", len(A.runs)), ("runs_b", len(B.runs)),
+                           ("pairs", len(A.runs) * len(B.runs)), ("kept", kept),
+                           ("out_runs", len(S.runs))):
+                sizes[key] += x
+        if name in DEFICIT_INPUTS:
+            sizes["scenarios"] = len(cases)
         times = []
         for _ in range(reps):
             t0 = time.process_time()
-            mk.convex_combination(A, B, t)
-            times.append(time.process_time() - t0)
-        out[name] = {"sizes": {"runs_a": len(A.runs), "runs_b": len(B.runs),
-                               "pairs": len(A.runs) * len(B.runs), "kept": kept,
-                               "out_runs": len(S.runs)},
-                     "cpu_s": times}
+            for A, B, t in cases:
+                call(A, B, t)
+            times.append((time.process_time() - t0) / len(cases))
+        out[name] = {"sizes": sizes, "cpu_s": times}
     return out
 
 
@@ -199,8 +249,8 @@ def compare(parent, names, reps, rounds, cover_pairs):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--inputs", nargs="+", default=list(SUMSET_INPUTS),
-                    choices=list(SUMSET_INPUTS), metavar="NAME")
+    ap.add_argument("--inputs", nargs="+", default=INPUTS, choices=INPUTS,
+                    metavar="NAME")
     ap.add_argument("--reps", type=int, default=20, help="calls per input per process")
     ap.add_argument("--rounds", type=int, default=6, help="process pairs with --parent")
     ap.add_argument("--parent", metavar="REV", help="also measure REV's tree")
@@ -222,23 +272,32 @@ def main(argv=None) -> int:
                                    args.reps, args.cover_pairs)]}
     inputs = []
     for name in args.inputs:
-        spec, t = SUMSET_INPUTS[name]
-        rec = {"name": name, "spec": {k: str(v) for k, v in spec.items()}, "t": str(t)}
+        if name in SUMSET_INPUTS:
+            spec, t = SUMSET_INPUTS[name]
+            rec = {"name": name, "layer": "minkowski.convex_combination",
+                   "spec": {k: str(v) for k, v in spec.items()}, "t": str(t)}
+        else:
+            rec = {"name": name, "layer": "minkowski.deficit",
+                   "spec": {"criterion": "02", "n": str(DEFICIT_INPUTS[name]),
+                            "scenarios": str(DEFICIT_COUNT)}}
         for side, rs in runs.items():
             rec[side] = {"sizes": rs[-1][name]["sizes"],
                          "cpu_s": _quartiles([x for r in rs for x in r[name]["cpu_s"]]),
                          "process_medians_s": [statistics.median(r[name]["cpu_s"])
                                                for r in rs]}
         inputs.append(rec)
+    layers = list(dict.fromkeys(rec["layer"] for rec in inputs))
     entry = {
-        "layer": "minkowski.convex_combination",
+        "layer": layers[0] if len(layers) == 1 else layers,
         "commit": _commit(),
         "parent": args.parent,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "machine": {"cpus": os.cpu_count(), "machine": platform.machine(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
         "method": {"reps": args.reps, "rounds": args.rounds if args.parent else 1,
-                   "cover_pairs": args.cover_pairs, "clock": "process_time, one call"},
+                   "cover_pairs": args.cover_pairs,
+                   "clock": "process_time, one call; for deficit inputs one pass "
+                            "over the scenarios, divided by their count"},
         "inputs": inputs,
     }
     book = {"schema": SCHEMA, "entries": []}
