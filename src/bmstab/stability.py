@@ -126,6 +126,17 @@ def _constants(n: int, tau: Fraction) -> ConstantsTable:
         )
 
 
+@functools.lru_cache
+def _threshold(n: int, tau: Fraction):
+    """e^(-M_n(tau)), the ceiling for delta: the exact rational tau/3 at
+    n = 1, and an mpf at _PREC_BITS at n >= 2, where it underflows binary64
+    (M ~ 42330 at n = 2)."""
+    if n == 1:
+        return tau / 3
+    with mp.workprec(_PREC_BITS):
+        return mp.exp(-_constants(n, tau).M)
+
+
 # ---------------------------------------------------------------------------
 # hull distance
 
@@ -150,6 +161,20 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     boxes' overlap at each of its offsets, and only the shifts whose bound
     does not exceed the best volume at the level's start are sorted.
     `hull_evals` counts the distinct shifts whose hull was built.
+
+    A level is not scanned at all once the bound proves it can build
+    nothing.  When the bounding boxes of A's and B's hulls HA and HB (low
+    corners la and lb, d!-volumes VA and VB) have equal widths w on every
+    axis, only the aligned shift v0 = la - lb overlaps them fully; any other
+    shift is off by at least one cell on some axis j, so, as every w_i >= 1
+    (a cell spans one step), its box overlap is at most
+    prod(w) - prod_{i != j} w_i and its bound at least floor2 =
+    VA + VB - d! * (prod(w) - min_j prod_{i != j} w_i).  So best < floor2
+    only once v0 has been built, and from then on every shift a level could
+    build is either v0 or strictly worse than best, and best only falls: no
+    level can build a hull or move (best, best_v), and none is scanned.
+    The inequality is strict: a shift whose bound equals best may tie it
+    and must still be built.
     """
     if A.is_empty() or B.is_empty():
         raise ValueError("hull_distance needs nonempty operands")
@@ -174,8 +199,17 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     vols = {best_v: best_hull[2]}
     best = vol_at_zero = best_hull[2]
 
+    # with equal box widths, floor2 bounds every shift but v0 from below
+    widths = [h - l for l, h in boxA]
+    aligned = widths == [h - l for l, h in boxB]
+    full = math.prod(widths)
+    floor2 = VA + VB - math.factorial(dim) * (full - min(full // w for w in widths))
+
     def scan(span):
         nonlocal best, best_v, best_hull
+        # the stop: no shift left to build can reach (best, best_v)
+        if aligned and best < floor2:
+            return
         bounds = _box_bounds(VA, boxA, VB, boxB, span)
         for bound, v in sorted((b, v) for b, v in zip(bounds, product(*span))
                                if b <= best):
@@ -425,10 +459,9 @@ def check_stability(A: LatticeSet, B: LatticeSet, t, tau,
     hd = hull_distance(A, B)
     table = constants(n, tau)
     delta = rec.delta_norm
+    threshold = _threshold(n, tau)
     with mp.workprec(_PREC_BITS):
-        # e^-M underflows binary64 at n >= 2 (M ~ 42330 at n = 2), so it
-        # stays an mpf and delta is compared with it at _PREC_BITS
-        threshold = tau / 3 if n == 1 else mp.exp(-table.M)
+        # an mpf threshold is compared with delta at _PREC_BITS
         vacuous = delta.numerator > threshold * delta.denominator
         if delta == 0:
             bound = 0.0

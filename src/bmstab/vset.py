@@ -436,8 +436,16 @@ class LatticeSet:
             (lo, hi), = self.bounding_box()
             return [(lo,), (hi,)]
         r = self.runs
-        head = _column_heads(r)  # the first and the last run of each column
-        tail = np.append(head[1:] - 1, len(r) - 1)
+        # brk[i]: a column starts at run i (brk[k]: the last one ends at run
+        # k - 1), so each column's first and last run come from one scan
+        brk = np.empty(len(r) + 1, dtype=bool)
+        brk[0] = brk[-1] = True
+        inner = brk[1:-1]
+        np.not_equal(r[1:, 0], r[:-1, 0], out=inner)
+        for j in range(1, self.dim - 1):
+            inner |= r[1:, j] != r[:-1, j]
+        at = brk.nonzero()[0]
+        head, tail = at[:-1], at[1:] - 1
         base, lo, hi = r[head, :-2], r[head, -2], r[tail, -2] + (r[tail, -1] - 1)
         mins = base.min(axis=0).tolist() + [int(lo.min())]
         maxs = base.max(axis=0).tolist() + [int(hi.max())]

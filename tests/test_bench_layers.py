@@ -44,3 +44,12 @@ def test_bench_layers_smoke(tmp_path, capsys):
     assert rec["layer"] == "minkowski.deficit"
     assert sizes["scenarios"] == tool.DEFICIT_COUNT
     assert 0 < sizes["kept"] == sizes["pairs"] and sizes["runs_a"] >= sizes["scenarios"]
+    # stability-sweep's seed-1 rows are timed through hull_distance
+    argv = ["--inputs", "stability-sweep-s1", "--reps", "2", "--out", str(out)]
+    assert tool.main(argv) == 0
+    entry = json.loads(out.read_text())["entries"][-1]
+    assert entry["layer"] == "stability.hull_distance"
+    (rec,) = entry["inputs"]
+    assert rec["change"]["sizes"] == {"rows": 32, "hull_evals": 32, "levels": 0}
+    assert rec["change"]["cpu_s"]["samples"] == 2
+    assert "stability-sweep-s1" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -271,6 +272,120 @@ def test_hull_distance_3d_stride_one_window():
     assert hd["v_star"] == (0, 0, 0)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _derived_seed(seed, k):
+    """Scenario seed k of a benchmark run: the stability-sweep workload's
+    SplitMix64 step of the benchmark seed."""
+    z = (seed * 0x9E3779B97F4A7C15 + (k + 1) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 30)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _sweep_specs(seed):
+    """The stability-sweep workload's rows at a benchmark seed: criterion
+    12's 2D bites ladder, one scenario seed per base denom, then 3D bites."""
+    by_denom = {}
+    for k in range(30):
+        eps = Fraction(16, 100_000) * Fraction(125, 100) ** k
+        m = 16
+        while int(eps * m * m / 2) < 2:
+            m *= 2
+        by_denom.setdefault(m, []).append(eps)
+    configs = [(2, m, eps_list, _derived_seed(seed, i))
+               for i, (m, eps_list) in enumerate(sorted(by_denom.items()))]
+    configs.append((3, 2, [Fraction(1, 4), Fraction(1, 2)], _derived_seed(seed, 100)))
+    return [ScenarioSpec(family="boundary-bites", n=n, denom=m, eps=eps, seed=s)
+            for n, m, eps_list, s in configs for eps in sorted(eps_list)]
+
+
+# SHA-256 of repr([(v*, D*, D(0), hull_evals, K) per scenario]) from
+# hull_distance over stability-sweep's rows at benchmark seeds 1-3 and over
+# `_search_specs`' families, recorded before the search stopped at its box
+# bound's floor; K is (dim, scale, verts, faces, volume).
+_SEARCH_DIGESTS = {
+    "sweep-seed1": "8565ce8134e3127346c8746a7d1b19780c97aabed74905f1c20e17a57d2f5461",
+    "sweep-seed2": "5ad07a77cc26be5900d7ebf23f9096517e84e30bbefcfb05a034fe6bfa820faf",
+    "sweep-seed3": "f8c58aac3806f05cc0bb5e378014a81adfcbf2df5a123d793ef5d118bc44f3f9",
+    "homothetic-convex": "12fa357ba7aa19d5b30c7239af86e677f29169de947a363014023ac0399d7549",
+    "perturbed-square": "0fa2e94cc8ac37686655f6525468a264514ef86773639567987772940fd6273a",
+    "boundary-bites": "a5c5bdd23bc9b143929d58c07409733b016ee0b0ddf133959f9139b7e2f8e251",
+    "random-boxes": "bccf962b5a07a4f19e86c57444259d6cff6481f8f0d3b8a13307d26cc42d6535",
+    "counterexample": "80af33ee581ce8f5334d91f4dd7f58f4612f36dea294c1f1cea517244b1e1c66",
+}
+
+
+def test_hull_distance_matches_recorded_digests():
+    groups = {f"sweep-seed{s}": _sweep_specs(s) for s in (1, 2, 3)}
+    groups.update((family, list(_search_specs(family))) for family in (
+        "homothetic-convex", "perturbed-square", "boundary-bites", "random-boxes",
+        "counterexample"))
+    got = {}
+    for name, specs in groups.items():
+        values = []
+        for spec in specs:
+            hd = hull_distance(*generate_scenario(spec))
+            K = hd["K"]
+            values.append((hd["v_star"], hd["D_star"], hd["D_at_zero"], hd["hull_evals"],
+                           (K.dim, K.scale, K.verts, K.faces, K.volume)))
+        got[name] = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert got == _SEARCH_DIGESTS
+
+
+def test_hull_distance_scans_no_level_on_aligned_bites(monkeypatch):
+    # criterion 12's bites and the sweep's 3D bites: the two hulls' boxes have
+    # equal widths, and the hull at the aligned shift beats every other
+    # shift's box bound, so no level table is computed
+    def no_level(*args):
+        raise AssertionError("a level was scanned")
+
+    specs = _sweep_specs(1)
+    for k in range(30):
+        eps = Fraction(16, 100_000) * Fraction(125, 100) ** k
+        m = 1
+        while int(eps * m * m / 2) < 2:
+            m *= 2
+        specs.append(ScenarioSpec(family="boundary-bites", n=2, denom=max(m, 16),
+                                  eps=eps, seed=k))
+    cases = [generate_scenario(spec) for spec in specs]
+    monkeypatch.setattr(stability, "_box_bounds", no_level)
+    for A, B in cases:
+        assert hull_distance(A, B)["hull_evals"] == 1
+
+
+def test_hull_distance_scans_levels_the_stop_cannot_rule_out(monkeypatch):
+    levels, box_bounds = [], stability._box_bounds  # the span of each level scanned
+
+    def counted(*args):
+        levels.append(args[-1])
+        return box_bounds(*args)
+
+    monkeypatch.setattr(stability, "_box_bounds", counted)
+    # unequal box widths: the ties test's sets at denom 8 scan both levels
+    A8 = LatticeSet(2, 8, frozenset((i, j) for i in range(24) for j in range(8)))
+    B8 = LatticeSet(2, 8, frozenset((i + 40, j + 40) for i in range(8) for j in range(8)))
+    _assert_same_search(A8, B8)
+    assert [r.step for r in (span[0] for span in levels)] == [2, 1]
+    # equal 2x2 boxes whose union's hull, at the aligned shift 0, has exactly
+    # the floor of every other shift's box bound: the tie is still scanned
+    levels.clear()
+    A = LatticeSet(2, 1, frozenset({(0, 0), (1, 1)}))
+    B = LatticeSet(2, 1, frozenset({(0, 1), (1, 0)}))
+    VA, VB = hull(A.hull_points())[2], hull(B.hull_points())[2]
+    best = hull(A.hull_points() + B.hull_points())[2]
+    assert (VA, VB, best) == (6, 6, 8)
+    assert best == VA + VB - 2 * (2 * 2 - 2)  # the floor, at widths (2, 2)
+    hd = _assert_same_search(A, B)
+    assert len(levels) == 1 and hd["v_star"] == (0, 0) and hd["hull_evals"] > 1
+    # boxes 3 wide and 1 high: one step off v0 on axis 0 keeps an overlap of
+    # 2 = prod(w) - w_1, the least product of all widths but one
+    levels.clear()
+    A = LatticeSet(2, 1, frozenset({(0, 0), (1, 0), (2, 0)}))
+    hd = _assert_same_search(A, A.translate((1, 0)))
+    assert len(levels) == 1 and hd["v_star"] == (-1, 0) and hd["D_star"] == 0
+
+
 def test_cos_pipeline_exact_convex_case():
     sq = unit_square(4)
     K = convex_hull(sq)
@@ -377,6 +492,7 @@ def test_check_stability_1d_threshold_is_exact():
     B = LatticeSet(1, 6, [(i,) for i in (0, 1, 2, 3, 6, 7)])
     rep = check_stability(A, B, Fraction(1, 2), Fraction(1, 2))
     assert rep.threshold == rep.record.delta_norm == Fraction(1, 6)
+    assert type(rep.threshold) is Fraction
     assert rep.D_star == Fraction(2, 3)
     assert abs(rep.bound - 16 / 3) < 1e-12
     assert rep.verdict == "pass"
@@ -414,6 +530,12 @@ def test_check_stability_threshold_does_not_underflow():
     assert 0 < rep.threshold < mp.mpf(1) / 64
     assert rep.threshold > mp.mpf(10) ** -18400
     assert rep.verdict == "vacuous"
+    with mp.workprec(220):
+        assert rep.threshold == mp.exp(-constants(2, Fraction(1, 2)).M)
+    assert isinstance(rep.threshold, mp.mpf)
+    # computed once per (n, tau): the next row with them shares it
+    assert check_stability(B, A, Fraction(1, 2), Fraction(1, 2)).threshold \
+        is rep.threshold
 
 
 def test_cos_pipeline_3d_certified():

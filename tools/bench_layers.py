@@ -19,7 +19,7 @@ rounds), each importing bmstab from its own `src`.  --cover-pairs sets the
 sumset engine's prefilter threshold (`minkowski._COVER_PAIRS`) in this tree's
 processes only, to find the pair count at which the prefilter breaks even.
 
-Two layers are timed.  The sumset engine (`minkowski.convex_combination`)
+Three layers are timed.  The sumset engine (`minkowski.convex_combination`)
 runs on sumset-large's six inputs, on stability-sweep's 2D boundary bites at
 base denoms 128 and 256, on four smaller members of sumset-large's family
 that bracket the prefilter's break-even, and on `jittered-2d-r2000`: two 2D
@@ -31,7 +31,12 @@ CPU time per call.  `minkowski.deficit` runs on criterion 02's small sets,
 `criterion02-1d`, `-2d` and `-3d`: the first 100 scenarios of each dimension
 in the order criterion 02's acceptance test draws them.  Their sizes are
 those sums over the scenarios, and their CPU time per call is one pass over
-the scenarios divided by their count.  Each input record names its layer;
+the scenarios divided by their count.  `stability.hull_distance` runs on
+`stability-sweep-s1`, the stability-sweep workload's 32 rows at benchmark
+seed 1 (criterion 12's 2D bites ladder and two 3D bites), timed the same
+way; its sizes are the rows, the hulls built (`hull_evals`) and the levels
+scanned (`_box_bounds` tables computed), summed over the rows.  Each input
+record names its layer;
 an entry's `layer` is that name when all its inputs share it, and otherwise
 the list of their layers.
 """
@@ -86,14 +91,19 @@ SUMSET_INPUTS["jittered-2d-r2000"] = (
 # name -> dimension: criterion 02's scenarios, timed through deficit
 DEFICIT_INPUTS = {f"criterion02-{n}d": n for n in (1, 2, 3)}
 DEFICIT_COUNT = 100
-INPUTS = [*SUMSET_INPUTS, *DEFICIT_INPUTS]
+# name -> benchmark seed: the stability-sweep workload's rows, timed through
+# hull_distance
+HULL_DISTANCE_INPUTS = {"stability-sweep-s1": 1}
+INPUTS = [*SUMSET_INPUTS, *DEFICIT_INPUTS, *HULL_DISTANCE_INPUTS]
+_MASK = (1 << 64) - 1
 
 
 def _import_bmstab(src):
-    """bmstab's minkowski, scenarios and vset modules, imported from src."""
+    """bmstab's minkowski, scenarios, vset and stability modules, imported
+    from src."""
     sys.path.insert(0, src)
     return tuple(importlib.import_module(f"bmstab.{name}")
-                 for name in ("minkowski", "scenarios", "vset"))
+                 for name in ("minkowski", "scenarios", "vset", "stability"))
 
 
 def _operands(sc, vset, spec):
@@ -122,6 +132,48 @@ def _criterion02(sc, n):
                 family=families[(k // 3) % 3], n=n, denom=4 if n < 3 else 2,
                 eps=(Fraction(1, 8), Fraction(1, 4))[k % 2], seed=k)), ts[k % 4])
             for k in range(n - 1, 3 * DEFICIT_COUNT, 3)]
+
+
+def _derived_seed(seed, k):
+    """Scenario seed k of a benchmark run (benchmark/workloads.py)."""
+    z = (seed * 0x9E3779B97F4A7C15 + (k + 1) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 30)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _sweep_rows(sc, seed):
+    """(A, B) of each stability-sweep row at a benchmark seed, in the order
+    of its sweep calls: criterion 12's 2D bites ladder, one config per base
+    denom, then the 3D bites config."""
+    by_denom = {}
+    for k in range(30):
+        eps = Fraction(16, 100_000) * Fraction(125, 100) ** k
+        m = 16
+        while int(eps * m * m / 2) < 2:
+            m *= 2
+        by_denom.setdefault(m, []).append(eps)
+    configs = [(2, m, eps_list, _derived_seed(seed, i))
+               for i, (m, eps_list) in enumerate(sorted(by_denom.items()))]
+    configs.append((3, 2, [Fraction(1, 4), Fraction(1, 2)], _derived_seed(seed, 100)))
+    return [sc.generate_scenario(sc.ScenarioSpec(
+                family="boundary-bites", n=n, denom=m, eps=eps, seed=s))
+            for n, m, eps_list, s in configs for eps in sorted(eps_list)]
+
+
+def _hull_distance_sizes(st, rows):
+    """Rows, hulls built and levels scanned, summed over the rows."""
+    levels, box_bounds = [0], st._box_bounds
+
+    def counting(*args):
+        levels[0] += 1
+        return box_bounds(*args)
+
+    st._box_bounds = counting
+    try:
+        evals = sum(st.hull_distance(A, B)["hull_evals"] for A, B in rows)
+    finally:
+        st._box_bounds = box_bounds
+    return {"rows": len(rows), "hull_evals": evals, "levels": levels[0]}
 
 
 def _pairs_reaching_merge(mk, A, B, t):
@@ -166,33 +218,39 @@ def _pairs_reaching_merge(mk, A, B, t):
 
 def measure(src, names, reps, cover_pairs=None):
     """Per input: sizes and `reps` CPU times of one call, in seconds; for a
-    deficit input, of one pass over its scenarios divided by their count."""
-    mk, sc, vset = _import_bmstab(src)
+    deficit or hull_distance input, of one pass over its scenarios divided
+    by their count."""
+    mk, sc, vset, st = _import_bmstab(src)
     if cover_pairs is not None:
         mk._COVER_PAIRS = cover_pairs
     out = {}
     for name in names:
-        if name in SUMSET_INPUTS:
-            spec, t = SUMSET_INPUTS[name]
-            cases = [(*_operands(sc, vset, spec), t)]
-            call = mk.convex_combination
+        if name in HULL_DISTANCE_INPUTS:
+            cases = _sweep_rows(sc, HULL_DISTANCE_INPUTS[name])
+            call = st.hull_distance
+            sizes = _hull_distance_sizes(st, cases)  # also the warm-up calls
         else:
-            cases = _criterion02(sc, DEFICIT_INPUTS[name])
-            call = mk.deficit
-        sizes = dict.fromkeys(("runs_a", "runs_b", "pairs", "kept", "out_runs"), 0)
-        for A, B, t in cases:  # also the warm-up calls
-            kept, S = _pairs_reaching_merge(mk, A, B, t)
-            for key, x in (("runs_a", len(A.runs)), ("runs_b", len(B.runs)),
-                           ("pairs", len(A.runs) * len(B.runs)), ("kept", kept),
-                           ("out_runs", len(S.runs))):
-                sizes[key] += x
-        if name in DEFICIT_INPUTS:
-            sizes["scenarios"] = len(cases)
+            if name in SUMSET_INPUTS:
+                spec, t = SUMSET_INPUTS[name]
+                cases = [(*_operands(sc, vset, spec), t)]
+                call = mk.convex_combination
+            else:
+                cases = _criterion02(sc, DEFICIT_INPUTS[name])
+                call = mk.deficit
+            sizes = dict.fromkeys(("runs_a", "runs_b", "pairs", "kept", "out_runs"), 0)
+            for A, B, t in cases:  # also the warm-up calls
+                kept, S = _pairs_reaching_merge(mk, A, B, t)
+                for key, x in (("runs_a", len(A.runs)), ("runs_b", len(B.runs)),
+                               ("pairs", len(A.runs) * len(B.runs)), ("kept", kept),
+                               ("out_runs", len(S.runs))):
+                    sizes[key] += x
+            if name in DEFICIT_INPUTS:
+                sizes["scenarios"] = len(cases)
         times = []
         for _ in range(reps):
             t0 = time.process_time()
-            for A, B, t in cases:
-                call(A, B, t)
+            for args in cases:
+                call(*args)
             times.append((time.process_time() - t0) / len(cases))
         out[name] = {"sizes": sizes, "cpu_s": times}
     return out
@@ -276,10 +334,14 @@ def main(argv=None) -> int:
             spec, t = SUMSET_INPUTS[name]
             rec = {"name": name, "layer": "minkowski.convex_combination",
                    "spec": {k: str(v) for k, v in spec.items()}, "t": str(t)}
-        else:
+        elif name in DEFICIT_INPUTS:
             rec = {"name": name, "layer": "minkowski.deficit",
                    "spec": {"criterion": "02", "n": str(DEFICIT_INPUTS[name]),
                             "scenarios": str(DEFICIT_COUNT)}}
+        else:
+            rec = {"name": name, "layer": "stability.hull_distance",
+                   "spec": {"workload": "stability-sweep",
+                            "seed": str(HULL_DISTANCE_INPUTS[name])}}
         for side, rs in runs.items():
             rec[side] = {"sizes": rs[-1][name]["sizes"],
                          "cpu_s": _quartiles([x for r in rs for x in r[name]["cpu_s"]]),
@@ -296,8 +358,9 @@ def main(argv=None) -> int:
                     "python": platform.python_version(), "numpy": numpy.__version__},
         "method": {"reps": args.reps, "rounds": args.rounds if args.parent else 1,
                    "cover_pairs": args.cover_pairs,
-                   "clock": "process_time, one call; for deficit inputs one pass "
-                            "over the scenarios, divided by their count"},
+                   "clock": "process_time, one call; for deficit and hull_distance "
+                            "inputs one pass over the scenarios, divided by their "
+                            "count"},
         "inputs": inputs,
     }
     book = {"schema": SCHEMA, "entries": []}
@@ -309,10 +372,12 @@ def main(argv=None) -> int:
         json.dump(book, fh, indent=1)
         fh.write("\n")
     for rec in inputs:
+        size, count = (("rows", "levels") if rec["layer"] == "stability.hull_distance"
+                       else ("pairs", "kept"))
         cols = "  ".join(
             f"{side} {1e6 * rec[side]['cpu_s']['median']:8.0f} us "
-            f"(kept {rec[side]['sizes']['kept']})" for side in runs)
-        print(f"{rec['name']:30s} pairs {rec['change']['sizes']['pairs']:8d}  {cols}")
+            f"({count} {rec[side]['sizes'][count]})" for side in runs)
+        print(f"{rec['name']:30s} {size} {rec['change']['sizes'][size]:8d}  {cols}")
     return 0
 
 
