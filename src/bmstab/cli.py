@@ -218,7 +218,11 @@ def _parse_config(text: str) -> dict:
 
 def sweep(config_path: str) -> str:
     """Run one stability check per (eps, seed) pair; returns the CSV text."""
-    cfg = _parse_config(_read(config_path))
+    return _sweep(_parse_config(_read(config_path)))
+
+
+def _sweep(cfg: dict) -> str:
+    """`sweep` on a parsed config."""
     try:
         family = cfg["family"]
         n = int(cfg.get("n", "2"))
@@ -247,8 +251,8 @@ def sweep(config_path: str) -> str:
 
 def _cmd_sweep(args) -> int:
     cfg = _parse_config(_read(args.config))
+    text = _sweep(cfg)
     out = cfg.get("out")
-    text = sweep(args.config)
     if out:
         _write(out, text)
     else:
@@ -443,10 +447,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

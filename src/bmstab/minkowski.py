@@ -53,7 +53,7 @@ from functools import reduce
 import numpy as np
 
 from ._roots import root_bracket
-from .vset import _INT64, LatticeSet, _check_int64, reconcile
+from .vset import _INT64, LatticeSet, _check_int64, _merge, reconcile
 
 __all__ = [
     "convex_combination", "convex_combination_bruteforce", "deficit",
@@ -484,7 +484,8 @@ class IntervalSet:
 # and a union with fewer than k repeats its first interval, which leaves it
 # unchanged.  Inside, a batch of N unions is a (2, k, N) array of starts and
 # ends, one union per column, so every step runs along the long axis.  One
-# sort-and-sweep merges every union, here and in the lattice-set engine.
+# sort-and-sweep (`vset._merge`) merges every union, here, in the lattice-set
+# engine and in the slice counts.
 # Sort a union's starts and, separately, its ends: where the (i+1)-th start
 # exceeds the i-th end, a new component starts and the gap between them is
 # uncovered; every other gap is covered.  (This is the sweep in start order
@@ -492,18 +493,6 @@ class IntervalSet:
 # of the i intervals before it, those are the i intervals with the smallest
 # ends.)  The union's length is its span less its gaps, and A + B is the
 # union of all pairwise interval sums.
-
-
-def _merge(s, e):
-    """The components of the union of the intervals [s[i], e[i]], as sorted
-    (starts, ends); s and e are 1D and nonempty, need not stay paired, and
-    are sorted in place."""
-    s.sort()
-    e.sort()
-    new = np.empty(len(s) + 1, dtype=bool)  # new[i]: component starts at i
-    new[0] = new[-1] = True
-    np.greater(s[1:], e[:-1], out=new[1:-1])
-    return s[new[:-1]], e[new[1:]]
 
 
 def _union_length(iv):

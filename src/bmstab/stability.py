@@ -128,9 +128,9 @@ def _constants(n: int, tau: Fraction) -> ConstantsTable:
 
 @functools.lru_cache
 def _threshold(n: int, tau: Fraction):
-    """e^(-M_n(tau)), the ceiling for delta: the exact rational tau/3 at
-    n = 1, and an mpf at _PREC_BITS at n >= 2, where it underflows binary64
-    (M ~ 42330 at n = 2)."""
+    """e^(-M_n(tau)), reported with each verdict: the exact rational tau/3
+    at n = 1, and an mpf at _PREC_BITS at n >= 2, where it underflows
+    binary64 (M ~ 42330 at n = 2)."""
     if n == 1:
         return tau / 3
     with mp.workprec(_PREC_BITS):
@@ -417,7 +417,7 @@ class StabilityReport:
     K: Polytope
     D_star: Fraction
     bound: float
-    threshold: Fraction | mp.mpf  # e^(-M_n(tau)), the ceiling for delta: exact at n = 1
+    threshold: Fraction | mp.mpf  # e^(-M_n(tau)), reported, not graded: exact at n = 1
     verdict: str          # pass | vacuous | fail
 
     CSV_HEADER = "id,n,t,tau,delta_norm,delta_raw,vx,vy,vz,D_star,bound,verdict"
@@ -442,11 +442,16 @@ def check_stability(A: LatticeSet, B: LatticeSet, t, tau,
 
     The verdict is `vacuous` when delta exceeds e^(-M_n(tau)) (the typical
     desk-scale outcome, reported honestly), `pass` when the hypothesis holds
-    and D* <= tau^(-5n) * delta^(eps_n(tau)), and `fail` otherwise.  At
-    n = 1, M = log(3/tau), so the threshold is the exact rational tau/3,
-    and eps_1 = 1, so the bound tau^(-5) * delta is exact and D* is graded
-    against it as a Fraction; at n >= 2 the threshold is e^(-M) as an mpf at
-    _PREC_BITS, below binary64's range.
+    and D* <= tau^(-5n) * delta^(eps_n(tau)), and `fail` otherwise.  One
+    exact rule decides it in every dimension: `vacuous` iff delta > c, with
+    c = tau/3 at n = 1 and c = 0 at n >= 2, else `pass` iff
+    D* <= delta / tau^(5n).  The margin lemma makes it exact: at n = 1,
+    e^(-M) = tau/3 and eps_1 = 1; at n >= 2, delta is an integer over D^n,
+    D = m*q <= _DENOM_GUARD = 2^20 and n <= 3, so delta > 0 implies delta >=
+    2^-60 = e^(-41.6), while M_n(tau) >= M_2(1/2) ~ 42330 on (0, 1/2]: only
+    delta = 0 meets the hypothesis, and there delta^eps = delta.  `threshold`
+    and the CSV's float `bound` (an mpf product when delta != 0) are
+    reported, not graded.
     The measured pair feeds empirical-exponent fits regardless of the verdict.
     Like `cos_pipeline`, it refuses t outside [tau, 1 - tau] and tau outside
     (0, 1/2] with ValueError, before any work.
@@ -457,25 +462,20 @@ def check_stability(A: LatticeSet, B: LatticeSet, t, tau,
     n = A.dim
     rec = deficit(A, B, t)
     hd = hull_distance(A, B)
-    table = constants(n, tau)
     delta = rec.delta_norm
     threshold = _threshold(n, tau)
-    with mp.workprec(_PREC_BITS):
-        # an mpf threshold is compared with delta at _PREC_BITS
-        vacuous = delta.numerator > threshold * delta.denominator
-        if delta == 0:
-            bound = 0.0
-        else:
-            d = mp.mpf(delta.numerator) / delta.denominator
-            bound = float(mp.mpf(tau.numerator) / tau.denominator) ** (-5 * n) \
-                * float(d ** table.eps)
-    if vacuous:
+    if delta > (threshold if n == 1 else 0):
         verdict = "vacuous"
-    elif (hd["D_star"] <= delta / tau ** 5 if n == 1
-          else float(hd["D_star"]) <= bound):
+    elif hd["D_star"] <= delta / tau ** (5 * n):
         verdict = "pass"
     else:
         verdict = "fail"
+    bound = 0.0
+    if delta:
+        with mp.workprec(_PREC_BITS):
+            d = mp.mpf(delta.numerator) / delta.denominator
+            bound = float(mp.mpf(tau.numerator) / tau.denominator) ** (-5 * n) \
+                * float(d ** constants(n, tau).eps)
     return StabilityReport(
         instance_id=instance_id, n=n, t=t, tau=tau, record=rec,
         v_star=hd["v_star"], K=hd["K"], D_star=hd["D_star"],

@@ -135,9 +135,28 @@ def _row_breaks(a: np.ndarray) -> np.ndarray:
     return brk
 
 
-def _column_heads(runs: np.ndarray) -> np.ndarray:
-    """Indices of the first run of each last-axis column of a runs array."""
-    return np.flatnonzero(_row_breaks(runs[:, :-2]))
+def _column_breaks(runs: np.ndarray) -> np.ndarray:
+    """The index of the first run of each last-axis column of a runs array
+    (n >= 2), then len(runs): column i holds runs at[i] to at[i + 1] - 1."""
+    brk = np.empty(len(runs) + 1, dtype=bool)
+    brk[0] = brk[-1] = True
+    inner = brk[1:-1]
+    np.not_equal(runs[1:, 0], runs[:-1, 0], out=inner)
+    for j in range(1, runs.shape[1] - 2):
+        inner |= runs[1:, j] != runs[:-1, j]
+    return brk.nonzero()[0]
+
+
+def _merge(s, e):
+    """The components of the union of the intervals [s[i], e[i]], as sorted
+    (starts, ends); s and e are 1D, need not stay paired, and are sorted in
+    place."""
+    s.sort()
+    e.sort()
+    new = np.empty(len(s) + 1, dtype=bool)  # new[i]: component starts at i
+    new[0] = new[-1] = True
+    np.greater(s[1:], e[:-1], out=new[1:-1])
+    return s[new[:-1]], e[new[1:]]
 
 
 def _runs_of(c: np.ndarray) -> np.ndarray:
@@ -436,15 +455,7 @@ class LatticeSet:
             (lo, hi), = self.bounding_box()
             return [(lo,), (hi,)]
         r = self.runs
-        # brk[i]: a column starts at run i (brk[k]: the last one ends at run
-        # k - 1), so each column's first and last run come from one scan
-        brk = np.empty(len(r) + 1, dtype=bool)
-        brk[0] = brk[-1] = True
-        inner = brk[1:-1]
-        np.not_equal(r[1:, 0], r[:-1, 0], out=inner)
-        for j in range(1, self.dim - 1):
-            inner |= r[1:, j] != r[:-1, j]
-        at = brk.nonzero()[0]
+        at = _column_breaks(r)
         head, tail = at[:-1], at[1:] - 1
         base, lo, hi = r[head, :-2], r[head, -2], r[tail, -2] + (r[tail, -1] - 1)
         mins = base.min(axis=0).tolist() + [int(lo.min())]
@@ -538,7 +549,7 @@ def _columns(E: LatticeSet):
     if E.dim < 2:
         raise ValueError("fiber and slice profiles need dim >= 2")
     r = E.runs
-    head = _column_heads(r)
+    head = _column_breaks(r)[:-1]
     return r[head, :-2], np.add.reduceat(r[:, -1], head)
 
 
@@ -556,15 +567,13 @@ def _slice_counts(E: LatticeSet):
 
     A row's count is the number of runs that start at or below it less the
     number that end below it, and the rows that hold a cell are the union of
-    the runs' row ranges, found by the sort-and-sweep of `minkowski._merge`.
+    the runs' row ranges, found by `_merge`, which leaves both sorted.
     """
     if E.dim < 2:
         raise ValueError("slice measures need dim >= 2")
     r = E.runs
-    first, last = np.sort(r[:, -2]), np.sort(r[:, -2] + (r[:, -1] - 1))
-    new = np.ones(len(r) + 1, dtype=bool)  # new[i]: a range of rows starts at i
-    np.greater(first[1:], last[:-1], out=new[1:-1])
-    lo, hi = first[new[:-1]], last[new[1:]]
+    first, last = r[:, -2].copy(), r[:, -2] + (r[:, -1] - 1)
+    lo, hi = _merge(first, last)
     rows = _lay_out(lo, hi - lo + 1, int((hi - lo + 1).sum()))
     return rows, np.searchsorted(first, rows, "right") - np.searchsorted(last, rows, "left")
 

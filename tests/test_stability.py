@@ -1,8 +1,11 @@
 import hashlib
 import math
 import random
+import sys
+import tempfile
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -10,13 +13,17 @@ import pytest
 
 import bmstab.stability as stability
 from bmstab._hull import hull
+from bmstab.cli import sweep
 from bmstab.convexity import Polytope, convex_hull, lattice_polytope_overlap
+from bmstab.minkowski import _DENOM_GUARD
 from bmstab.scenarios import ScenarioSpec, generate_scenario
 from bmstab.stability import (
     _box, _box_bound, _box_bounds, _shifted_overlap, check_stability, constants,
     cos_pipeline, hull_distance,
 )
 from bmstab.vset import LatticeSet, reconcile
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unit_square(m):
@@ -272,32 +279,20 @@ def test_hull_distance_3d_stride_one_window():
     assert hd["v_star"] == (0, 0, 0)
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _derived_seed(seed, k):
-    """Scenario seed k of a benchmark run: the stability-sweep workload's
-    SplitMix64 step of the benchmark seed."""
-    z = (seed * 0x9E3779B97F4A7C15 + (k + 1) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 30)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _sweep_specs(seed):
-    """The stability-sweep workload's rows at a benchmark seed: criterion
-    12's 2D bites ladder, one scenario seed per base denom, then 3D bites."""
-    by_denom = {}
-    for k in range(30):
-        eps = Fraction(16, 100_000) * Fraction(125, 100) ** k
-        m = 16
-        while int(eps * m * m / 2) < 2:
-            m *= 2
-        by_denom.setdefault(m, []).append(eps)
-    configs = [(2, m, eps_list, _derived_seed(seed, i))
-               for i, (m, eps_list) in enumerate(sorted(by_denom.items()))]
-    configs.append((3, 2, [Fraction(1, 4), Fraction(1, 2)], _derived_seed(seed, 100)))
+    """The stability-sweep workload's rows at a benchmark seed, in sweep
+    order, from the benchmark's own configs: criterion 12's 2D bites ladder,
+    one scenario seed per base denom, then 3D bites."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    try:
+        from workloads import StabilitySweep
+    finally:
+        sys.path.pop(0)
+    with tempfile.TemporaryDirectory(prefix="sweep-") as workdir:
+        workload = StabilitySweep(seed, workdir)
+        workload.setup()
     return [ScenarioSpec(family="boundary-bites", n=n, denom=m, eps=eps, seed=s)
-            for n, m, eps_list, s in configs for eps in sorted(eps_list)]
+            for n, m, items in workload.configs for eps, s in items]
 
 
 # SHA-256 of repr([(v*, D*, D(0), hull_evals, K) per scenario]) from
@@ -522,7 +517,7 @@ def test_check_stability_1d_tie_with_the_bound_passes(monkeypatch):
 
 def test_check_stability_threshold_does_not_underflow():
     # at n = 2, e^(-M) is about 2.4e-18384, far below the smallest float, so
-    # the threshold must stay a positive mpf for delta to be compared with it
+    # the reported threshold stays a positive mpf
     A, B = generate_scenario(ScenarioSpec(family="boundary-bites", n=2, denom=16,
                                           eps=Fraction(1, 64), seed=1))
     rep = check_stability(A, B, Fraction(1, 2), Fraction(1, 2))
@@ -536,6 +531,111 @@ def test_check_stability_threshold_does_not_underflow():
     # computed once per (n, tau): the next row with them shares it
     assert check_stability(B, A, Fraction(1, 2), Fraction(1, 2)).threshold \
         is rep.threshold
+
+
+def test_margin_lemma_premises():
+    # check_stability grades n >= 2 with c = 0: delta is an integer over D^n
+    # with D <= _DENOM_GUARD and n <= 3, so delta > 0 gives delta >=
+    # 2^-(3 log2 _DENOM_GUARD) = e^(-41.6), and e^(-M) lies far below that
+    floor = constants(2, Fraction(1, 2)).M
+    assert floor > 3 * math.log2(_DENOM_GUARD) * math.log(2)
+    for n in (2, 3):
+        for k in (2, 3, 4, 7, 16, 1024):
+            assert constants(n, Fraction(1, k)).M >= floor, (n, k)
+    with pytest.raises(ValueError, match="dim"):
+        LatticeSet(4, 1, [])
+
+
+def test_1d_lattice_minimum_is_the_window_minimum_at_every_refinement():
+    # at n = 1, D(v) is convex and piecewise linear with breaks on the
+    # lattice, so D* is the least D over every shift of the window, and the
+    # minimum does not move when the lattice is refined
+    checked = 0
+    for family, m, seed in product(("random-boxes", "perturbed-square",
+                                    "boundary-bites"), (4, 8, 16), range(30)):
+        A, B = reconcile(*generate_scenario(ScenarioSpec(
+            family=family, n=1, denom=m, eps=Fraction(1 + seed % 3, 16), seed=seed)))
+        (a0, a1), = A.bounding_box()
+        (b0, b1), = B.bounding_box()
+        brute = min(2 * Fraction(max(a1, b1 + v) - min(a0, b0 + v), A.denom)
+                    for (v,) in _window(A, B)) - A.measure() - B.measure()
+        D_star = hull_distance(A, B)["D_star"]
+        assert D_star == brute, (family, m, seed)
+        assert hull_distance(A.refine(2), B.refine(2))["D_star"] == D_star
+        checked += 1
+    assert checked == 270
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_check_stability_fails_one_step_above_the_bound(monkeypatch, n):
+    # n = 1: delta = tau/3 = 1/6 meets the hypothesis and the bound is
+    # delta / tau^5 = 16/3; n = 2: equal squares, delta = 0 and the bound 0.
+    # A D* one step of 2^-80 above the bound, which no float at the bound
+    # resolves, fails; a D* equal to it passes
+    if n == 1:
+        A = LatticeSet(1, 6, [(i,) for i in range(6)])
+        B = LatticeSet(1, 6, [(i,) for i in (0, 1, 2, 3, 6, 7)])
+    else:
+        A = B = unit_square(4)
+    tau = Fraction(1, 2)
+    delta = Fraction(1, 6) if n == 1 else Fraction(0)
+    bound = delta / tau ** (5 * n)
+    real = stability.hull_distance
+    for D_star, verdict in ((bound, "pass"), (bound + Fraction(1, 1 << 80), "fail")):
+        monkeypatch.setattr(stability, "hull_distance",
+                            lambda A, B, _d=D_star: {**real(A, B), "D_star": _d})
+        rep = check_stability(A, B, Fraction(1, 2), tau)
+        assert rep.record.delta_norm == delta and rep.D_star == D_star
+        assert rep.verdict == verdict
+        assert rep.csv_row().endswith("," + verdict)
+
+
+# SHA-256 of `sweep`'s CSV text per config, recorded before the verdict rule
+# became one exact rule for every dimension: 1D random boxes (all vacuous),
+# 1D bites (pass with delta = 0, and vacuous), 1D perturbed squares (pass
+# with delta > 0), homothetic-convex 2D and 3D (delta = 0, pass) and 2D
+# perturbed squares (vacuous)
+_SWEEP_CONFIGS = {
+    "random-boxes-1d": "family=random-boxes\nn=1\nm=16\neps_list=1/64,1/8,1/4\nseeds=1,2,3\n",
+    "boundary-bites-1d": "family=boundary-bites\nn=1\nm=16\neps_list=1/16,1/8\nseeds=1,2\n",
+    "perturbed-square-1d": "family=perturbed-square\nn=1\nm=16\neps_list=1/16,1/8\n"
+                           "seeds=1,2,3\n",
+    "homothetic-convex-2d": "family=homothetic-convex\nn=2\nm=8\neps_list=1/64,1/8\n"
+                            "seeds=1,2\n",
+    "homothetic-convex-3d": "family=homothetic-convex\nn=3\nm=4\nt=1/3\ntau=1/4\n"
+                            "eps_list=1/8\nseeds=1,2\n",
+    "perturbed-square-2d": "family=perturbed-square\nn=2\nm=8\neps_list=1/32,1/8\n"
+                           "seeds=1,2\n",
+}
+_SWEEP_DIGESTS = {
+    "random-boxes-1d": "e376b8f5dc33e3ea86602a09ac5b9124806362599b9ad5a87bee174441381418",
+    "boundary-bites-1d": "217cfef2ef8723f86c49ec834fe4e842dd8e3d3a3295877d0c89fab1e01950f0",
+    "perturbed-square-1d": "9f610d429d0f0db51758f4d458009e1641ad92f811d2be988b5d8181497453b8",
+    "homothetic-convex-2d": "bbd411a41af0389195094bfaf8ac62c1b1fcdbc846e8b36375dec29a6ec9fb34",
+    "homothetic-convex-3d": "eaa4d71258bb4afc8e075735a30fa039a9fd61eca01c916da129a9fefe13688e",
+    "perturbed-square-2d": "4d4fd7d40e3fed4206690b66ddf6109f901fb71cbbe5577ab844dafec67cf6ef",
+}
+
+
+def test_sweep_csvs_match_recorded_digests(tmp_path):
+    got, verdicts = {}, {}
+    for name, text in _SWEEP_CONFIGS.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        csv = sweep(str(cfg))
+        got[name] = hashlib.sha256(csv.encode()).hexdigest()
+        verdicts[name] = {(row.split(",")[4] != "0", row.rsplit(",", 1)[1])
+                          for row in csv.splitlines()[1:]}
+    assert got == _SWEEP_DIGESTS
+    # (delta > 0, verdict) over each config's rows
+    assert verdicts == {
+        "random-boxes-1d": {(True, "vacuous")},
+        "boundary-bites-1d": {(False, "pass"), (True, "vacuous")},
+        "perturbed-square-1d": {(False, "pass"), (True, "pass")},
+        "homothetic-convex-2d": {(False, "pass")},
+        "homothetic-convex-3d": {(False, "pass")},
+        "perturbed-square-2d": {(True, "vacuous")},
+    }
 
 
 def test_cos_pipeline_3d_certified():

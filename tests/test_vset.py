@@ -16,7 +16,8 @@ from bmstab.minkowski import convex_combination, convex_combination_bruteforce, 
 from bmstab.scenarios import ScenarioSpec, generate_scenario
 from bmstab.stability import _shifted_overlap, cos_pipeline, hull_distance
 from bmstab.vset import (
-    LatticeSet, _box_offsets, _slice_counts, fiber_profile, intersection_measure, measure,
+    LatticeSet, _box_offsets, _merge, _slice_counts, fiber_profile, intersection_measure,
+    measure,
     parse_vset, reconcile,
     slice_measure, superlevel_set, symmetric_difference_measure, write_vset,
 )
@@ -159,6 +160,24 @@ def _assert_canonical(E):
     assert E.array.dtype == np.int64 and E.array.shape == (len(rows), E.dim)
     assert all(r < s for r, s in zip(rows, rows[1:]))  # sorted, unique
     assert not E.array.flags.writeable
+
+
+def test_slice_counts_on_empty_touching_and_nested_row_ranges():
+    # the rows come from `_merge` of the runs' row ranges, which sorts copies
+    # of the ranges' ends in place and leaves the read-only runs as they are
+    for n in (2, 3):
+        rows, counts = _slice_counts(LatticeSet(n, 1))
+        assert rows.tolist() == counts.tolist() == []
+    s, e = _merge(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    assert s.size == e.size == 0
+    # rows 0-2 and 3-5 touch, 8-9 lies inside 7-11, and 14 stands alone
+    E = LatticeSet(2, 1, [(0, y) for y in range(3)] + [(1, y) for y in range(3, 6)]
+                   + [(2, y) for y in range(7, 12)] + [(3, 8), (3, 9), (4, 14)])
+    runs = E.runs.copy()
+    rows, counts = _slice_counts(E)
+    assert rows.tolist() == [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 14]
+    assert counts.tolist() == [1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1]
+    assert np.array_equal(E.runs, runs)
 
 
 def test_array_ops_match_tuple_oracle():

@@ -18,6 +18,8 @@ processes that alternate (parent first in even rounds, this tree first in odd
 rounds), each importing bmstab from its own `src`.  --cover-pairs sets the
 sumset engine's prefilter threshold (`minkowski._COVER_PAIRS`) in this tree's
 processes only, to find the pair count at which the prefilter breaks even.
+REV must be a98de2d or later: the sumset's kept pairs are counted through
+`minkowski._union`, which older trees lack.
 
 Three layers are timed.  The sumset engine (`minkowski.convex_combination`)
 runs on sumset-large's six inputs, on stability-sweep's 2D boundary bites at
@@ -33,12 +35,12 @@ in the order criterion 02's acceptance test draws them.  Their sizes are
 those sums over the scenarios, and their CPU time per call is one pass over
 the scenarios divided by their count.  `stability.hull_distance` runs on
 `stability-sweep-s1`, the stability-sweep workload's 32 rows at benchmark
-seed 1 (criterion 12's 2D bites ladder and two 3D bites), timed the same
+seed 1 (criterion 12's 2D bites ladder and two 3D bites), read from the
+configs of `benchmark/workloads.py`'s `StabilitySweep` and timed the same
 way; its sizes are the rows, the hulls built (`hull_evals`) and the levels
 scanned (`_box_bounds` tables computed), summed over the rows.  Each input
-record names its layer;
-an entry's `layer` is that name when all its inputs share it, and otherwise
-the list of their layers.
+record names its layer; an entry's `layer` is that name when all its inputs
+share it, and otherwise the list of their layers.
 """
 
 from __future__ import annotations
@@ -95,7 +97,6 @@ DEFICIT_COUNT = 100
 # hull_distance
 HULL_DISTANCE_INPUTS = {"stability-sweep-s1": 1}
 INPUTS = [*SUMSET_INPUTS, *DEFICIT_INPUTS, *HULL_DISTANCE_INPUTS]
-_MASK = (1 << 64) - 1
 
 
 def _import_bmstab(src):
@@ -134,30 +135,18 @@ def _criterion02(sc, n):
             for k in range(n - 1, 3 * DEFICIT_COUNT, 3)]
 
 
-def _derived_seed(seed, k):
-    """Scenario seed k of a benchmark run (benchmark/workloads.py)."""
-    z = (seed * 0x9E3779B97F4A7C15 + (k + 1) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 30)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
-def _sweep_rows(sc, seed):
-    """(A, B) of each stability-sweep row at a benchmark seed, in the order
-    of its sweep calls: criterion 12's 2D bites ladder, one config per base
-    denom, then the 3D bites config."""
-    by_denom = {}
-    for k in range(30):
-        eps = Fraction(16, 100_000) * Fraction(125, 100) ** k
-        m = 16
-        while int(eps * m * m / 2) < 2:
-            m *= 2
-        by_denom.setdefault(m, []).append(eps)
-    configs = [(2, m, eps_list, _derived_seed(seed, i))
-               for i, (m, eps_list) in enumerate(sorted(by_denom.items()))]
-    configs.append((3, 2, [Fraction(1, 4), Fraction(1, 2)], _derived_seed(seed, 100)))
-    return [sc.generate_scenario(sc.ScenarioSpec(
-                family="boundary-bites", n=n, denom=m, eps=eps, seed=s))
-            for n, m, eps_list, s in configs for eps in sorted(eps_list)]
+def _sweep_configs(seed):
+    """(n, m, [(eps, seed), ...]) of each stability-sweep config at a
+    benchmark seed, in sweep order, from the benchmark's own workload."""
+    sys.path.insert(0, os.path.join(ROOT, "benchmark"))
+    try:
+        from workloads import StabilitySweep
+    finally:
+        sys.path.pop(0)
+    with tempfile.TemporaryDirectory(prefix="bench-sweep-") as workdir:
+        workload = StabilitySweep(seed, workdir)
+        workload.setup()
+    return workload.configs
 
 
 def _hull_distance_sizes(st, rows):
@@ -180,40 +169,22 @@ def _pairs_reaching_merge(mk, A, B, t):
     """(kept, S): the run pairs that reach the engine's merge, and S.
 
     The engine hands its chunks of pairs to its first `_union` call, and
-    S's shifted copies to a second.  Trees older than `_union` merged each
-    chunk into the running union with `_merge` and then n - 1 shifted
-    copies of the union, one base axis at a time; there a pair-stage call
-    receives the last call's output and the chunk's pairs.
+    S's shifted copies to a second.
     """
-    if hasattr(mk, "_union"):
-        sizes, union = [], mk._union
+    sizes, union = [], mk._union
 
-        def counting(chunks):
-            sizes.append(0)
-            for s, e in chunks:
-                sizes[-1] += s.size
-                yield s, e
+    def counting(chunks):
+        sizes.append(0)
+        for s, e in chunks:
+            sizes[-1] += s.size
+            yield s, e
 
-        mk._union = lambda chunks: union(counting(chunks))
-        try:
-            S = mk.convex_combination(A, B, t)
-        finally:
-            mk._union = union
-        return sizes[0], S
-    calls, merge = [], mk._merge
-
-    def counting_merge(s, e):
-        out = merge(s, e)
-        calls.append((len(s), len(out[0])))
-        return out
-
-    mk._merge = counting_merge
+    mk._union = lambda chunks: union(counting(chunks))
     try:
         S = mk.convex_combination(A, B, t)
     finally:
-        mk._merge = merge
-    stage = calls[:len(calls) - (A.dim - 1)]
-    return sum(n_in - prev for (n_in, _), (_, prev) in zip(stage, [(0, 0)] + stage)), S
+        mk._union = union
+    return sizes[0], S
 
 
 def measure(src, names, reps, cover_pairs=None):
@@ -226,7 +197,10 @@ def measure(src, names, reps, cover_pairs=None):
     out = {}
     for name in names:
         if name in HULL_DISTANCE_INPUTS:
-            cases = _sweep_rows(sc, HULL_DISTANCE_INPUTS[name])
+            cases = [sc.generate_scenario(sc.ScenarioSpec(
+                         family="boundary-bites", n=n, denom=m, eps=eps, seed=seed))
+                     for n, m, items in _sweep_configs(HULL_DISTANCE_INPUTS[name])
+                     for eps, seed in items]
             call = st.hull_distance
             sizes = _hull_distance_sizes(st, cases)  # also the warm-up calls
         else:
