@@ -149,98 +149,98 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     set measures are fixed, this is 2*vol(hull) - |A| - |B|, and candidates
     are compared by the hull's integer d!-volume on the lattice.  Each hull
     is built from the two sets' hull vertices, found once from their exact
-    hull candidates (`LatticeSet.hull_points`).  Coarse stride scan over the
-    alignment window, then stride halving to 1; deterministic lexicographic
-    tie-breaking.
+    hull candidates (`LatticeSet.hull_points`).  `_lattice_search` picks the
+    shifts, at a quarter-cell stride, in the window where the bounding boxes
+    of A's and B's hulls HA and HB overlap, with one cell of slack, and
+    bounds them by `_box_bound`.  `hull_evals` counts the hulls built.
 
-    Each level visits its shifts in increasing order of a lower bound on
-    their volume (`_box_bound`) and stops at the first whose bound exceeds
-    the best volume so far.  A skipped shift is strictly worse than the
-    level's minimum, so every level ends at the same shift as a full scan.
-    The level's bounds come from one exact table per axis, the bounding
-    boxes' overlap at each of its offsets, and only the shifts whose bound
-    does not exceed the best volume at the level's start are sorted.
-    `hull_evals` counts the distinct shifts whose hull was built.
-
-    A level is not scanned at all once the bound proves it can build
-    nothing.  When the bounding boxes of A's and B's hulls HA and HB (low
-    corners la and lb, d!-volumes VA and VB) have equal widths w on every
-    axis, only the aligned shift v0 = la - lb overlaps them fully; any other
-    shift is off by at least one cell on some axis j, so, as every w_i >= 1
-    (a cell spans one step), its box overlap is at most
-    prod(w) - prod_{i != j} w_i and its bound at least floor2 =
-    VA + VB - d! * (prod(w) - min_j prod_{i != j} w_i).  So best < floor2
-    only once v0 has been built, and from then on every shift a level could
-    build is either v0 or strictly worse than best, and best only falls: no
-    level can build a hull or move (best, best_v), and none is scanned.
-    The inequality is strict: a shift whose bound equals best may tie it
-    and must still be built.
+    The search's floor is set when HA's and HB's boxes (low corners la and
+    lb, d!-volumes VA and VB) have equal widths w on every axis.  Only the
+    aligned shift v0 = la - lb overlaps them fully; any other shift is off
+    by at least one cell on some axis j, so, as every w_i >= 1 (a cell spans
+    one step), its box overlap is at most prod(w) - prod_{i != j} w_i: its
+    bound is at least floor2 = VA + VB - d!*(prod(w) - min_j prod_{i != j} w_i).
     """
     if A.is_empty() or B.is_empty():
         raise ValueError("hull_distance needs nonempty operands")
     A, B = reconcile(A, B)
-    m = A.denom
-    dim = A.dim
+    m, dim = A.denom, A.dim
     ptsA, _, VA = hull(A.hull_points())
     ptsB, _, VB = hull(B.hull_points())
-    scale = math.factorial(dim) * m ** dim
 
     boxA, boxB = _box(ptsA), _box(ptsB)
-    # the bounding boxes' shift window with one cell of slack
     lo = [la - hb - 1 for (la, _), (_, hb) in zip(boxA, boxB)]
     hi = [ha - lb + 1 for (_, ha), (lb, _) in zip(boxA, boxB)]
 
     def union(v):
         return ptsA + [tuple(x + y for x, y in zip(p, v)) for p in ptsB]
 
-    # the d!-volume of each shift's hull, and the hull at the best shift
-    best_v = (0,) * dim
-    best_hull = hull(union(best_v))
-    vols = {best_v: best_hull[2]}
-    best = vol_at_zero = best_hull[2]
+    hulls = {}  # each shift built -> its hull
 
-    # with equal box widths, floor2 bounds every shift but v0 from below
+    def volume(v):
+        hulls[v] = built = hull(union(v))
+        return built[2]
+
     widths = [h - l for l, h in boxA]
-    aligned = widths == [h - l for l, h in boxB]
     full = math.prod(widths)
-    floor2 = VA + VB - math.factorial(dim) * (full - min(full // w for w in widths))
+    floor2 = (VA + VB - math.factorial(dim) * (full - min(full // w for w in widths))
+              if widths == [h - l for l, h in boxB] else None)
+    best, best_v = _lattice_search(
+        lo, hi, max(1, m // 4), volume,
+        lambda span: _box_bounds(VA, boxA, VB, boxB, span), floor2)
 
-    def scan(span):
-        nonlocal best, best_v, best_hull
-        # the stop: no shift left to build can reach (best, best_v)
-        if aligned and best < floor2:
-            return
-        bounds = _box_bounds(VA, boxA, VB, boxB, span)
-        for bound, v in sorted((b, v) for b, v in zip(bounds, product(*span))
-                               if b <= best):
-            if bound > best:
-                break
-            # (best, best_v) is the least (volume, shift) over the shifts
-            # built so far, so a shift built before cannot change it
-            if v in vols:
-                continue
-            built = hull(union(v))
-            d = vols[v] = built[2]
-            if d < best or (d == best and v < best_v):
-                best, best_v, best_hull = d, v, built
-
-    stride = max(1, m // 4)
-    # coarse scan of the full window
-    scan([range(l, h, stride) for l, h in zip(lo, hi)])
-    # halving descent
-    while stride > 1:
-        stride = max(1, stride // 2)
-        scan([range(max(l, b - 2 * stride), min(h, b + 2 * stride + 1), stride)
-              for l, h, b in zip(lo, hi, best_v)])
-
+    scale = math.factorial(dim) * m ** dim
     volAB = A.measure() + B.measure()
     return {
         "v_star": tuple(Fraction(x, m) for x in best_v),
-        "K": Polytope._from_hull(best_hull, m, union(best_v)),
+        "K": Polytope._from_hull(hulls[best_v], m, union(best_v)),
         "D_star": 2 * Fraction(best, scale) - volAB,
-        "D_at_zero": 2 * Fraction(vol_at_zero, scale) - volAB,
-        "hull_evals": len(vols),
+        "D_at_zero": 2 * Fraction(hulls[(0,) * dim][2], scale) - volAB,
+        "hull_evals": len(hulls),
     }
+
+
+def _lattice_search(lo, hi, stride, value, bounds, floor) -> tuple:
+    """(best, v*): the least (value, shift) a coarse-to-fine search finds.
+
+    `value(v)` is an int at an integer shift v, `bounds(span)` one lower
+    bound on it per shift of product(*span), in that order, and `floor` a
+    lower bound on the value of every shift but one, or None.  The zero
+    shift is evaluated first.  A coarse scan covers the window
+    product(range(l, h)) at `stride`, and each halving of the stride down to
+    1 scans the shifts within two strides of v* on every axis, clipped to
+    the window.  Ties go to the least shift.  No shift is evaluated twice:
+    (best, v*) is the least (value, shift) over the shifts evaluated so far,
+    so a repeat cannot change it.
+
+    Each level visits its shifts in increasing (bound, shift) order and
+    stops at the first bound above best; a skipped shift is strictly worse
+    than the level's minimum, so every level ends where a full scan would.
+    Only the shifts whose bound does not exceed best at the level's start
+    are sorted.  No level is scanned once best < floor: v* is then the shift
+    the floor leaves out, and every other shift is strictly worse.  The
+    inequality is strict: a shift whose value equals best may still tie it.
+    """
+    best_v = (0,) * len(lo)
+    best = value(best_v)
+    seen = {best_v}
+    span = [range(l, h, stride) for l, h in zip(lo, hi)]
+    while floor is None or best >= floor:
+        for bound, v in sorted((b, v) for b, v in zip(bounds(span), product(*span))
+                               if b <= best):
+            if bound > best:
+                break
+            if v not in seen:
+                seen.add(v)
+                d = value(v)
+                if d < best or (d == best and v < best_v):
+                    best, best_v = d, v
+        if stride == 1:
+            break
+        stride //= 2
+        span = [range(max(l, b - 2 * stride), min(h, b + 2 * stride + 1), stride)
+                for l, h, b in zip(lo, hi, best_v)]
+    return best, best_v
 
 
 def _box(verts) -> list:

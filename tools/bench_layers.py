@@ -66,6 +66,7 @@ SCHEMA = "bmstab-layers/1"
 
 # name -> (scenario spec, t); sumset-large's inputs are criterion 01's ball
 # plus a far cell, stability-sweep's are its smallest-eps bites per denom
+# (a `ladder` index into StabilitySweep.LADDER, which `_sumset_input` reads)
 SUMSET_INPUTS = {
     f"counterexample-{n}d-m{m}-{side}": (
         dict(family="counterexample", n=n, denom=m, L=4, bracket=side, seed=1), t)
@@ -75,9 +76,8 @@ SUMSET_INPUTS = {
 }
 SUMSET_INPUTS.update({
     f"boundary-bites-2d-m{m}": (
-        dict(family="boundary-bites", n=2, denom=m, eps=eps, seed=1), Fraction(1, 2))
-    for m, eps in ((128, Fraction(16, 100_000) * Fraction(125, 100) ** 2),
-                   (256, Fraction(16, 100_000)))
+        dict(family="boundary-bites", n=2, denom=m, ladder=k, seed=1), Fraction(1, 2))
+    for m, k in ((128, 2), (256, 0))
 })
 # probes of the prefilter's break-even, smaller members of criterion 01's family
 SUMSET_INPUTS.update({
@@ -135,16 +135,35 @@ def _criterion02(sc, n):
             for k in range(n - 1, 3 * DEFICIT_COUNT, 3)]
 
 
-def _sweep_configs(seed):
-    """(n, m, [(eps, seed), ...]) of each stability-sweep config at a
-    benchmark seed, in sweep order, from the benchmark's own workload."""
-    sys.path.insert(0, os.path.join(ROOT, "benchmark"))
+def _stability_sweep():
+    """The benchmark's stability-sweep workload class, `StabilitySweep`.
+
+    Its module imports bmstab, so a worker calls this only after importing
+    bmstab from the tree it measures; elsewhere this tree's `src` serves.
+    """
+    sys.path[:0] = [os.path.join(ROOT, "benchmark"), os.path.join(ROOT, "src")]
     try:
         from workloads import StabilitySweep
     finally:
-        sys.path.pop(0)
+        del sys.path[:2]
+    return StabilitySweep
+
+
+def _sumset_input(name):
+    """SUMSET_INPUTS[name], its `ladder` index replaced by that eps."""
+    spec, t = SUMSET_INPUTS[name]
+    if "ladder" in spec:
+        ladder = _stability_sweep().LADDER
+        spec = {("eps" if k == "ladder" else k): (ladder[v] if k == "ladder" else v)
+                for k, v in spec.items()}
+    return spec, t
+
+
+def _sweep_configs(seed):
+    """(n, m, [(eps, seed), ...]) of each stability-sweep config at a
+    benchmark seed, in sweep order, from the benchmark's own workload."""
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as workdir:
-        workload = StabilitySweep(seed, workdir)
+        workload = _stability_sweep()(seed, workdir)
         workload.setup()
     return workload.configs
 
@@ -205,7 +224,7 @@ def measure(src, names, reps, cover_pairs=None):
             sizes = _hull_distance_sizes(st, cases)  # also the warm-up calls
         else:
             if name in SUMSET_INPUTS:
-                spec, t = SUMSET_INPUTS[name]
+                spec, t = _sumset_input(name)
                 cases = [(*_operands(sc, vset, spec), t)]
                 call = mk.convex_combination
             else:
@@ -305,7 +324,7 @@ def main(argv=None) -> int:
     inputs = []
     for name in args.inputs:
         if name in SUMSET_INPUTS:
-            spec, t = SUMSET_INPUTS[name]
+            spec, t = _sumset_input(name)
             rec = {"name": name, "layer": "minkowski.convex_combination",
                    "spec": {k: str(v) for k, v in spec.items()}, "t": str(t)}
         elif name in DEFICIT_INPUTS:
