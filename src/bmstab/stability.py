@@ -25,7 +25,8 @@ from ._roots import iroot
 from .convexity import Polytope, _lattice_vector, lattice_polytope_overlap
 from .minkowski import DeficitRecord, deficit
 from .vset import (
-    _CORNERS, LatticeSet, _check_int64, _common_count, _integer, _run_step, reconcile,
+    _CORNERS, LatticeSet, _check_int64, _common_count, _hull_candidates, _integer, _run_step,
+    reconcile,
 )
 
 __all__ = [
@@ -149,10 +150,12 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     set measures are fixed, this is 2*vol(hull) - |A| - |B|, and candidates
     are compared by the hull's integer d!-volume on the lattice.  Each hull
     is built from the two sets' hull vertices, found once from their exact
-    hull candidates (`LatticeSet.hull_points`).  `_lattice_search` picks the
-    shifts, at a quarter-cell stride, in the window where the bounding boxes
-    of A's and B's hulls HA and HB overlap, with one cell of slack, and
-    bounds them by `_box_bound`.  `hull_evals` counts the hulls built.
+    hull candidates, which one `_hull_candidates` pass takes for both sets.
+    `_lattice_search` picks the shifts, at a quarter-cell stride, in the
+    window where the bounding boxes of A's and B's hulls HA and HB overlap,
+    with one cell of slack, and bounds them by `_box_bound`.  `hull_evals`
+    counts the hulls built; of them only the hull of the least (volume,
+    shift), which the search returns, is kept.
 
     The search's floor is set when HA's and HB's boxes (low corners la and
     lb, d!-volumes VA and VB) have equal widths w on every axis.  Only the
@@ -165,8 +168,7 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
         raise ValueError("hull_distance needs nonempty operands")
     A, B = reconcile(A, B)
     m, dim = A.denom, A.dim
-    ptsA, _, VA = hull(A.hull_points())
-    ptsB, _, VB = hull(B.hull_points())
+    (ptsA, _, VA), (ptsB, _, VB) = map(hull, _hull_candidates(A, B))
 
     boxA, boxB = _box(ptsA), _box(ptsB)
     lo = [la - hb - 1 for (la, _), (_, hb) in zip(boxA, boxB)]
@@ -175,10 +177,18 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     def union(v):
         return ptsA + [tuple(x + y for x, y in zip(p, v)) for p in ptsB]
 
-    hulls = {}  # each shift built -> its hull
+    # the hulls built, counted; the zero shift's d!-volume; and the least
+    # (volume, shift) built with its hull, which is what the search returns
+    evals, at_zero, least = 0, None, None
 
     def volume(v):
-        hulls[v] = built = hull(union(v))
+        nonlocal evals, at_zero, least
+        evals += 1
+        built = hull(union(v))
+        if not any(v):
+            at_zero = built[2]
+        if least is None or (built[2], v) < least[:2]:
+            least = built[2], v, built
         return built[2]
 
     widths = [h - l for l, h in boxA]
@@ -193,10 +203,10 @@ def hull_distance(A: LatticeSet, B: LatticeSet) -> dict:
     volAB = A.measure() + B.measure()
     return {
         "v_star": tuple(Fraction(x, m) for x in best_v),
-        "K": Polytope._from_hull(hulls[best_v], m, union(best_v)),
+        "K": Polytope._from_hull(least[2], m, union(best_v)),
         "D_star": 2 * Fraction(best, scale) - volAB,
-        "D_at_zero": 2 * Fraction(hulls[(0,) * dim][2], scale) - volAB,
-        "hull_evals": len(hulls),
+        "D_at_zero": 2 * Fraction(at_zero, scale) - volAB,
+        "hull_evals": evals,
     }
 
 

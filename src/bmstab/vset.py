@@ -28,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -135,15 +136,16 @@ def _row_breaks(a: np.ndarray) -> np.ndarray:
     return brk
 
 
-def _column_breaks(runs: np.ndarray) -> np.ndarray:
+def _column_breaks(runs: np.ndarray, starts=0) -> np.ndarray:
     """The index of the first run of each last-axis column of a runs array
-    (n >= 2), then len(runs): column i holds runs at[i] to at[i + 1] - 1."""
+    (n >= 2), then len(runs): column i holds runs at[i] to at[i + 1] - 1.
+    The runs `starts` (by default the first) also start a column."""
     brk = np.empty(len(runs) + 1, dtype=bool)
-    brk[0] = brk[-1] = True
     inner = brk[1:-1]
     np.not_equal(runs[1:, 0], runs[:-1, 0], out=inner)
     for j in range(1, runs.shape[1] - 2):
         inner |= runs[1:, j] != runs[:-1, j]
+    brk[starts] = brk[-1] = True
     return brk.nonzero()[0]
 
 
@@ -433,77 +435,128 @@ class LatticeSet:
 
     def hull_points(self) -> list:
         """Exact hull candidates: distinct integer points (coordinates x denom)
-        whose convex hull is the hull of all cell corners.
-
-        In 1D these are the two end points.  In 2D and 3D every base corner p
-        (a corner y+o, o in {0,1}^(n-1), of a last-axis column y) first gets
-        the least low end `lo` and the largest high end `hi+1` of the columns
-        that touch it; any other corner above p lies between those two.  Then
-        a point of the lower envelope (p, low(p)) is dropped when it lies on
-        or above the chord of its two neighbours on its line along a base
-        axis, and a point of the upper envelope when it lies on or below its
-        chord: along the last base axis, and in 3D then along axis 0 on the
-        survivors.  This is exact because an extreme point of a hull stays
-        extreme in the hull of the points on any plane through it.  The
-        arithmetic is int64 when every corner fits in int64 and every axis
-        extent is below 2^31, so that each cross product is exact, and on
-        Python ints otherwise.
-        """
-        if self.is_empty():
-            return []
-        if self.dim == 1:
-            (lo, hi), = self.bounding_box()
-            return [(lo,), (hi,)]
-        r = self.runs
-        at = _column_breaks(r)
-        head, tail = at[:-1], at[1:] - 1
-        base, lo, hi = r[head, :-2], r[head, -2], r[tail, -2] + (r[tail, -1] - 1)
-        mins = base.min(axis=0).tolist() + [int(lo.min())]
-        maxs = base.max(axis=0).tolist() + [int(hi.max())]
-        if max(maxs) == _INT64.max or max(map(operator.sub, maxs, mins)) >= (1 << 31) - 1:
-            base, lo, hi = base.astype(object), lo.astype(object), hi.astype(object)
-        hi = hi + 1
-        # each base corner once, sorted, with the least low and the largest
-        # high end of the columns that touch it
-        p = (base[None] + _CORNERS[self.dim - 1][:, None]).reshape(-1, self.dim - 1)
-        order = np.lexsort(p.T[::-1])
-        first = np.flatnonzero(_row_breaks(p[order]))
-        p = p[order[first]]
-        col = order % len(lo)  # the column of each sorted corner
-        low = np.minimum.reduceat(lo[col], first)
-        high = np.maximum.reduceat(hi[col], first)
-        # the lower envelope (p, low) and the mirrored upper one (p, -high),
-        # told apart by a leading tag column, go through the same passes
-        k = len(p)
-        tagged = np.empty((2 * k, self.dim), dtype=p.dtype)
-        tagged[:k, 0], tagged[k:, 0] = 0, 1
-        tagged[:k, 1:] = tagged[k:, 1:] = p
-        h = np.concatenate([low, -high])
-        keep = _chord_keep(tagged, h)
-        if self.dim == 3:  # then along base axis 0, on the survivors
-            q = tagged[keep][:, [0, 2, 1]]
-            order = np.lexsort(q.T[::-1])
-            keep = keep[order][_chord_keep(q[order], h[keep[order]])]
-        z = np.concatenate([low, high])
-        pts = np.column_stack([tagged[keep, 1:], z[keep]])
-        return list(map(tuple, pts.tolist()))
+        whose convex hull is the hull of all cell corners, as
+        `_hull_candidates` finds them; none for the empty set."""
+        return _hull_candidates(self)[0] if self.count else []
 
 
-def _chord_keep(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Indices of the points (p, z) that one chord pass along p's last
-    column keeps; p's rows are distinct and sorted lexicographically.
+def _hull_candidates(*sets) -> list:
+    """One list of exact hull candidates per set, from one pass over all
+    their runs; the sets are nonempty and of one dimension.
 
-    A line is a run of rows that differ only in the last column.  A point
-    between two neighbours on its line is dropped when it lies on or above
-    their chord (a non-positive cross product); the ends of a line stay.
+    A set's candidates are distinct integer points (coordinates x denom)
+    whose convex hull is the hull of its cell corners.  In 1D these are the
+    two end points.  In 2D and 3D every base corner p (a corner y+o, o in
+    {0,1}^(n-1), of a last-axis column y) first gets the least low end `lo`
+    and the largest high end `hi+1` of the columns that touch it; any other
+    corner above p lies between those two.  Then a point of the lower
+    envelope (p, low(p)) is dropped when it lies on or above the chord of
+    its two neighbours on its line along a base axis, and a point of the
+    upper envelope when it lies on or below its chord: along the last base
+    axis, and in 3D then along axis 0 on the survivors.  This is exact
+    because an extreme point of a hull stays extreme in the hull of the
+    points on any plane through it.
+
+    All sets go through the same passes at once, and so do the lower
+    envelope and the mirrored upper one, (p, -high): the columns are laid
+    out twice, one block per (envelope, set).  Each set's first run starts
+    a column and each block's first corner a line, and in 3D the envelope
+    and the set are the leading digits of every sort key, so no column,
+    corner or chord line crosses from one block to another.  No corner is sorted in
+    2D: the columns come sorted, so the corners y and y+1 of each column in
+    turn are in order, and a column's top corner is the next column's
+    bottom one exactly when that column is the next base row of the same
+    block.  In 3D the corners are sorted by one flat key, the digits
+    (envelope, set, y0, y1) in mixed radix over the sets' base box.  The
+    arithmetic is int64 when every corner fits in int64, every axis extent
+    is below 2^31, so that each cross product is exact, and every key fits
+    in int64; it is on Python ints otherwise.
     """
-    brk = _row_breaks(p[:, :-1])
-    x = p[:, -1]
-    dx, dz = x[1:-1] - x[:-2], z[1:-1] - z[:-2]
-    cross = dx * (z[2:] - z[:-2]) - dz * (x[2:] - x[:-2])
-    drop = np.zeros(len(p), dtype=bool)
-    drop[1:-1] = ~brk[1:-1] & ~brk[2:] & (cross <= 0)
-    return np.flatnonzero(~drop)
+    dim, k = sets[0].dim, len(sets)
+    if dim == 1:
+        return [[(lo,), (hi,)] for (lo, hi), in (E.bounding_box() for E in sets)]
+    starts = list(accumulate((len(E.runs) for E in sets[:-1]), initial=0))
+    r = np.concatenate([E.runs for E in sets])
+    at = _column_breaks(r, starts)
+    head, tail = at[:-1], at[1:] - 1
+    n = len(head)
+    base, lo, hi = r[head, :-2], r[head, -2], r[tail, -2] + (r[tail, -1] - 1)
+    mins = base.min(axis=0).tolist() + [int(lo.min())]
+    maxs = base.max(axis=0).tolist() + [int(hi.max())]
+    radix = [h - l + 2 for l, h in zip(mins, maxs[:-1])]  # corner rows per base axis
+    if (max(maxs) == _INT64.max or max(map(operator.sub, maxs, mins)) >= (1 << 31) - 1
+            or 2 * k * math.prod(radix) > _INT64.max):
+        base, lo, hi = base.astype(object), lo.astype(object), hi.astype(object)
+    # z: the columns' ends, low for the lower envelope, then -high
+    z = np.concatenate([lo, -1 - hi])
+    col0 = at.searchsorted(starts).tolist()  # each set's first column
+    blocks = col0 + [c + n for c in col0]
+    if dim == 2:
+        x = np.repeat(np.concatenate([base[:, 0]] * 2), 2)
+        x[1::2] += 1
+        blocks = [2 * c for c in blocks]  # each block's first corner
+        first = _starts(x, blocks)
+        x = x[first]
+        z = np.minimum.reduceat(np.repeat(z, 2), first)
+        blocks = first.searchsorted(blocks)
+        f = _chord_keep(x, z, blocks).nonzero()[0]
+        cuts = f.searchsorted(blocks.tolist() + [len(x)]).tolist()
+        coords = [x[f]]
+    else:
+        w0, w1 = radix
+        key = (base[:, 0] - mins[0]) * w1 + (base[:, 1] - mins[1])
+        if k > 1:
+            key += np.repeat(np.arange(k, dtype=key.dtype) * (w0 * w1),
+                             np.diff(col0 + [n]))
+        key = np.concatenate([key, key + k * w0 * w1])
+        key = (key + np.array([0, 1, w1, w1 + 1], dtype=key.dtype)[:, None]).ravel()
+        order = key.argsort()
+        key = key[order]
+        first = _starts(key)
+        z = np.minimum.reduceat(z[order % (2 * n)], first)
+        key = key[first]
+        # along y1 on each line (envelope, set, y0), then along y0 on each
+        # line (envelope, set, y1) of the survivors
+        line = key // w1
+        f = _chord_keep(key - line * w1, z, _starts(line)).nonzero()[0]
+        line = line[f]
+        key = (line // w0 * w1 + key[f] % w1) * w0 + line % w0
+        order = key.argsort()
+        key, f = key[order], f[order]
+        line = key // w0
+        keep = _chord_keep(key - line * w0, z[f], _starts(line))
+        key, f = key[keep], f[keep]
+        cuts = key.searchsorted([c * w0 * w1 for c in range(2 * k + 1)]).tolist()
+        coords = [key % w0 + mins[0], key // w0 % w1 + mins[1]]
+    h = z[f]
+    h[cuts[k]:] *= -1  # the upper envelope's heights
+    pts = list(zip(*(c.tolist() for c in coords), h.tolist()))
+    return [pts[cuts[s]:cuts[s + 1]] + pts[cuts[k + s]:cuts[k + s + 1]] for s in range(k)]
+
+
+def _starts(a: np.ndarray, at=0) -> np.ndarray:
+    """The index of each value's first place in a 1D array in which equal
+    values are adjacent, with the indices `at` (by default the first)."""
+    new = np.empty(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    new[at] = True
+    return new.nonzero()[0]
+
+
+def _chord_keep(x, z, starts) -> np.ndarray:
+    """The mask of the points (x, z) that one chord pass keeps; `starts`
+    indexes the first point of each line, 0 among them, and x rises along
+    a line.
+
+    A point between two neighbours on its line is dropped when it lies on
+    or above their chord (a non-positive cross product); the ends of a line
+    stay.
+    """
+    dx, dz = x[1:] - x[:-1], z[1:] - z[:-1]
+    keep = np.empty(len(z), dtype=bool)
+    np.greater(dx[:-1] * dz[1:], dz[:-1] * dx[1:], out=keep[1:-1])
+    keep[starts] = keep[starts - 1] = True
+    return keep
 
 
 @dataclass(frozen=True)

@@ -53,3 +53,15 @@ def test_bench_layers_smoke(tmp_path, capsys):
     assert rec["change"]["sizes"] == {"rows": 32, "hull_evals": 32, "levels": 0}
     assert rec["change"]["cpu_s"]["samples"] == 2
     assert "stability-sweep-s1" in capsys.readouterr().out
+    # cos-pipeline-2d's sets are timed through the hull candidate routine,
+    # one call per set
+    argv = ["--inputs", "cos-pipeline-2d-s1-sets", "--reps", "2", "--out", str(out)]
+    assert tool.main(argv) == 0
+    entry = json.loads(out.read_text())["entries"][-1]
+    assert entry["layer"] == "vset.hull_points"
+    (rec,) = entry["inputs"]
+    sizes = rec["change"]["sizes"]
+    assert sizes["calls"] == sizes["sets"] == 12
+    assert 0 < sizes["candidates"] and sizes["sets"] <= sizes["columns"] <= sizes["runs"]
+    assert rec["change"]["cpu_s"]["samples"] == 2
+    assert "cos-pipeline-2d-s1-sets" in capsys.readouterr().out

@@ -16,7 +16,8 @@ from bmstab.minkowski import convex_combination, convex_combination_bruteforce, 
 from bmstab.scenarios import ScenarioSpec, generate_scenario
 from bmstab.stability import _shifted_overlap, cos_pipeline, hull_distance
 from bmstab.vset import (
-    LatticeSet, _box_offsets, _merge, _slice_counts, fiber_profile, intersection_measure,
+    LatticeSet, _box_offsets, _hull_candidates, _merge, _slice_counts, fiber_profile,
+    intersection_measure,
     measure,
     parse_vset, reconcile,
     slice_measure, superlevel_set, symmetric_difference_measure, write_vset,
@@ -762,3 +763,48 @@ def test_hull_points_of_single_cell_columns():
         hp = E.hull_points()
         assert len(set(hp)) == len(hp) and set(hp) <= _oracle_hull_points(cells, n)
         assert hull(hp) == hull(E.corner_points()), cells
+
+
+def _batch_pairs(rng, n):
+    """Pairs of cell sets for one `_hull_candidates` call."""
+    clouds = list(_hull_point_clouds(rng, n))
+    for _ in range(6):
+        yield rng.choice(clouds), rng.choice(clouds)
+    # a copy whose columns overlap, abut or follow the other's along every
+    # base axis: without each set's own columns and lines they would merge
+    cells = rng.choice(clouds)
+    width = [max(c[a] for c in cells) - min(c[a] for c in cells) + 1 for a in range(n)]
+    for a in range(n - 1):
+        for step in (0, 1, width[a] - 1, width[a], width[a] + 1):
+            yield cells, {c[:a] + (c[a] + step,) + c[a + 1:] for c in cells}
+    # single cells, a single column and a lone base row
+    cell = (0,) * n
+    column = {(0,) * (n - 1) + (z,) for z in range(-2, 3)}
+    row = {(x,) + (0,) * (n - 1) for x in range(-2, 3)}
+    yield {cell}, {cell}
+    yield {cell}, column
+    yield column, column
+    yield column, row
+    yield {(1,) * n}, row
+    # only one set needs Python ints: an extent of 2^31 - 1, and a corner at
+    # the int64 maximum
+    yield cells, {cell, (2 ** 31 - 1,) + (5,) * (n - 1)}
+    yield {(2 ** 63 - 1,) * n, (2 ** 63 - 4,) * n}, cells
+
+
+def test_hull_candidates_of_a_batch_equal_single_calls():
+    rng = random.Random(1618)
+    for n in (1, 2, 3):
+        for cells_a, cells_b in _batch_pairs(rng, n):
+            A = LatticeSet(n, 2, cells_a)
+            B = LatticeSet(n, 2, cells_b)
+            batch = _hull_candidates(A, B)
+            assert batch == _hull_candidates(A) + _hull_candidates(B), (cells_a, cells_b)
+            assert batch == [A.hull_points(), B.hull_points()]
+            assert _hull_candidates(B, A, B) == [batch[1], batch[0], batch[1]]
+            for E, hp in zip((A, B), batch):
+                assert all(type(x) is int for p in hp for x in p)
+                assert len(set(hp)) == len(hp)
+                assert set(hp) <= _oracle_hull_points(E.cells, n)
+                if E.count <= 64:  # the corner hulls of the larger sets are slow
+                    assert hull(hp) == hull(E.corner_points())

@@ -21,7 +21,7 @@ processes only, to find the pair count at which the prefilter breaks even.
 REV must be a98de2d or later: the sumset's kept pairs are counted through
 `minkowski._union`, which older trees lack.
 
-Three layers are timed.  The sumset engine (`minkowski.convex_combination`)
+Four layers are timed.  The sumset engine (`minkowski.convex_combination`)
 runs on sumset-large's six inputs, on stability-sweep's 2D boundary bites at
 base denoms 128 and 256, on four smaller members of sumset-large's family
 that bracket the prefilter's break-even, and on `jittered-2d-r2000`: two 2D
@@ -38,9 +38,19 @@ the scenarios divided by their count.  `stability.hull_distance` runs on
 seed 1 (criterion 12's 2D bites ladder and two 3D bites), read from the
 configs of `benchmark/workloads.py`'s `StabilitySweep` and timed the same
 way; its sizes are the rows, the hulls built (`hull_evals`) and the levels
-scanned (`_box_bounds` tables computed), summed over the rows.  Each input
-record names its layer; an entry's `layer` is that name when all its inputs
-share it, and otherwise the list of their layers.
+scanned (`_box_bounds` tables computed), summed over the rows.  The hull
+candidate routine (`vset.hull_points`) runs on `cos-pipeline-2d-s1-sets`,
+one call per set on both sets of the cos-pipeline-2d workload's six
+instances at benchmark seed 1; on `stability-sweep-s1-pairs`, one call per
+row on the row's two sets, as `hull_distance` makes it; and, one call each,
+on the first set of criterion 01's 2D counterexample at denom 128 (577
+runs), of the 2D boundary bites at denom 1024 and the ladder's smallest eps,
+and of criterion 01's 3D counterexample at denom 8.  A tree older than
+`vset._hull_candidates` takes one `hull_points` call per set of a call.  Its
+sizes are the calls and, summed over their sets, the sets, runs, last-axis
+columns and candidates.  Each input record names its layer; an entry's
+`layer` is that name when all its inputs share it, and otherwise the list of
+their layers.
 """
 
 from __future__ import annotations
@@ -96,7 +106,17 @@ DEFICIT_COUNT = 100
 # name -> benchmark seed: the stability-sweep workload's rows, timed through
 # hull_distance
 HULL_DISTANCE_INPUTS = {"stability-sweep-s1": 1}
-INPUTS = [*SUMSET_INPUTS, *DEFICIT_INPUTS, *HULL_DISTANCE_INPUTS]
+# name -> (source, benchmark seed or scenario spec): the sets timed through
+# the hull candidate routine; a spec's first set, the large inputs
+HULL_POINTS_INPUTS = {
+    "cos-pipeline-2d-s1-sets": ("cos-pipeline-2d", 1),
+    "stability-sweep-s1-pairs": ("stability-sweep", 1),
+    "counterexample-2d-m128-a": ("scenario", SUMSET_INPUTS["counterexample-2d-m128-inner"][0]),
+    "boundary-bites-2d-m1024-a": ("scenario", dict(family="boundary-bites", n=2, denom=1024,
+                                                   ladder=0, seed=1)),
+    "counterexample-3d-m8-a": ("scenario", SUMSET_INPUTS["counterexample-3d-m8-inner"][0]),
+}
+INPUTS = [*SUMSET_INPUTS, *DEFICIT_INPUTS, *HULL_DISTANCE_INPUTS, *HULL_POINTS_INPUTS]
 
 
 def _import_bmstab(src):
@@ -135,37 +155,60 @@ def _criterion02(sc, n):
             for k in range(n - 1, 3 * DEFICIT_COUNT, 3)]
 
 
-def _stability_sweep():
-    """The benchmark's stability-sweep workload class, `StabilitySweep`.
+def _workload(name, seed=None):
+    """The benchmark's workload class `name` (`StabilitySweep` or
+    `CosPipeline2D`), or with a benchmark seed that workload, set up.
 
     Its module imports bmstab, so a worker calls this only after importing
     bmstab from the tree it measures; elsewhere this tree's `src` serves.
     """
     sys.path[:0] = [os.path.join(ROOT, "benchmark"), os.path.join(ROOT, "src")]
     try:
-        from workloads import StabilitySweep
+        import workloads
     finally:
         del sys.path[:2]
-    return StabilitySweep
+    cls = getattr(workloads, name)
+    if seed is None:
+        return cls
+    with tempfile.TemporaryDirectory(prefix="bench-workload-") as workdir:
+        workload = cls(seed, workdir)
+        workload.setup()
+    return workload
+
+
+def _scenario_spec(spec):
+    """A scenario spec, its `ladder` index replaced by that eps."""
+    if "ladder" in spec:
+        ladder = _workload("StabilitySweep").LADDER
+        spec = {("eps" if k == "ladder" else k): (ladder[v] if k == "ladder" else v)
+                for k, v in spec.items()}
+    return spec
 
 
 def _sumset_input(name):
     """SUMSET_INPUTS[name], its `ladder` index replaced by that eps."""
     spec, t = SUMSET_INPUTS[name]
-    if "ladder" in spec:
-        ladder = _stability_sweep().LADDER
-        spec = {("eps" if k == "ladder" else k): (ladder[v] if k == "ladder" else v)
-                for k, v in spec.items()}
-    return spec, t
+    return _scenario_spec(spec), t
 
 
-def _sweep_configs(seed):
-    """(n, m, [(eps, seed), ...]) of each stability-sweep config at a
-    benchmark seed, in sweep order, from the benchmark's own workload."""
-    with tempfile.TemporaryDirectory(prefix="bench-sweep-") as workdir:
-        workload = _stability_sweep()(seed, workdir)
-        workload.setup()
-    return workload.configs
+def _sweep_rows(sc, seed):
+    """(A, B) of each stability-sweep row at a benchmark seed, in sweep
+    order, from the configs of the benchmark's own workload."""
+    return [sc.generate_scenario(sc.ScenarioSpec(
+                family="boundary-bites", n=n, denom=m, eps=eps, seed=s))
+            for n, m, items in _workload("StabilitySweep", seed).configs
+            for eps, s in items]
+
+
+def _hull_point_groups(sc, vset, name):
+    """The sets of each call of a hull_points input: one set a call, or
+    for a stability-sweep input the row's reconciled pair."""
+    source, arg = HULL_POINTS_INPUTS[name]
+    if source == "cos-pipeline-2d":
+        return [(E,) for pair in _workload("CosPipeline2D", arg).inputs for E in pair]
+    if source == "stability-sweep":
+        return [vset.reconcile(A, B) for A, B in _sweep_rows(sc, arg)]
+    return [sc.generate_scenario(sc.ScenarioSpec(**_scenario_spec(arg)))[:1]]
 
 
 def _hull_distance_sizes(st, rows):
@@ -208,20 +251,30 @@ def _pairs_reaching_merge(mk, A, B, t):
 
 def measure(src, names, reps, cover_pairs=None):
     """Per input: sizes and `reps` CPU times of one call, in seconds; for a
-    deficit or hull_distance input, of one pass over its scenarios divided
-    by their count."""
+    deficit, hull_distance or hull_points input, of one pass over its
+    scenarios or calls divided by their count."""
     mk, sc, vset, st = _import_bmstab(src)
     if cover_pairs is not None:
         mk._COVER_PAIRS = cover_pairs
     out = {}
     for name in names:
         if name in HULL_DISTANCE_INPUTS:
-            cases = [sc.generate_scenario(sc.ScenarioSpec(
-                         family="boundary-bites", n=n, denom=m, eps=eps, seed=seed))
-                     for n, m, items in _sweep_configs(HULL_DISTANCE_INPUTS[name])
-                     for eps, seed in items]
+            cases = _sweep_rows(sc, HULL_DISTANCE_INPUTS[name])
             call = st.hull_distance
             sizes = _hull_distance_sizes(st, cases)  # also the warm-up calls
+        elif name in HULL_POINTS_INPUTS:
+            cases = _hull_point_groups(sc, vset, name)
+            # a tree older than `_hull_candidates` takes one call per set
+            call = getattr(vset, "_hull_candidates",
+                           lambda *sets: [E.hull_points() for E in sets])
+            sizes = dict.fromkeys(("calls", "sets", "runs", "columns", "candidates"), 0)
+            sizes["calls"] = len(cases)
+            for sets in cases:  # also the warm-up calls
+                for E, pts in zip(sets, call(*sets)):
+                    for key, x in (("sets", 1), ("runs", len(E.runs)),
+                                   ("columns", len(vset._column_breaks(E.runs)) - 1),
+                                   ("candidates", len(pts))):
+                        sizes[key] += x
         else:
             if name in SUMSET_INPUTS:
                 spec, t = _sumset_input(name)
@@ -331,10 +384,16 @@ def main(argv=None) -> int:
             rec = {"name": name, "layer": "minkowski.deficit",
                    "spec": {"criterion": "02", "n": str(DEFICIT_INPUTS[name]),
                             "scenarios": str(DEFICIT_COUNT)}}
-        else:
+        elif name in HULL_DISTANCE_INPUTS:
             rec = {"name": name, "layer": "stability.hull_distance",
                    "spec": {"workload": "stability-sweep",
                             "seed": str(HULL_DISTANCE_INPUTS[name])}}
+        else:
+            source, arg = HULL_POINTS_INPUTS[name]
+            rec = {"name": name, "layer": "vset.hull_points",
+                   "spec": ({k: str(v) for k, v in _scenario_spec(arg).items()}
+                            if source == "scenario"
+                            else {"workload": source, "seed": str(arg)})}
         for side, rs in runs.items():
             rec[side] = {"sizes": rs[-1][name]["sizes"],
                          "cpu_s": _quartiles([x for r in rs for x in r[name]["cpu_s"]]),
@@ -351,9 +410,9 @@ def main(argv=None) -> int:
                     "python": platform.python_version(), "numpy": numpy.__version__},
         "method": {"reps": args.reps, "rounds": args.rounds if args.parent else 1,
                    "cover_pairs": args.cover_pairs,
-                   "clock": "process_time, one call; for deficit and hull_distance "
-                            "inputs one pass over the scenarios, divided by their "
-                            "count"},
+                   "clock": "process_time, one call; for deficit, hull_distance "
+                            "and hull_points inputs one pass over the scenarios or "
+                            "calls, divided by their count"},
         "inputs": inputs,
     }
     book = {"schema": SCHEMA, "entries": []}
@@ -365,8 +424,9 @@ def main(argv=None) -> int:
         json.dump(book, fh, indent=1)
         fh.write("\n")
     for rec in inputs:
-        size, count = (("rows", "levels") if rec["layer"] == "stability.hull_distance"
-                       else ("pairs", "kept"))
+        size, count = {"stability.hull_distance": ("rows", "levels"),
+                       "vset.hull_points": ("runs", "candidates")}.get(
+                           rec["layer"], ("pairs", "kept"))
         cols = "  ".join(
             f"{side} {1e6 * rec[side]['cpu_s']['median']:8.0f} us "
             f"({count} {rec[side]['sizes'][count]})" for side in runs)
